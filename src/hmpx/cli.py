@@ -47,7 +47,7 @@ def build_parser():
                        help="max sequences to enumerate (default 2**24; "
                             "env HMPX_BUDGET overrides the default, the flag wins)")
         p.add_argument("--workers", type=int, default=1,
-                       help="contiguous enumeration chunks processed in parallel")
+                       help="deprecated and ignored; removed after 2026-12-31")
         if log_base:
             p.add_argument("--log-base", choices=("e", "2"), default="e")
 

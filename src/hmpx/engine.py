@@ -1,23 +1,34 @@
 """Exact entropy computations by full enumeration of observation sequences.
 
 Every quantity here is a sum over all s**N observation sequences of a
-forward-algorithm probability.  The forward pass is generic over its
-number type: plain floats give entropies at a fixed noise level, UniJet
-values expand in a single shared noise variable, and MultiJet values give
-one noise variable per site (the device behind the mixed-partial checks).
+forward-algorithm probability.  Plain-number and UniJet noise run through
+a prefix trellis: level n holds the forward variables of all s**n
+prefixes as arrays of shape (prefixes, s, w), w = K+1 for an order-K jet
+and 1 for plain numbers, and each level yields its block entropy H_n as
+the walk passes it.  One pass to depth N therefore gives H_1..H_N.  The
+emission step at a site is pred*delta + (eps ⊛ pred)*T, where eps ⊛ is a
+shift-and-add over the nonzero coefficients of that site's jet, since
+R(eps) = I + eps*T has degree 1 in eps.
+
+The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
+stays bounded whatever s**N is, and the last level is never held whole.
+Per-site MultiJet noise (the device behind the mixed-partial checks) still
+uses the generic per-sequence forward pass.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
-Accumulation uses compensated (Neumaier) summation in lexicographic
-order; with ``workers > 1`` the enumeration splits into contiguous
-chunks, each compensated internally, reduced in fixed chunk order, so a
-given worker count always reproduces the same bits.
+Summation order is fixed: each block's p*log(p) terms are summed exactly
+(math.fsum per coefficient), and the block sums are added with Neumaier
+compensation in lexicographic order.  Blocks depend only on the level, so
+a given H_n is the same bits whichever call computes it.  Everything,
+MultiJet noise included, runs serially in the calling process; the
+``workers`` argument is deprecated, ignored, and warns when not 1.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from itertools import product
 
 import numpy as np
@@ -37,13 +48,33 @@ DEFAULT_BUDGET = 2 ** 24
 
 _P_FLOOR = 1e-300  # constant terms below this mean the sum is corrupt
 
+# Prefixes per trellis block.  The walk holds one block per level, so its
+# working memory grows with N, not with s**N.
+_CHUNK = 512
+
+
+def warn_workers(workers):
+    """Deprecation warning for ``workers != 1``; the argument changes nothing."""
+    if workers != 1:
+        warnings.warn("workers is deprecated and ignored: exact enumeration runs in "
+                      "one process; the argument will be removed after 2026-12-31",
+                      DeprecationWarning, stacklevel=3)
+
 
 def _budget_or_default(budget):
     return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 def check_budget(s, n, budget=None):
-    """Raise BudgetExceeded unless s**n sequences fit the budget."""
+    """Raise BudgetExceeded unless s**n sequences fit the budget.
+
+    The budget bounds time; working memory grows with n, not with s**n.
+    Per level the depth-first trellis walk holds one block of at most
+    _CHUNK = 512 prefixes (s*(K+1) floats each) plus the propagated mass of
+    its parents, about (s+1) * 512 * (K+1) * 8 bytes: 0.15 MB at s = 2,
+    K = 11.  block_entropy at s = 2, K = 11 peaks at 1.1 MB of numpy
+    allocations for n = 12 and 1.7 MB for n = 16.
+    """
     budget = _budget_or_default(budget)
     if s ** n > budget:
         raise BudgetExceeded(
@@ -57,25 +88,6 @@ def enumerate_sequences(s, n, budget=None):
         raise ValueError("need s >= 2 and N >= 1")
     check_budget(s, n, budget)
     return product(range(s), repeat=n)
-
-
-def _sequence_at(s, n, index):
-    digits = [0] * n
-    for pos in range(n - 1, -1, -1):
-        index, digits[pos] = divmod(index, s)
-    return digits
-
-
-def _iter_range(s, n, lo, hi):
-    # Base-s odometer from sequence index lo (inclusive) to hi (exclusive).
-    seq = _sequence_at(s, n, lo)
-    for _ in range(hi - lo):
-        yield seq
-        for pos in range(n - 1, -1, -1):
-            seq[pos] += 1
-            if seq[pos] < s:
-                break
-            seq[pos] = 0
 
 
 # --- noise profiles -------------------------------------------------------
@@ -170,25 +182,6 @@ def sequence_probability(model, symbols, noise):
 
 # --- compensated accumulation --------------------------------------------
 
-class _NeumaierFloat:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x):
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    def total(self):
-        return self.s + self.c
-
-
 class _NeumaierArray:
     __slots__ = ("s", "c")
 
@@ -206,62 +199,124 @@ class _NeumaierArray:
         return self.s + self.c
 
 
-def _mode_of(profile):
-    for v in profile:
-        if isinstance(v, MultiJet):
-            return "multi", v._config()
-        if isinstance(v, UniJet):
-            return "uni", v.order
-    return "scalar", None
+# --- prefix trellis (plain-number and UniJet noise) -----------------------
+
+def _emission(eps, t):
+    """Map predicted state mass (P, s, w) to child forward variables (P, s, s, w).
+
+    alpha[p, y, x] = pred[p, x] * R(eps)[x, y] with R = I + eps*T.  For a
+    jet eps that is pred*delta + (eps ⊛ pred)*T, the truncated product done
+    as a shift-and-add over the nonzero coefficients of eps.
+    """
+    s = t.shape[0]
+    if not isinstance(eps, UniJet):
+        r = (np.eye(s) + eps * t).T[:, :, None]
+        return lambda pred: pred[:, None] * r
+    tt = t.T[:, :, None]
+    diag = np.arange(s)
+    terms = [(int(j), float(eps.coeffs[j])) for j in np.flatnonzero(eps.coeffs)]
+
+    def emit(pred):
+        w = pred.shape[-1]
+        shifted = np.zeros_like(pred)
+        for j, c in terms:
+            shifted[..., j:] += c * pred[..., :w - j]
+        alpha = shifted[:, None] * tt
+        alpha[:, diag, diag] += pred
+        return alpha
+
+    return emit
 
 
-def _chunk_xlogx_sum(model, profile, n, lo, hi):
-    """Compensated sum of p*log(p) over sequence indices [lo, hi)."""
-    mode, cfg = _mode_of(profile)
+def _xlogx_sum(p, first, n, s, jet):
+    """Per-coefficient exact sum of p*log(p) over the rows of p, shape (P, w).
+
+    Row i is the probability of the level-n prefix with index first + i.
+    """
+    low = p[:, 0] < _P_FLOOR
+    if low.any():
+        # A probability of exactly zero is a structurally unreachable
+        # sequence (point-mass start, or a hard zero in the emission
+        # pattern); its p*log(p) term is zero.  Tiny-but-nonzero constant
+        # terms cannot occur for strictly positive M and mean the sum is
+        # corrupt.  Plain-number emission entries may carry -1e-15 of
+        # rounding at the eps boundary, so a vanishing probability can land
+        # just below 0.
+        if jet:
+            vanished = ~p.any(axis=1)
+        else:
+            vanished = (p[:, 0] >= -1e-15) & (p[:, 0] <= 0.0)
+        bad = np.flatnonzero(low & ~vanished)
+        if bad.size:
+            seq = tuple(int(d) for d in np.unravel_index(first + bad[0], (s,) * n))
+            raise UnreachableSequence(f"P{seq} = {p[bad[0]].tolist()} underflowed")
+        p = p[~low]
+    # Row-wise jet log, solved order by order from a * (log a)' = a' as in
+    # UniJet.log, then the truncated product p * log(p).
+    w = p.shape[1]
+    a0 = p[:, 0]
+    b = np.empty_like(p)
+    wb = np.empty_like(p)  # wb[:, j] = j * b[:, j]
+    b[:, 0] = np.log(a0)
+    wb[:, 0] = 0.0
+    for k in range(1, w):
+        inner = np.einsum("ij,ij->i", p[:, 1:k], wb[:, k - 1:0:-1])
+        b[:, k] = (p[:, k] - inner / k) / a0
+        wb[:, k] = k * b[:, k]
+    term = np.zeros_like(p)
+    for j in range(w):
+        term[:, j:] += p[:, j:j + 1] * b[:, :w - j]
+    return np.array([math.fsum(col) for col in term.T.tolist()])
+
+
+def _trellis_entropies(model, profile, levels):
+    """{n: H_n} for each n in levels, from one depth-first walk of the trellis."""
+    s = model.size
+    depth = max(levels)
+    profile = profile[:depth]
+    jet = next((v for v in profile if isinstance(v, UniJet)), None)
+    w = 1 if jet is None else jet.order + 1
+    mt = model.transition.matrix.T
+    emit = [_emission(eps, model.noise.matrix) for eps in profile]
+    sums = {n: _NeumaierArray(w) for n in levels}
+    width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
+
+    def visit(pred, n, first):
+        # pred: state mass of consecutive level-(n-1) prefixes, propagated
+        # through M; their children at level n start at index `first`.
+        alpha = emit[n - 1](pred).reshape(-1, s, w)
+        if n in sums:
+            sums[n].add(_xlogx_sum(alpha.sum(axis=1), first, n, s, jet is not None))
+        if n < depth:
+            for lo in range(0, len(alpha), width):
+                visit(mt @ alpha[lo:lo + width], n + 1, (first + lo) * s)
+
+    root = np.zeros((1, s, w))
+    root[0, :, 0] = model.transition.stationary
+    visit(root, 1, 0)
+    if jet is None:
+        return {n: float(-acc.total()[0]) for n, acc in sums.items()}
+    return {n: UniJet(-acc.total()) for n, acc in sums.items()}
+
+
+# --- per-sequence path (MultiJet noise) -------------------------------------
+
+def _multijet_entropy(model, profile):
+    """H_n for a profile with MultiJet sites, one forward pass per sequence."""
+    nvars, cap, bounds = next(v for v in profile if isinstance(v, MultiJet))._config()
+    keys = space_keys(nvars, cap, bounds)
+    index = {k: i for i, k in enumerate(keys)}
     tables = _site_tables(model, profile)
     m_rows = model.transition.matrix.tolist()
     init = model.transition.stationary.tolist()
-    s = model.size
-    # A probability of exactly zero is a structurally unreachable sequence
-    # (point-mass start, or a hard zero in the emission pattern); its
-    # p*log(p) term is zero.  Tiny-but-nonzero constant terms cannot occur
-    # for strictly positive M and mean the sum is corrupt.
-    if mode == "scalar":
-        acc = _NeumaierFloat()
-        for seq in _iter_range(s, n, lo, hi):
-            p = _forward(tables, m_rows, init, seq)
-            if p < _P_FLOOR:
-                # emission entries may carry -1e-15 of rounding at the eps
-                # boundary, so a vanishing probability can land just below 0
-                if -1e-15 <= p <= 0.0:
-                    continue
-                raise UnreachableSequence(f"P{tuple(seq)} = {p!r} underflowed")
-            acc.add(p * math.log(p))
-        return acc.total()
-    if mode == "uni":
-        acc = _NeumaierArray(cfg + 1)
-        for seq in _iter_range(s, n, lo, hi):
-            p = _forward(tables, m_rows, init, seq)
-            if p.coeffs[0] < _P_FLOOR:
-                if not p.coeffs.any():
-                    continue
-                raise UnreachableSequence(f"P{tuple(seq)} constant term underflowed")
-            try:
-                acc.add((p * p.log()).coeffs)
-            except NonPositiveConstantTerm as exc:
-                raise UnreachableSequence(str(exc)) from exc
-        return acc.total()
-    nvars, cap, bounds = cfg
-    keys = space_keys(nvars, cap, bounds)
-    index = {k: i for i, k in enumerate(keys)}
     acc = _NeumaierArray(len(keys))
     vec = np.zeros(len(keys))
-    for seq in _iter_range(s, n, lo, hi):
+    for seq in product(range(model.size), repeat=len(profile)):
         p = _forward(tables, m_rows, init, seq)
         if p.constant_term < _P_FLOOR:
             if not p._raw:
                 continue
-            raise UnreachableSequence(f"P{tuple(seq)} constant term underflowed")
+            raise UnreachableSequence(f"P{seq} constant term underflowed")
         try:
             term = p * p.log()
         except NonPositiveConstantTerm as exc:
@@ -270,47 +325,26 @@ def _chunk_xlogx_sum(model, profile, n, lo, hi):
         for k, c in term._raw.items():
             vec[index[k]] = c
         acc.add(vec)
-    return acc.total()
-
-
-def _chunk_worker(payload):
-    model, profile, n, lo, hi = payload
-    return _chunk_xlogx_sum(model, profile, n, lo, hi)
-
-
-def _entropy_over_profile(model, profile, *, budget=None, workers=1, initial=None):
-    n = len(profile)
-    s = model.size
-    check_budget(s, n, budget)
-    if initial is not None:
-        model = _with_initial(model, initial)
-    total = s ** n
-    workers = max(1, min(int(workers), total))
-    if workers == 1:
-        raw = _chunk_xlogx_sum(model, profile, n, 0, total)
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        payloads = [
-            (model, profile, n, bounds[i], bounds[i + 1]) for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_chunk_worker, payloads))
-        if isinstance(partials[0], float):
-            acc = _NeumaierFloat()
-        else:
-            acc = _NeumaierArray(partials[0].size)
-        for part in partials:
-            acc.add(part)
-        raw = acc.total()
-    mode, cfg = _mode_of(profile)
-    if mode == "scalar":
-        return -raw
-    if mode == "uni":
-        return UniJet(-raw)
-    nvars, cap, bounds = cfg
-    keys = space_keys(nvars, cap, bounds)
+    raw = acc.total()
     out = {k: float(-raw[i]) for i, k in enumerate(keys) if raw[i] != 0.0}
     return MultiJet._from_raw(nvars, cap, bounds, out)
+
+
+def _entropies(model, profile, levels, *, budget=None, initial=None):
+    """{n: H_n} over the first n sites of a resolved profile, n in levels."""
+    check_budget(model.size, max(levels), budget)
+    if initial is not None:
+        model = _with_initial(model, initial)
+    out = {}
+    plain = []
+    for n in levels:
+        if any(isinstance(v, MultiJet) for v in profile[:n]):
+            out[n] = _multijet_entropy(model, profile[:n])
+        else:
+            plain.append(n)
+    if plain:
+        out.update(_trellis_entropies(model, profile, plain))
+    return out
 
 
 def _with_initial(model, initial):
@@ -332,23 +366,30 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     ``noise`` as in sequence_probability.  Natural log.  ``initial``
     optionally replaces the stationary start distribution.
     """
+    warn_workers(workers)
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    return _entropy_over_profile(model, profile, budget=budget, workers=workers,
-                                 initial=initial)
+    return _entropies(model, profile, (n,), budget=budget, initial=initial)[n]
+
+
+def block_entropies(model, n, noise, *, budget=None):
+    """H_1..H_n as a list, all from one pass; ``noise`` as in block_entropy."""
+    if n < 1:
+        raise ValueError("need N >= 1")
+    profile = resolve_profile(model, noise, n)
+    h = _entropies(model, profile, range(1, n + 1), budget=budget)
+    return [h[i] for i in range(1, n + 1)]
 
 
 def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
-    """H(Y_n | Y_1..Y_{n-1}) = H_n - H_{n-1}, each term its own enumeration."""
+    """H(Y_n | Y_1..Y_{n-1}) = H_n - H_{n-1}, both terms from one pass."""
+    warn_workers(workers)
     if n < 2:
         raise ValueError("need N >= 2")
     profile = resolve_profile(model, noise, n)
-    h_n = _entropy_over_profile(model, profile, budget=budget, workers=workers,
-                                initial=initial)
-    h_prev = _entropy_over_profile(model, profile[:-1], budget=budget, workers=workers,
-                                   initial=initial)
-    return h_n - h_prev
+    h = _entropies(model, profile, (n - 1, n), budget=budget, initial=initial)
+    return h[n] - h[n - 1]
 
 
 def multi_site_F(model, profile, *, budget=None, workers=1):
@@ -356,12 +397,13 @@ def multi_site_F(model, profile, *, budget=None, workers=1):
 
     With every profile entry equal this reduces to conditional_entropy.
     """
+    warn_workers(workers)
     if not isinstance(profile, (list, tuple)) or len(profile) < 2:
         raise ProfileLengthMismatch("profile must list at least two sites")
-    profile = resolve_profile(model, profile, len(profile))
-    h_n = _entropy_over_profile(model, profile, budget=budget, workers=workers)
-    h_prev = _entropy_over_profile(model, profile[:-1], budget=budget, workers=workers)
-    return h_n - h_prev
+    n = len(profile)
+    profile = resolve_profile(model, profile, n)
+    h = _entropies(model, profile, (n - 1, n), budget=budget)
+    return h[n] - h[n - 1]
 
 
 def mixed_partial_F(model, kvec, *, budget=None, workers=1):
@@ -370,6 +412,7 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     Site i gets its own expansion variable; the multijet is truncated at
     total degree sum(kvec), which is exact for extracting this partial.
     """
+    warn_workers(workers)
     kvec = [int(k) for k in kvec]
     if len(kvec) < 2:
         raise ValueError("kvec must cover at least two sites")
@@ -381,5 +424,5 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     # coefficient, so the whole computation lives in the exponent box.
     box = tuple(kvec)
     profile = [MultiJet.variable(i, n, cap, bounds=box) for i in range(n)]
-    f = multi_site_F(model, profile, budget=budget, workers=workers)
+    f = multi_site_F(model, profile, budget=budget)
     return f.mixed_partial(kvec)

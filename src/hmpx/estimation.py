@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import conditional_entropy
+from .engine import conditional_entropy, warn_workers
 from .errors import UnreachableSequence
 from .model import check_epsilon, emission_at
 
@@ -155,10 +155,11 @@ def conditional_bounds(model, eps, n, *, budget=None, workers=1):
     conditioned on the first hidden state, averaged over its stationary
     law.  Both tighten toward the rate as n grows.
     """
+    warn_workers(workers)
     eps = check_epsilon(model.noise, eps)
     if n < 2:
         raise ValueError("need N >= 2")
-    upper = conditional_entropy(model, n, eps, budget=budget, workers=workers)
+    upper = conditional_entropy(model, n, eps, budget=budget)
     s = model.size
     pi = model.transition.stationary
     lower = 0.0
@@ -166,7 +167,7 @@ def conditional_bounds(model, eps, n, *, budget=None, workers=1):
         point = np.zeros(s)
         point[x] = 1.0
         lower += float(pi[x]) * conditional_entropy(model, n, eps, budget=budget,
-                                                    workers=workers, initial=point)
+                                                    initial=point)
     # conditioning cannot raise entropy; keep the contract under rounding
     lower = min(lower, upper)
     return float(upper), float(lower)

@@ -22,7 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import block_entropy, check_budget, mixed_partial_F, multi_site_F
+from .engine import (
+    block_entropies,
+    check_budget,
+    mixed_partial_F,
+    multi_site_F,
+    warn_workers,
+)
 from .errors import EpsilonOutOfRange, HypothesisNotMet, SettlingViolation
 from .jets import UniJet
 from .model import random_model
@@ -87,16 +93,10 @@ class LemmaReport:
         return bool(self.residual <= self.tolerance)
 
 
-def _conditional_jets(model, n_hi, order, *, budget=None, workers=1):
-    """C_N jets for N = 2..n_hi; each H_N comes from its own enumeration."""
-    var = UniJet.variable(order)
-    jets = {}
-    h_prev = block_entropy(model, 1, var, budget=budget, workers=workers)
-    for n in range(2, n_hi + 1):
-        h_n = block_entropy(model, n, var, budget=budget, workers=workers)
-        jets[n] = h_n - h_prev
-        h_prev = h_n
-    return jets
+def _conditional_jets(model, n_hi, order, *, budget=None):
+    """C_N jets for N = 2..n_hi, all from one trellis pass to n_hi."""
+    h = block_entropies(model, n_hi, UniJet.variable(order), budget=budget)
+    return {n: h[n - 1] - h[n - 2] for n in range(2, n_hi + 1)}
 
 
 def entropy_rate_series(model, order, *, budget=None, workers=1,
@@ -110,11 +110,12 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
     SettlingViolation: under the settling guarantee the values are equal,
     so disagreement means numerical trouble or an invalid model.
     """
+    warn_workers(workers)
     if order < 0:
         raise ValueError("order must be >= 0")
     n_star = settling_threshold(order)
     check_budget(model.size, n_star + 1, budget)
-    jets = _conditional_jets(model, n_star + 1, order, budget=budget, workers=workers)
+    jets = _conditional_jets(model, n_star + 1, order, budget=budget)
     coeffs = jets[n_star].coeffs
     check = jets[n_star + 1].coeffs
     residuals = []
@@ -142,10 +143,11 @@ def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTa
     """Coefficients of H_N - H_{N-1} for N = 2..n_max, settled cells flagged.
 
     Cells below threshold are reported as computed, never extrapolated."""
+    warn_workers(workers)
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     check_budget(model.size, n_max, budget)
-    jets = _conditional_jets(model, n_max, order, budget=budget, workers=workers)
+    jets = _conditional_jets(model, n_max, order, budget=budget)
     n_values = tuple(range(2, n_max + 1))
     coef = np.array([jets[n].coeffs for n in n_values])
     thresholds = tuple(settling_threshold(k) for k in range(order + 1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from hmpx import (
     ProfileLengthMismatch,
     UniJet,
     block_entropy,
+    conditional_bounds,
     conditional_entropy,
     enumerate_sequences,
     mixed_partial_F,
     multi_site_F,
     random_model,
     sequence_probability,
+    settling_table,
 )
+from hmpx.engine import block_entropies
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -241,6 +245,12 @@ class TestWorkers:
         b = block_entropy(bs, 6, 0.03, workers=2)
         assert a == b
 
+    def test_workers_is_deprecated(self, bs, recwarn):
+        block_entropy(bs, 3, 0.05)
+        assert not recwarn.list
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            block_entropy(bs, 3, 0.05, workers=2)
+
 
 def test_permutation_symmetry_of_binary_symmetric(bs):
     # relabeling 0 <-> 1 maps the model to itself, so H_N is invariant
@@ -277,3 +287,92 @@ def test_mixed_scalar_and_jet_profile(bs):
     f_mixed = multi_site_F(bs, [0.02, 0.01, var])
     for e, c in f_jet.terms.items():
         assert f_mixed.coefficient(e) == pytest.approx(c, abs=1e-12)
+
+
+def _coeffs(value):
+    return value.coeffs if isinstance(value, UniJet) else np.array([value])
+
+
+def _block_entropy_oracle(model, profile):
+    # per-sequence p*log(p), exactly summed per coefficient
+    terms = []
+    for y in enumerate_sequences(model.size, len(profile)):
+        p = sequence_probability(model, y, profile)
+        terms.append(_coeffs(p * p.log()) if isinstance(p, UniJet) else [p * math.log(p)])
+    return -np.array([math.fsum(col) for col in np.array(terms).T])
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["scalar", "variable", "polynomial"]),
+                      min_size=2, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_trellis_matches_per_sequence_oracle(seed, kinds):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, int(rng.choice([2, 3])))
+    v = UniJet.variable(6)
+    # a jet that is not a plain variable exercises the general shift-and-add
+    sites = {"variable": v, "polynomial": 0.02 + 0.5 * v + v * v}
+    profile = [sites[k] if k in sites else float(0.2 * model.epsilon_max * rng.random())
+               for k in kinds]
+    h_n = _block_entropy_oracle(model, profile)
+    h_prev = _block_entropy_oracle(model, profile[:-1])
+    h_prev = np.pad(h_prev, (0, h_n.size - h_prev.size))  # all-scalar prefix
+    np.testing.assert_allclose(_coeffs(block_entropy(model, len(profile), profile)),
+                               h_n, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_coeffs(multi_site_F(model, profile)),
+                               h_n - h_prev, rtol=1e-12, atol=1e-12)
+
+
+def test_one_pass_is_bit_identical_to_separate_calls(bs):
+    # N = 10 spans several trellis blocks at the deepest levels; the blocks
+    # of a level do not depend on how deep the pass goes
+    for noise in (0.05, UniJet.variable(8)):
+        one_pass = block_entropies(bs, 10, noise)
+        for n in range(1, 11):
+            alone = block_entropy(bs, n, noise)
+            assert _coeffs(one_pass[n - 1]).tobytes() == _coeffs(alone).tobytes()
+
+
+def test_settling_table_pass_matches_separate_calls(bs):
+    table = settling_table(bs, 11, 8)
+    for row, n in zip(table.coefficients, table.n_values):
+        expected = conditional_entropy(bs, n, UniJet.variable(11)).coeffs
+        np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-13)
+
+
+class TestStructuralZeros:
+    # T = 0 with a point-mass start: every sequence that leaves state 0 at
+    # the first site has probability exactly zero and must be skipped.
+    # Both rows of the chain have entropy h(0.3), so C_N is the Markov rate
+    # whatever the start.
+    def test_conditional_entropy_is_markov_rate(self, noiseless):
+        rate = markov_entropy_rate(noiseless.transition.matrix,
+                                   noiseless.transition.stationary)
+        for n in range(2, 6):
+            got = conditional_entropy(noiseless, n, 0.0, initial=[1.0, 0.0])
+            assert got == pytest.approx(rate, abs=1e-12)
+            jet = conditional_entropy(noiseless, n, UniJet.variable(4),
+                                      initial=[1.0, 0.0])
+            np.testing.assert_allclose(jet.coeffs, [rate, 0, 0, 0, 0], atol=1e-12)
+
+    def test_bounds_sandwich_the_rate(self, noiseless):
+        rate = markov_entropy_rate(noiseless.transition.matrix,
+                                   noiseless.transition.stationary)
+        upper, lower = conditional_bounds(noiseless, 0.0, 4)
+        assert lower <= upper
+        assert upper == pytest.approx(rate, abs=1e-12)
+        assert lower == pytest.approx(rate, abs=1e-12)
+
+
+def test_trellis_memory_is_bounded_in_depth(bs):
+    # a depth-first walk holds one block per level; a breadth-first one
+    # would hold a whole level, 16x more at N = 16 than at N = 12
+    def peak(n):
+        tracemalloc.start()
+        try:
+            block_entropy(bs, n, UniJet.variable(11))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= 2 * peak(12)
