@@ -205,6 +205,8 @@ def _cmd_entropy(args):
 
 
 def _cmd_verify(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     budget = _resolved_budget(args)
     model = load_model(args.model)
     lemmas = (1, 2, 3) if args.lemma == "all" else (int(args.lemma),)
@@ -237,6 +239,10 @@ def _cmd_verify(args):
 def _cmd_mc(args):
     budget = _resolved_budget(args)
     model = load_model(args.model)
+    # Expand first, so a bad --order or budget fails before the costly MC run.
+    series = (None if args.order is None else
+              entropy_rate_series(model, args.order, budget=budget,
+                                  workers=args.workers))
     est = mc_entropy_rate(model, args.epsilon, args.length, args.seed,
                           batches=args.batches)
     div = _log_div(args)
@@ -253,9 +259,7 @@ def _cmd_mc(args):
     header = ["epsilon", "length", "seed", "estimate", "standard_error"]
     row = [args.epsilon, args.length, args.seed, doc["estimate"],
            doc["standard_error"]]
-    if args.order is not None:
-        series = entropy_rate_series(model, args.order, budget=budget,
-                                     workers=args.workers)
+    if series is not None:
         value = evaluate_series(series, args.epsilon).value / div
         diff = abs(doc["estimate"] - value)
         doc["series_value"] = value
@@ -269,6 +273,8 @@ def _cmd_mc(args):
 
 
 def _cmd_bounds(args):
+    if args.n_max < 2:
+        raise ValueError("need n_max >= 2")
     budget = _resolved_budget(args)
     model = load_model(args.model)
     div = _log_div(args)

@@ -1,28 +1,29 @@
 """Exact entropy computations by full enumeration of observation sequences.
 
 Every quantity here is a sum over all s**N observation sequences of a
-forward-algorithm probability.  Plain-number and UniJet noise run through
-a prefix trellis: level n holds the forward variables of all s**n
-prefixes as arrays of shape (prefixes, s, w), w = K+1 for an order-K jet
-and 1 for plain numbers, and each level yields its block entropy H_n as
-the walk passes it.  One pass to depth N therefore gives H_1..H_N.  The
-emission step at a site is pred*delta + (eps ⊛ pred)*T, where eps ⊛ is a
-shift-and-add over the nonzero coefficients of that site's jet, since
-R(eps) = I + eps*T has degree 1 in eps.
+forward-algorithm probability.  Plain-number, UniJet and MultiJet noise
+all run through one prefix trellis: level n holds the forward variables
+of all s**n prefixes as arrays of shape (prefixes, s, w), w the size of
+the jets' exponent set (1 for plain numbers, K+1 for an order-K UniJet),
+and each level yields its block entropy H_n as the walk passes it.  One
+pass to depth N therefore gives H_1..H_N.  The emission step at a site
+is a truncated jet product with the tensor R(eps) = I + eps*T; since R
+has degree 1 in eps, it is a shift-and-add over the nonzero coefficients
+of that site's jet.  The jet format, product and log live in jets.py.
 
 The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
 stays bounded whatever s**N is, and the last level is never held whole.
-Per-site MultiJet noise (the device behind the mixed-partial checks) still
-uses the generic per-sequence forward pass.
+sequence_probability keeps a per-sequence forward pass as the reference
+the trellis is tested against.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
 Summation order is fixed: each block's p*log(p) terms are summed exactly
 (math.fsum per coefficient), and the block sums are added with Neumaier
 compensation in lexicographic order.  Blocks depend only on the level, so
-a given H_n is the same bits whichever call computes it.  Everything,
-MultiJet noise included, runs serially in the calling process; the
-``workers`` argument is deprecated, ignored, and warns when not 1.
+a given H_n is the same bits whichever call computes it.  Everything runs
+serially in the calling process; the ``workers`` argument is deprecated,
+ignored, and warns when not 1.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     ConfigMismatch,
-    NonPositiveConstantTerm,
     OrderMismatch,
     ProfileLengthMismatch,
     UnreachableSequence,
 )
-from .jets import MultiJet, UniJet, space_keys
+from .jets import MultiJet, UniJet, exponent_set
 from .model import HmpModel, check_epsilon
 
 DEFAULT_BUDGET = 2 ** 24
@@ -199,36 +199,19 @@ class _NeumaierArray:
         return self.s + self.c
 
 
-# --- prefix trellis (plain-number and UniJet noise) -----------------------
+# --- prefix trellis -------------------------------------------------------
 
-def _emission(eps, t):
+def _emission(pred, r, space):
     """Map predicted state mass (P, s, w) to child forward variables (P, s, s, w).
 
-    alpha[p, y, x] = pred[p, x] * R(eps)[x, y] with R = I + eps*T.  For a
-    jet eps that is pred*delta + (eps ⊛ pred)*T, the truncated product done
-    as a shift-and-add over the nonzero coefficients of eps.
+    alpha[p, y, x] = pred[p, x] * R[x, y], a truncated jet product with the
+    site's jet tensor R = I + eps*T, passed transposed as r[y, x].  With
+    w = 1 it is the plain product pred * (I + eps*T).
     """
-    s = t.shape[0]
-    if not isinstance(eps, UniJet):
-        r = (np.eye(s) + eps * t).T[:, :, None]
-        return lambda pred: pred[:, None] * r
-    tt = t.T[:, :, None]
-    diag = np.arange(s)
-    terms = [(int(j), float(eps.coeffs[j])) for j in np.flatnonzero(eps.coeffs)]
-
-    def emit(pred):
-        w = pred.shape[-1]
-        shifted = np.zeros_like(pred)
-        for j, c in terms:
-            shifted[..., j:] += c * pred[..., :w - j]
-        alpha = shifted[:, None] * tt
-        alpha[:, diag, diag] += pred
-        return alpha
-
-    return emit
+    return space.mul(pred[:, None], r)
 
 
-def _xlogx_sum(p, first, n, s, jet):
+def _xlogx_sum(p, first, n, s, jet, space):
     """Per-coefficient exact sum of p*log(p) over the rows of p, shape (P, w).
 
     Row i is the probability of the level-n prefix with index first + i.
@@ -251,21 +234,7 @@ def _xlogx_sum(p, first, n, s, jet):
             seq = tuple(int(d) for d in np.unravel_index(first + bad[0], (s,) * n))
             raise UnreachableSequence(f"P{seq} = {p[bad[0]].tolist()} underflowed")
         p = p[~low]
-    # Row-wise jet log, solved order by order from a * (log a)' = a' as in
-    # UniJet.log, then the truncated product p * log(p).
-    w = p.shape[1]
-    a0 = p[:, 0]
-    b = np.empty_like(p)
-    wb = np.empty_like(p)  # wb[:, j] = j * b[:, j]
-    b[:, 0] = np.log(a0)
-    wb[:, 0] = 0.0
-    for k in range(1, w):
-        inner = np.einsum("ij,ij->i", p[:, 1:k], wb[:, k - 1:0:-1])
-        b[:, k] = (p[:, k] - inner / k) / a0
-        wb[:, k] = k * b[:, k]
-    term = np.zeros_like(p)
-    for j in range(w):
-        term[:, j:] += p[:, j:j + 1] * b[:, :w - j]
+    term = space.mul(space.log(p), p)
     return np.array([math.fsum(col) for col in term.T.tolist()])
 
 
@@ -274,19 +243,25 @@ def _trellis_entropies(model, profile, levels):
     s = model.size
     depth = max(levels)
     profile = profile[:depth]
-    jet = next((v for v in profile if isinstance(v, UniJet)), None)
-    w = 1 if jet is None else jet.order + 1
+    jet = next((v for v in profile if not isinstance(v, float)), None)
+    space = exponent_set((), 0) if jet is None else jet.space
+    w = space.size
+    t = model.noise.matrix
+    unit = np.eye(1, w)[0]
+    # R(eps)[x, y] = delta_xy + eps * t[x, y] as a jet, stored as r[y, x]
+    r = [np.eye(s)[:, :, None] * unit + t.T[:, :, None]
+         * (eps * unit if isinstance(eps, float) else eps.coeffs) for eps in profile]
     mt = model.transition.matrix.T
-    emit = [_emission(eps, model.noise.matrix) for eps in profile]
     sums = {n: _NeumaierArray(w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
     def visit(pred, n, first):
         # pred: state mass of consecutive level-(n-1) prefixes, propagated
         # through M; their children at level n start at index `first`.
-        alpha = emit[n - 1](pred).reshape(-1, s, w)
+        alpha = _emission(pred, r[n - 1], space).reshape(-1, s, w)
         if n in sums:
-            sums[n].add(_xlogx_sum(alpha.sum(axis=1), first, n, s, jet is not None))
+            p = alpha.sum(axis=1)
+            sums[n].add(_xlogx_sum(p, first, n, s, jet is not None, space))
         if n < depth:
             for lo in range(0, len(alpha), width):
                 visit(mt @ alpha[lo:lo + width], n + 1, (first + lo) * s)
@@ -296,38 +271,7 @@ def _trellis_entropies(model, profile, levels):
     visit(root, 1, 0)
     if jet is None:
         return {n: float(-acc.total()[0]) for n, acc in sums.items()}
-    return {n: UniJet(-acc.total()) for n, acc in sums.items()}
-
-
-# --- per-sequence path (MultiJet noise) -------------------------------------
-
-def _multijet_entropy(model, profile):
-    """H_n for a profile with MultiJet sites, one forward pass per sequence."""
-    nvars, cap, bounds = next(v for v in profile if isinstance(v, MultiJet))._config()
-    keys = space_keys(nvars, cap, bounds)
-    index = {k: i for i, k in enumerate(keys)}
-    tables = _site_tables(model, profile)
-    m_rows = model.transition.matrix.tolist()
-    init = model.transition.stationary.tolist()
-    acc = _NeumaierArray(len(keys))
-    vec = np.zeros(len(keys))
-    for seq in product(range(model.size), repeat=len(profile)):
-        p = _forward(tables, m_rows, init, seq)
-        if p.constant_term < _P_FLOOR:
-            if not p._raw:
-                continue
-            raise UnreachableSequence(f"P{seq} constant term underflowed")
-        try:
-            term = p * p.log()
-        except NonPositiveConstantTerm as exc:
-            raise UnreachableSequence(str(exc)) from exc
-        vec[:] = 0.0
-        for k, c in term._raw.items():
-            vec[index[k]] = c
-        acc.add(vec)
-    raw = acc.total()
-    out = {k: float(-raw[i]) for i, k in enumerate(keys) if raw[i] != 0.0}
-    return MultiJet._from_raw(nvars, cap, bounds, out)
+    return {n: jet._like(-acc.total()) for n, acc in sums.items()}
 
 
 def _entropies(model, profile, levels, *, budget=None, initial=None):
@@ -335,16 +279,7 @@ def _entropies(model, profile, levels, *, budget=None, initial=None):
     check_budget(model.size, max(levels), budget)
     if initial is not None:
         model = _with_initial(model, initial)
-    out = {}
-    plain = []
-    for n in levels:
-        if any(isinstance(v, MultiJet) for v in profile[:n]):
-            out[n] = _multijet_entropy(model, profile[:n])
-        else:
-            plain.append(n)
-    if plain:
-        out.update(_trellis_entropies(model, profile, plain))
-    return out
+    return _trellis_entropies(model, profile, levels)
 
 
 def _with_initial(model, initial):
@@ -409,8 +344,10 @@ def multi_site_F(model, profile, *, budget=None, workers=1):
 def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     """Mixed partial of the per-site conditional entropy at zero noise.
 
-    Site i gets its own expansion variable; the multijet is truncated at
-    total degree sum(kvec), which is exact for extracting this partial.
+    Site i gets its own expansion variable.  Higher powers of a variable
+    cannot reach the target coefficient, so the multijet lives in the box
+    e <= kvec; inside it the total degree never exceeds sum(kvec), so the
+    total-degree cap plays no part.
     """
     warn_workers(workers)
     kvec = [int(k) for k in kvec]
@@ -419,10 +356,6 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     if any(k < 0 for k in kvec):
         raise ValueError("kvec entries must be >= 0")
     n = len(kvec)
-    cap = sum(kvec)
-    # Degrees above kvec in any single variable cannot reach the target
-    # coefficient, so the whole computation lives in the exponent box.
-    box = tuple(kvec)
-    profile = [MultiJet.variable(i, n, cap, bounds=box) for i in range(n)]
+    profile = [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)]
     f = multi_site_F(model, profile, budget=budget)
     return f.mixed_partial(kvec)

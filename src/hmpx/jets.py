@@ -1,23 +1,30 @@
 """Truncated Taylor-series arithmetic ("jets").
 
 A jet is a number-like value that carries a function's Taylor coefficients
-up to a fixed truncation order.  Feeding jet variables through ordinary
+up to a fixed truncation.  Feeding jet variables through ordinary
 arithmetic propagates exact derivatives: if ``e = UniJet.variable(4)`` then
 ``(1 + e).log()`` holds the first five coefficients of log(1+x).
 
-Two flavors are provided:
+Every jet is a dense coefficient vector over a downward-closed exponent
+set, and one kernel, ``ExponentSet``, owns that format: the flat order of
+the exponents, the truncated product and the log.  The sets in use are
+
+* ``{()}`` for plain numbers (width 1, only the engine uses it);
+* ``{0..K}`` for a ``UniJet`` of order K;
+* ``{e <= bounds, sum(e) <= cap}`` for a ``MultiJet`` in nvars variables.
 
 ``UniJet``
-    One expansion variable, dense coefficient vector of fixed order K.
-    Supports +, -, * (with other jets of the same order and with plain
-    scalars) and log().  No division or exp; the entropy sums only need
-    the (-p log p) calculus.
+    One expansion variable, fixed order K.  Supports +, -, * (with other
+    jets of the same order and with plain scalars) and log().  No
+    division or exp; the entropy sums only need the (-p log p) calculus.
 
 ``MultiJet``
-    n expansion variables truncated by *total* degree D, stored sparsely
-    as {exponent tuple: coefficient}.  Same operations, plus extraction
-    of mixed partial derivatives and specialization of all variables to a
-    single shared one (which must reproduce the UniJet result).
+    n expansion variables truncated by *total* degree, optionally also
+    per variable.  Same operations, plus extraction of mixed partial
+    derivatives and specialization of all variables to a single shared
+    one (which must reproduce the UniJet result).  Storage is dense, so a
+    configuration whose exponent set has more than MAX_EXPONENTS members
+    is refused with DegreeExceedsCap before any table is built.
 
 Both are immutable value types; all operations return fresh jets.
 Mixing truncation orders or (nvars, cap) configurations is an error,
@@ -28,7 +35,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -43,8 +49,124 @@ from .errors import (
 # systems and anything larger would thrash.
 MULTIJET_MAX_VARS = 10
 MULTIJET_MAX_DEGREE = 12
+# Largest exponent set a jet may span.  Tables and products grow with the
+# square of the set; the mixed-partial boxes have at most 2304 members.
+MAX_EXPONENTS = 4096
 
 _SCALARS = (int, float, np.integer, np.floating)
+
+
+# --- exponent-set kernel ----------------------------------------------------
+
+def _set_size(bounds, cap):
+    # ways[d] = exponent prefixes of total degree d
+    ways = [1] + [0] * cap
+    for b in bounds:
+        ways = [sum(ways[d - v] for v in range(min(b, d) + 1)) for d in range(cap + 1)]
+    return sum(ways)
+
+
+def _as_index(idx):
+    """A slice where idx runs through consecutive indices, else idx itself."""
+    if idx.size == 0:
+        return slice(0, 0)
+    step = 1 if idx.size == 1 or idx[1] > idx[0] else -1
+    if not np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
+        return idx
+    stop = int(idx[-1]) + step
+    return slice(int(idx[0]), None if stop < 0 else stop, step)
+
+
+class ExponentSet:
+    """Index tables of the exponent set {e <= bounds, sum(e) <= cap}.
+
+    A jet over the set is a coefficient vector, trailing axis of length
+    ``size``, in flat C order of the exponents.  In that order every
+    divisor of an exponent comes before it.  Use ``exponent_set`` to get
+    one: it caches the tables and refuses oversized sets.
+    """
+
+    def __init__(self, bounds, cap):
+        exps = [()]
+        for b in bounds:
+            exps = [e + (v,) for e in exps for v in range(min(b, cap - sum(e)) + 1)]
+        self.size = len(exps)
+        self.exponents = tuple(exps)
+        self.index = {e: i for i, e in enumerate(exps)}
+        e = np.array(exps, dtype=np.int64).reshape(self.size, len(bounds))
+        deg = e.sum(axis=1)
+        self.degree = tuple(int(d) for d in deg)
+        # C-order codes in the bounding box are ascending, so searchsorted
+        # maps an exponent to its index.
+        top = np.array([min(b, cap) for b in bounds], dtype=np.int64)
+        strides = np.array([math.prod(top[d + 1:] + 1) for d in range(top.size)],
+                           dtype=np.int64)
+        codes = e @ strides
+        # shifts[j] = (src, dst): times x**e_j, coefficient src lands in dst
+        self.shifts = []
+        pairs = []
+        for j in range(self.size):
+            t = e + e[j]
+            src = np.flatnonzero((t <= top).all(axis=1) & (deg + deg[j] <= cap))
+            dst = np.searchsorted(codes, t[src] @ strides)
+            self.shifts.append((_as_index(src), _as_index(dst)))
+            pairs.append(np.stack([src, np.full(src.size, j), dst]))
+        # log_pairs[k] = (i, j): the pairs e_i + e_j = e_k with i, j != 0,
+        # ordered by i
+        i, j, k = np.concatenate(pairs, axis=1)
+        keep = (i > 0) & (j > 0)
+        order = np.lexsort((i[keep], k[keep]))
+        i, j, k = (x[keep][order] for x in (i, j, k))
+        ends = np.cumsum(np.bincount(k, minlength=self.size))
+        self.log_pairs = [(_as_index(i[lo:hi]), _as_index(j[lo:hi]))
+                          for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)]
+
+    def mul(self, a, b):
+        """Truncated product of jet arrays, broadcast over leading axes.
+
+        One shift-and-add per nonzero coefficient column of b, so a sparse
+        factor such as an emission tensor costs only its nonzero terms.
+        """
+        out = a * b[..., :1]
+        nonzero = np.flatnonzero(b.reshape(-1, self.size).any(axis=0))
+        for j in nonzero[nonzero > 0]:
+            src, dst = self.shifts[j]
+            out[..., dst] += b[..., j:j + 1] * a[..., src]
+        return out
+
+    def log(self, a):
+        """Natural log of jet arrays, batched over leading axes.
+
+        Needs a[..., 0] > 0, which the caller checks.  Solves
+        a * E(log a) = E(a) coefficient by coefficient in flat order, where
+        the Euler operator E multiplies the coefficient of x**e by |e|.  On
+        {0..K} this is the order-by-order recurrence from a * (log a)' = a'.
+        """
+        b = np.empty_like(a)
+        wb = np.empty_like(a)  # wb[..., k] = |e_k| * b[..., k]
+        a0 = a[..., 0]
+        b[..., 0] = np.log(a0)
+        wb[..., 0] = 0.0
+        for k in range(1, self.size):
+            i, j = self.log_pairs[k]
+            d = self.degree[k]
+            inner = np.einsum("...i,...i->...", a[..., i], wb[..., j])
+            b[..., k] = (a[..., k] - inner / d) / a0
+            wb[..., k] = d * b[..., k]
+        return b
+
+
+@lru_cache(maxsize=256)
+def exponent_set(bounds, cap):
+    """Cached ExponentSet for a bounds tuple and total-degree cap.
+
+    Raises DegreeExceedsCap when the set has more than MAX_EXPONENTS members.
+    """
+    size = _set_size(bounds, cap)
+    if size > MAX_EXPONENTS:
+        raise DegreeExceedsCap(f"exponent set bounds={bounds} cap={cap} has {size} "
+                               f"members, over the limit of {MAX_EXPONENTS}")
+    return ExponentSet(bounds, cap)
 
 
 class UniJet:
@@ -83,6 +205,13 @@ class UniJet:
     @property
     def order(self):
         return self.coeffs.size - 1
+
+    @property
+    def space(self):
+        return exponent_set((self.order,), self.order)
+
+    def _like(self, coeffs):
+        return UniJet(coeffs)
 
     def __len__(self):
         return self.coeffs.size
@@ -136,24 +265,11 @@ class UniJet:
     __rmul__ = __mul__
 
     def log(self):
-        """Taylor coefficients of log(self), natural log.
-
-        Solved order by order from a * (log a)' = a', which reuses the
-        input coefficients instead of composing a log(1+u) series.
-        """
+        """Taylor coefficients of log(self), natural log."""
         a = self.coeffs
         if a[0] <= 0.0:
             raise NonPositiveConstantTerm(f"log of jet with constant term {a[0]!r}")
-        k_max = self.order
-        b = np.empty(k_max + 1)
-        wb = np.empty(k_max + 1)  # wb[j] = j * b[j]
-        b[0] = math.log(a[0])
-        wb[0] = 0.0
-        for k in range(1, k_max + 1):
-            s = float(np.dot(a[1:k], wb[k - 1:0:-1]))
-            b[k] = (a[k] - s / k) / a[0]
-            wb[k] = k * b[k]
-        return UniJet(b)
+        return UniJet(self.space.log(a))
 
     def __call__(self, x):
         """Evaluate the truncated polynomial at x (Horner)."""
@@ -169,20 +285,6 @@ class UniJet:
         return f"UniJet({self.coeffs.tolist()})"
 
 
-def monomials(nvars, cap):
-    """All exponent tuples with sum <= cap, in graded lexicographic order."""
-    out = [(0,) * nvars]
-    for degree in range(1, cap + 1):
-        block = []
-        for positions in combinations_with_replacement(range(nvars), degree):
-            e = [0] * nvars
-            for p in positions:
-                e[p] += 1
-            block.append(tuple(e))
-        out.extend(sorted(set(block)))
-    return out
-
-
 def _check_config(nvars, cap):
     if not (1 <= nvars <= MULTIJET_MAX_VARS):
         raise DegreeExceedsCap(f"nvars = {nvars} outside [1, {MULTIJET_MAX_VARS}]")
@@ -190,57 +292,22 @@ def _check_config(nvars, cap):
         raise DegreeExceedsCap(f"cap = {cap} outside [0, {MULTIJET_MAX_DEGREE}]")
 
 
-# Exponent tuples are packed into one int, 4 bits per variable, so adding
-# exponent vectors is a single integer add.  Safe because the total degree
-# is capped at 12 < 16, which also bounds every per-variable exponent.
-_SHIFT = 4
-_MASK = (1 << _SHIFT) - 1
-
-
-def _encode(e):
-    key = 0
-    for i, v in enumerate(e):
-        key |= int(v) << (_SHIFT * i)
-    return key
-
-
-def _decode(key, nvars):
-    return tuple((key >> (_SHIFT * i)) & _MASK for i in range(nvars))
-
-
-def _key_degree(key):
-    d = 0
-    while key:
-        d += key & _MASK
-        key >>= _SHIFT
-    return d
-
-
-@lru_cache(maxsize=256)
-def space_keys(nvars, cap, bounds=None):
-    """Ordered encoded exponent keys admitted by a configuration."""
-    if bounds is None:
-        return tuple(_encode(e) for e in monomials(nvars, cap))
-    ranges = [range(min(int(b), cap) + 1) for b in bounds]
-    return tuple(sorted(_encode(e) for e in product(*ranges) if sum(e) <= cap))
-
-
-@lru_cache(maxsize=256)
-def _valid_keys(nvars, cap, bounds):
-    return frozenset(space_keys(nvars, cap, bounds))
-
-
 class MultiJet:
     """Multivariate truncated Taylor series with a total-degree cap.
 
-    Sparse: absent exponent tuples mean coefficient zero.  An optional
-    ``bounds`` tuple additionally caps each variable's exponent; that is
-    a quotient by a monomial ideal, so coefficients inside the box stay
-    exact while everything outside is discarded.  Mixed-partial
-    extraction exploits it to keep supports tiny.
+    An optional ``bounds`` tuple additionally caps each variable's
+    exponent; that is a quotient by a monomial ideal, so coefficients
+    inside the box stay exact while everything outside is discarded.
+    Mixed-partial extraction uses it to keep the exponent set tiny.
+
+    ``coeffs`` is the dense coefficient vector over ``space``, the
+    exponent set {e <= bounds, sum(e) <= cap}.  Sets with more than
+    MAX_EXPONENTS members raise DegreeExceedsCap; without bounds that
+    refuses, for example, nvars = 5 with cap >= 11 and nvars = 10 with
+    cap >= 6.
     """
 
-    __slots__ = ("nvars", "cap", "bounds", "_raw")
+    __slots__ = ("nvars", "cap", "bounds", "space", "coeffs")
     __array_ufunc__ = None
 
     def __init__(self, nvars, cap, terms, bounds=None):
@@ -249,31 +316,30 @@ class MultiJet:
             bounds = tuple(int(b) for b in bounds)
             if len(bounds) != nvars or any(b < 0 for b in bounds):
                 raise ValueError(f"bad bounds {bounds} for nvars={nvars}")
-        raw = {}
-        valid = _valid_keys(nvars, cap, bounds)
-        for e, c in terms.items():
+        box = (cap,) * nvars if bounds is None else tuple(min(b, cap) for b in bounds)
+        space = exponent_set(box, cap)
+        c = np.zeros(space.size)
+        for e, v in terms.items():
             if len(e) != nvars or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for nvars={nvars}")
             if sum(e) > cap:
                 raise DegreeExceedsCap(f"exponent {e} exceeds total-degree cap {cap}")
-            key = _encode(e)
-            if c != 0.0 and key in valid:
-                raw[key] = float(c)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "_raw", raw)
+            i = space.index.get(tuple(e))
+            if i is not None:
+                c[i] = float(v)
+        self._set(nvars, cap, bounds, space, c)
+
+    def _set(self, nvars, cap, bounds, space, coeffs):
+        coeffs.flags.writeable = False
+        for name, value in zip(self.__slots__, (nvars, cap, bounds, space, coeffs)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiJet is immutable")
 
-    @classmethod
-    def _from_raw(cls, nvars, cap, bounds, raw):
-        jet = cls.__new__(cls)
-        object.__setattr__(jet, "nvars", nvars)
-        object.__setattr__(jet, "cap", cap)
-        object.__setattr__(jet, "bounds", bounds)
-        object.__setattr__(jet, "_raw", raw)
+    def _like(self, coeffs):
+        jet = MultiJet.__new__(MultiJet)
+        jet._set(self.nvars, self.cap, self.bounds, self.space, coeffs)
         return jet
 
     @classmethod
@@ -293,7 +359,8 @@ class MultiJet:
 
     @property
     def terms(self):
-        return {_decode(k, self.nvars): c for k, c in self._raw.items()}
+        return {self.space.exponents[i]: float(self.coeffs[i])
+                for i in np.flatnonzero(self.coeffs)}
 
     def _config(self):
         return (self.nvars, self.cap, self.bounds)
@@ -308,32 +375,22 @@ class MultiJet:
         e = tuple(int(k) for k in exponents)
         if len(e) != self.nvars or any(k < 0 for k in e):
             raise ValueError(f"bad exponent vector {exponents}")
-        return self._raw.get(_encode(e), 0.0)
+        i = self.space.index.get(e)
+        return 0.0 if i is None else float(self.coeffs[i])
 
     @property
     def constant_term(self):
-        return self._raw.get(0, 0.0)
+        return float(self.coeffs[0])
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            out = dict(self._raw)
-            v = out.get(0, 0.0) + float(other)
-            if v == 0.0:
-                out.pop(0, None)
-            else:
-                out[0] = v
-            return MultiJet._from_raw(self.nvars, self.cap, self.bounds, out)
+            c = self.coeffs.copy()
+            c[0] += float(other)
+            return self._like(c)
         if not isinstance(other, MultiJet):
             return NotImplemented
         self._check_like(other)
-        out = dict(self._raw)
-        for k, c in other._raw.items():
-            v = out.get(k, 0.0) + c
-            if v == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return MultiJet._from_raw(self.nvars, self.cap, self.bounds, out)
+        return self._like(self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -344,86 +401,24 @@ class MultiJet:
         return (-self) + other
 
     def __neg__(self):
-        raw = {k: -c for k, c in self._raw.items()}
-        return MultiJet._from_raw(self.nvars, self.cap, self.bounds, raw)
+        return self._like(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            f = float(other)
-            if f == 0.0:
-                return MultiJet._from_raw(self.nvars, self.cap, self.bounds, {})
-            raw = {k: c * f for k, c in self._raw.items()}
-            return MultiJet._from_raw(self.nvars, self.cap, self.bounds, raw)
+            return self._like(self.coeffs * float(other))
         if not isinstance(other, MultiJet):
             return NotImplemented
         self._check_like(other)
-        # Sparser factor outermost; the other bucketed by total degree so
-        # the cap prunes whole blocks (also keeps nibble adds carry-free).
-        a, b = self._raw, other._raw
-        if len(a) > len(b):
-            a, b = b, a
-        buckets = {}
-        for k, c in b.items():
-            buckets.setdefault(_key_degree(k), []).append((k, c))
-        out = {}
-        cap = self.cap
-        for k1, c1 in a.items():
-            d1 = _key_degree(k1)
-            for d2, block in buckets.items():
-                if d1 + d2 > cap:
-                    continue
-                for k2, c2 in block:
-                    key = k1 + k2
-                    out[key] = out.get(key, 0.0) + c1 * c2
-        if self.bounds is not None:
-            valid = _valid_keys(self.nvars, self.cap, self.bounds)
-            out = {k: c for k, c in out.items() if k in valid}
-        return MultiJet._from_raw(self.nvars, self.cap, self.bounds, out)
+        return self._like(self.space.mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def log(self):
-        """Natural log, solved degree layer by degree layer.
-
-        Uses the Euler-operator identity a * E(log a) = E(a), the
-        multivariate counterpart of the univariate recurrence, so each
-        graded component of the result comes from one convolution with
-        the input's components.
-        """
-        a0 = self._raw.get(0, 0.0)
+        """Natural log, from the same recurrence as UniJet.log."""
+        a0 = self.constant_term
         if a0 <= 0.0:
             raise NonPositiveConstantTerm(f"log of multijet with constant term {a0!r}")
-        a_parts = [dict() for _ in range(self.cap + 1)]
-        for k, c in self._raw.items():
-            d = _key_degree(k)
-            if d > 0:
-                a_parts[d][k] = c
-        valid = None
-        if self.bounds is not None:
-            valid = _valid_keys(self.nvars, self.cap, self.bounds)
-        b_parts = [dict() for _ in range(self.cap + 1)]
-        out = {0: math.log(a0)}
-        for d in range(1, self.cap + 1):
-            acc = {k: d * c for k, c in a_parts[d].items()}
-            for f in range(1, d):
-                bf = b_parts[f]
-                af = a_parts[d - f]
-                if not bf or not af:
-                    continue
-                for k1, c1 in bf.items():
-                    w1 = f * c1
-                    for k2, c2 in af.items():
-                        key = k1 + k2
-                        acc[key] = acc.get(key, 0.0) - w1 * c2
-            scale = 1.0 / (d * a0)
-            if valid is None:
-                layer = {k: c * scale for k, c in acc.items() if c != 0.0}
-            else:
-                layer = {k: c * scale for k, c in acc.items()
-                         if c != 0.0 and k in valid}
-            b_parts[d] = layer
-            out.update(layer)
-        return MultiJet._from_raw(self.nvars, self.cap, self.bounds, out)
+        return self._like(self.space.log(self.coeffs))
 
     def mixed_partial(self, exponents):
         """Mixed partial derivative at the origin for the given exponent vector.
@@ -439,14 +434,12 @@ class MultiJet:
         fact = 1.0
         for k in e:
             fact *= math.factorial(k)
-        return self._raw.get(_encode(e), 0.0) * fact
+        return self.coefficient(e) * fact
 
     def specialize_to_univariate(self):
         """Set every variable to one shared variable; returns a UniJet of order cap."""
-        c = np.zeros(self.cap + 1)
-        for k, v in self._raw.items():
-            c[_key_degree(k)] += v
-        return UniJet(c)
+        return UniJet(np.bincount(self.space.degree, weights=self.coeffs,
+                                  minlength=self.cap + 1))
 
     def __reduce__(self):
         return (MultiJet, (self.nvars, self.cap, self.terms, self.bounds))

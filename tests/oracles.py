@@ -93,3 +93,35 @@ def richardson_first_derivative(f, h):
     d1 = (f(h) - f(-h)) / (2 * h)
     d2 = (f(h / 2) - f(-h / 2)) / h
     return (4 * d2 - d1) / 3
+
+
+def _in_set(e, cap, bounds):
+    return sum(e) <= cap and (bounds is None or all(x <= b for x, b in zip(e, bounds)))
+
+
+def multijet_product_naive(a, b, cap, bounds=None):
+    """Truncated product of {exponent tuple: coefficient} dicts, term by term."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            g = tuple(x + y for x, y in zip(e, f))
+            if _in_set(g, cap, bounds):
+                out[g] = out.get(g, 0.0) + c * d
+    return out
+
+
+def multijet_log_naive(a, nvars, cap, bounds=None):
+    """log(a0) + sum_j (-1)**(j+1) u**j / j with u = a/a0 - 1.
+
+    u has no constant term, so u**j vanishes under truncation for j > cap.
+    """
+    zero = (0,) * nvars
+    a0 = a[zero]
+    u = {e: c / a0 for e, c in a.items() if e != zero}
+    out = {zero: math.log(a0)}
+    power = {zero: 1.0}
+    for j in range(1, cap + 1):
+        power = multijet_product_naive(power, u, cap, bounds)
+        for e, c in power.items():
+            out[e] = out.get(e, 0.0) + (-1) ** (j + 1) * c / j
+    return out

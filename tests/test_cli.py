@@ -150,6 +150,12 @@ class TestVerifyCommand:
         assert rc == 4
         assert doc["failures"] > 0
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_validation_error(self, capsys, model_file, trials):
+        path = model_file(BS_DOC)
+        assert main(["verify", "--model", path, "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
+
 
 class TestMcCommand:
     def test_with_series_comparison(self, capsys, model_file):
@@ -162,6 +168,18 @@ class TestMcCommand:
         assert doc["batches"] == 30
         assert "PCG64" in doc["generator"]
 
+    @pytest.mark.parametrize("order, budget, code", [("-1", [], 2),
+                                                     ("11", ["--budget", "64"], 3)])
+    def test_bad_order_fails_before_sampling(self, capsys, model_file, monkeypatch,
+                                             order, budget, code):
+        def never(*args, **kwargs):
+            raise AssertionError("mc_entropy_rate must not run")
+
+        monkeypatch.setattr("hmpx.cli.mc_entropy_rate", never)
+        path = model_file(BS_DOC)
+        assert main(["mc", "--model", path, "--epsilon", "0.05", "--length",
+                     "1000000", "--order", order] + budget) == code
+
 
 class TestBoundsCommand:
     def test_rows(self, capsys, model_file):
@@ -172,6 +190,12 @@ class TestBoundsCommand:
         assert [row["N"] for row in doc["bounds"]] == [2, 3, 4]
         for row in doc["bounds"]:
             assert row["lower"] <= row["upper"]
+
+    def test_n_max_below_two_is_validation_error(self, capsys, model_file):
+        path = model_file(BS_DOC)
+        assert main(["bounds", "--model", path, "--epsilon", "0.05",
+                     "--n-max", "1"]) == 2
+        assert "n_max >= 2" in capsys.readouterr().err
 
 
 class TestExitCodes:

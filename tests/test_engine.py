@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -290,7 +291,7 @@ def test_mixed_scalar_and_jet_profile(bs):
 
 
 def _coeffs(value):
-    return value.coeffs if isinstance(value, UniJet) else np.array([value])
+    return np.array([value]) if isinstance(value, float) else value.coeffs
 
 
 def _block_entropy_oracle(model, profile):
@@ -298,8 +299,18 @@ def _block_entropy_oracle(model, profile):
     terms = []
     for y in enumerate_sequences(model.size, len(profile)):
         p = sequence_probability(model, y, profile)
-        terms.append(_coeffs(p * p.log()) if isinstance(p, UniJet) else [p * math.log(p)])
+        terms.append([p * math.log(p)] if isinstance(p, float) else _coeffs(p * p.log()))
     return -np.array([math.fsum(col) for col in np.array(terms).T])
+
+
+def _check_against_oracle(model, profile):
+    h_n = _block_entropy_oracle(model, profile)
+    h_prev = _block_entropy_oracle(model, profile[:-1])
+    h_prev = np.pad(h_prev, (0, h_n.size - h_prev.size))  # all-scalar prefix
+    np.testing.assert_allclose(_coeffs(block_entropy(model, len(profile), profile)),
+                               h_n, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(_coeffs(multi_site_F(model, profile)),
+                               h_n - h_prev, rtol=1e-12, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1),
@@ -314,13 +325,39 @@ def test_trellis_matches_per_sequence_oracle(seed, kinds):
     sites = {"variable": v, "polynomial": 0.02 + 0.5 * v + v * v}
     profile = [sites[k] if k in sites else float(0.2 * model.epsilon_max * rng.random())
                for k in kinds]
-    h_n = _block_entropy_oracle(model, profile)
-    h_prev = _block_entropy_oracle(model, profile[:-1])
-    h_prev = np.pad(h_prev, (0, h_n.size - h_prev.size))  # all-scalar prefix
-    np.testing.assert_allclose(_coeffs(block_entropy(model, len(profile), profile)),
-                               h_n, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(_coeffs(multi_site_F(model, profile)),
-                               h_n - h_prev, rtol=1e-12, atol=1e-12)
+    _check_against_oracle(model, profile)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["scalar", "variable", "polynomial"]),
+                      min_size=2, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_multijet_trellis_matches_per_sequence_oracle(seed, kinds):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, int(rng.choice([2, 3])))
+    n = len(kinds)
+    xs = [MultiJet.variable(i, n, 3) for i in range(n)]
+    # a site that mixes two variables exercises shifts across the exponent set
+    sites = {"variable": lambda i: xs[i],
+             "polynomial": lambda i: 0.02 + 0.5 * xs[i] + xs[i] * xs[0]}
+    profile = [sites[k](i) if k in sites
+               else float(0.2 * model.epsilon_max * rng.random())
+               for i, k in enumerate(kinds)]
+    _check_against_oracle(model, profile)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mixed_partials_sum_to_shared_noise_coefficients(bs, t3, n):
+    # F(eps, ..., eps) = C_n(eps), so coefficient k of C_n is the sum of the
+    # Taylor coefficients of F, d^kvec F / prod(kvec!), over |kvec| = k
+    order = 4
+    for model in (bs, t3):
+        c_n = conditional_entropy(model, n, UniJet.variable(order)).coeffs
+        for k in range(order + 1):
+            total = math.fsum(
+                mixed_partial_F(model, kvec) / math.prod(map(math.factorial, kvec))
+                for kvec in itertools.product(range(k + 1), repeat=n) if sum(kvec) == k)
+            assert total == pytest.approx(c_n[k], rel=1e-12, abs=1e-12)
 
 
 def test_one_pass_is_bit_identical_to_separate_calls(bs):

@@ -12,7 +12,7 @@ from hmpx import (
     OrderMismatch,
     UniJet,
 )
-from oracles import richardson_central
+from oracles import multijet_log_naive, multijet_product_naive, richardson_central
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -236,3 +236,35 @@ def test_exponent_box_restriction_is_exact(seed):
     for e, c in full_log.terms.items():
         if all(x <= b for x, b in zip(e, bounds)):
             assert boxed_log.coefficient(e) == pytest.approx(c, abs=1e-13)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dense_product_and_log_match_term_by_term_reference(seed):
+    rng = np.random.default_rng(seed)
+    nvars = int(rng.integers(1, 5))
+    cap = int(rng.integers(0, 6))
+    bounds = (None if rng.random() < 0.5
+              else tuple(int(b) for b in rng.integers(0, cap + 1, nvars)))
+    zero = MultiJet.constant(0.0, nvars, cap, bounds=bounds)
+    exps = zero.space.exponents
+
+    def random_terms(c0):
+        terms = {e: float(rng.uniform(-1, 1)) for e in exps if rng.random() < 0.7}
+        terms[(0,) * nvars] = c0
+        return terms
+
+    a, b = random_terms(rng.uniform(0.5, 2.0)), random_terms(rng.uniform(-1, 1))
+    ja = MultiJet(nvars, cap, a, bounds=bounds)
+    jb = MultiJet(nvars, cap, b, bounds=bounds)
+    for got, want in ((ja * jb, multijet_product_naive(a, b, cap, bounds)),
+                      (ja.log(), multijet_log_naive(a, nvars, cap, bounds))):
+        for e in exps:
+            assert got.coefficient(e) == pytest.approx(want.get(e, 0.0), abs=1e-12)
+
+
+def test_exponent_set_size_is_refused_before_tables():
+    # 646,646 exponents for ten variables at degree 12
+    with pytest.raises(DegreeExceedsCap, match="646646"):
+        MultiJet.variable(0, 10, 12)
+    assert MultiJet.variable(0, 10, 12, bounds=(2,) * 2 + (1,) * 8).space.size == 2304
