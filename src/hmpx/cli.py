@@ -131,6 +131,11 @@ def _log_div(args):
     return LN2 if getattr(args, "log_base", "e") == "2" else 1.0
 
 
+def _check_seed(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+
+
 def _cmd_expand(args):
     budget = _resolved_budget(args)
     model = load_model(args.model)
@@ -207,6 +212,7 @@ def _cmd_entropy(args):
 def _cmd_verify(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_seed(args)
     budget = _resolved_budget(args)
     model = load_model(args.model)
     lemmas = (1, 2, 3) if args.lemma == "all" else (int(args.lemma),)
@@ -237,6 +243,7 @@ def _cmd_verify(args):
 
 
 def _cmd_mc(args):
+    _check_seed(args)
     budget = _resolved_budget(args)
     model = load_model(args.model)
     # Expand first, so a bad --order or budget fails before the costly MC run.

@@ -37,11 +37,10 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     ConfigMismatch,
-    OrderMismatch,
     ProfileLengthMismatch,
     UnreachableSequence,
 )
-from .jets import MultiJet, UniJet, exponent_set
+from .jets import Jet, MultiJet, exponent_set
 from .model import HmpModel, check_epsilon
 
 DEFAULT_BUDGET = 2 ** 24
@@ -105,24 +104,14 @@ def resolve_profile(model, noise, n):
     else:
         values = [noise] * n
     out = []
-    uni_order = None
-    multi_cfg = None
+    first = {}  # first jet of each class, which later ones must match
     for v in values:
-        if isinstance(v, UniJet):
-            if uni_order is None:
-                uni_order = v.order
-            elif v.order != uni_order:
-                raise OrderMismatch("profile mixes UniJet orders")
-            out.append(v)
-        elif isinstance(v, MultiJet):
-            if multi_cfg is None:
-                multi_cfg = v._config()
-            elif v._config() != multi_cfg:
-                raise ConfigMismatch("profile mixes MultiJet configurations")
+        if isinstance(v, Jet):
+            first.setdefault(type(v), v)._coerce(v)
             out.append(v)
         else:
             out.append(check_epsilon(model.noise, v))
-    if uni_order is not None and multi_cfg is not None:
+    if len(first) > 1:
         raise ConfigMismatch("profile mixes univariate and multivariate jets")
     return out
 
@@ -131,17 +120,8 @@ def _site_tables(model, profile):
     # Emission entries r[x][z] = kron(x,z) + eps_i * t[x][z], one table per site.
     t = model.noise.matrix
     s = model.size
-    tables = []
-    for eps in profile:
-        if isinstance(eps, float):
-            r = np.eye(s) + eps * t
-            tables.append([[float(r[x, z]) for z in range(s)] for x in range(s)])
-        else:
-            tables.append(
-                [[eps * float(t[x, z]) + (1.0 if x == z else 0.0) for z in range(s)]
-                 for x in range(s)]
-            )
-    return tables
+    return [[[eps * float(t[x, z]) + (1.0 if x == z else 0.0) for z in range(s)]
+             for x in range(s)] for eps in profile]
 
 
 def _forward(tables, m_rows, init, symbols):
@@ -243,14 +223,14 @@ def _trellis_entropies(model, profile, levels):
     s = model.size
     depth = max(levels)
     profile = profile[:depth]
-    jet = next((v for v in profile if not isinstance(v, float)), None)
+    jet = next((v for v in profile if isinstance(v, Jet)), None)
     space = exponent_set((), 0) if jet is None else jet.space
     w = space.size
     t = model.noise.matrix
     unit = np.eye(1, w)[0]
     # R(eps)[x, y] = delta_xy + eps * t[x, y] as a jet, stored as r[y, x]
     r = [np.eye(s)[:, :, None] * unit + t.T[:, :, None]
-         * (eps * unit if isinstance(eps, float) else eps.coeffs) for eps in profile]
+         * (eps.coeffs if isinstance(eps, Jet) else eps * unit) for eps in profile]
     mt = model.transition.matrix.T
     sums = {n: _NeumaierArray(w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows

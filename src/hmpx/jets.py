@@ -13,22 +13,28 @@ the exponents, the truncated product and the log.  The sets in use are
 * ``{0..K}`` for a ``UniJet`` of order K;
 * ``{e <= bounds, sum(e) <= cap}`` for a ``MultiJet`` in nvars variables.
 
+There is one value type, ``Jet``: an immutable coefficient vector over an
+ExponentSet, with +, -, * (with jets of its own class and configuration,
+and with plain scalars) and log(), every jet product and log going
+through the kernel.  No division or exp; the entropy sums only need the
+(-p log p) calculus.  Its two classes differ only in constructors,
+accessors and the error raised when configurations differ:
+
 ``UniJet``
-    One expansion variable, fixed order K.  Supports +, -, * (with other
-    jets of the same order and with plain scalars) and log().  No
-    division or exp; the entropy sums only need the (-p log p) calculus.
+    One expansion variable, fixed order K; mixing orders raises
+    OrderMismatch.  Indexing and evaluation read the coefficients.
 
 ``MultiJet``
     n expansion variables truncated by *total* degree, optionally also
-    per variable.  Same operations, plus extraction of mixed partial
-    derivatives and specialization of all variables to a single shared
-    one (which must reproduce the UniJet result).  Storage is dense, so a
-    configuration whose exponent set has more than MAX_EXPONENTS members
-    is refused with DegreeExceedsCap before any table is built.
+    per variable; mixing (nvars, cap, bounds) raises ConfigMismatch.
+    Adds extraction of mixed partial derivatives and specialization of
+    all variables to a single shared one (which must reproduce the
+    UniJet result).  Storage is dense, so a configuration whose exponent
+    set has more than MAX_EXPONENTS members is refused with
+    DegreeExceedsCap before any table is built.
 
-Both are immutable value types; all operations return fresh jets.
-Mixing truncation orders or (nvars, cap) configurations is an error,
-never an implicit resize.
+All operations return fresh jets; a mismatch is an error, never an
+implicit resize, and a UniJet and a MultiJet do not combine (TypeError).
 """
 
 from __future__ import annotations
@@ -169,21 +175,91 @@ def exponent_set(bounds, cap):
     return ExponentSet(bounds, cap)
 
 
-class UniJet:
+class Jet:
+    """Immutable jet: a coefficient vector ``coeffs`` over ``space``.
+
+    Holds the arithmetic both jet classes share.  ``_config`` identifies
+    the truncation; jets of one class combine only when it matches, and
+    otherwise raise the class's ``mismatch`` error.  Jets of different
+    classes do not combine at all (TypeError).
+    """
+
+    __slots__ = ("_config", "space", "coeffs")
+    __array_ufunc__ = None  # numpy scalars defer to __radd__/__rmul__
+
+    def __init__(self, config, space, coeffs):
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_config", config)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, coeffs):
+        jet = object.__new__(type(self))
+        Jet.__init__(jet, self._config, self.space, coeffs)
+        return jet
+
+    def _coerce(self, other):
+        """Coefficients of a scalar or same-class jet over self.space, else None."""
+        if isinstance(other, type(self)):
+            if other._config != self._config:
+                raise self.mismatch(f"{type(self).__name__} configs {self._config} "
+                                    f"and {other._config} differ")
+            return other.coeffs
+        if isinstance(other, _SCALARS):
+            c = np.zeros(self.space.size)
+            c[0] = other
+            return c
+        return None
+
+    def __add__(self, other):
+        c = self._coerce(other)
+        return NotImplemented if c is None else self._like(self.coeffs + c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        c = self._coerce(other)
+        return NotImplemented if c is None else self._like(self.coeffs - c)
+
+    def __rsub__(self, other):
+        c = self._coerce(other)
+        return NotImplemented if c is None else self._like(c - self.coeffs)
+
+    def __neg__(self):
+        return self._like(-self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self._like(self.coeffs * float(other))
+        c = self._coerce(other)
+        return NotImplemented if c is None else self._like(self.space.mul(self.coeffs, c))
+
+    __rmul__ = __mul__
+
+    def log(self):
+        """Taylor coefficients of log(self), natural log."""
+        a0 = self.coeffs[0]
+        if a0 <= 0.0:
+            raise NonPositiveConstantTerm(
+                f"log of {type(self).__name__} with constant term {float(a0)!r}")
+        return self._like(self.space.log(self.coeffs))
+
+
+class UniJet(Jet):
     """Univariate truncated Taylor series; coeffs[k] multiplies x**k."""
 
-    __slots__ = ("coeffs",)
-    __array_ufunc__ = None  # numpy scalars defer to __radd__/__rmul__
+    __slots__ = ()
+    mismatch = OrderMismatch
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("UniJet needs a nonempty 1-D coefficient array")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniJet is immutable")
+        order = c.size - 1
+        super().__init__(order, exponent_set((order,), order), c)
 
     @classmethod
     def constant(cls, value, order):
@@ -204,72 +280,13 @@ class UniJet:
 
     @property
     def order(self):
-        return self.coeffs.size - 1
-
-    @property
-    def space(self):
-        return exponent_set((self.order,), self.order)
-
-    def _like(self, coeffs):
-        return UniJet(coeffs)
+        return self._config
 
     def __len__(self):
         return self.coeffs.size
 
     def __getitem__(self, k):
         return float(self.coeffs[k])
-
-    def _coerce(self, other):
-        if isinstance(other, UniJet):
-            if other.order != self.order:
-                raise OrderMismatch(f"orders {self.order} and {other.order} differ")
-            return other.coeffs
-        if isinstance(other, _SCALARS):
-            c = np.zeros(self.coeffs.size)
-            c[0] = other
-            return c
-        return None
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return UniJet(self.coeffs + c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return UniJet(self.coeffs - c)
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
-            return NotImplemented
-        return UniJet(c - self.coeffs)
-
-    def __neg__(self):
-        return UniJet(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, UniJet):
-            if other.order != self.order:
-                raise OrderMismatch(f"orders {self.order} and {other.order} differ")
-            return UniJet(np.convolve(self.coeffs, other.coeffs)[: self.coeffs.size])
-        if isinstance(other, _SCALARS):
-            return UniJet(self.coeffs * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def log(self):
-        """Taylor coefficients of log(self), natural log."""
-        a = self.coeffs
-        if a[0] <= 0.0:
-            raise NonPositiveConstantTerm(f"log of jet with constant term {a[0]!r}")
-        return UniJet(self.space.log(a))
 
     def __call__(self, x):
         """Evaluate the truncated polynomial at x (Horner)."""
@@ -292,7 +309,7 @@ def _check_config(nvars, cap):
         raise DegreeExceedsCap(f"cap = {cap} outside [0, {MULTIJET_MAX_DEGREE}]")
 
 
-class MultiJet:
+class MultiJet(Jet):
     """Multivariate truncated Taylor series with a total-degree cap.
 
     An optional ``bounds`` tuple additionally caps each variable's
@@ -307,8 +324,8 @@ class MultiJet:
     cap >= 6.
     """
 
-    __slots__ = ("nvars", "cap", "bounds", "space", "coeffs")
-    __array_ufunc__ = None
+    __slots__ = ()
+    mismatch = ConfigMismatch
 
     def __init__(self, nvars, cap, terms, bounds=None):
         _check_config(nvars, cap)
@@ -327,20 +344,11 @@ class MultiJet:
             i = space.index.get(tuple(e))
             if i is not None:
                 c[i] = float(v)
-        self._set(nvars, cap, bounds, space, c)
+        super().__init__((nvars, cap, bounds), space, c)
 
-    def _set(self, nvars, cap, bounds, space, coeffs):
-        coeffs.flags.writeable = False
-        for name, value in zip(self.__slots__, (nvars, cap, bounds, space, coeffs)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiJet is immutable")
-
-    def _like(self, coeffs):
-        jet = MultiJet.__new__(MultiJet)
-        jet._set(self.nvars, self.cap, self.bounds, self.space, coeffs)
-        return jet
+    nvars = property(lambda self: self._config[0])
+    cap = property(lambda self: self._config[1])
+    bounds = property(lambda self: self._config[2])
 
     @classmethod
     def constant(cls, value, nvars, cap, bounds=None):
@@ -362,15 +370,6 @@ class MultiJet:
         return {self.space.exponents[i]: float(self.coeffs[i])
                 for i in np.flatnonzero(self.coeffs)}
 
-    def _config(self):
-        return (self.nvars, self.cap, self.bounds)
-
-    def _check_like(self, other):
-        if other._config() != self._config():
-            raise ConfigMismatch(
-                f"configs {self._config()} and {other._config()} differ"
-            )
-
     def coefficient(self, exponents):
         e = tuple(int(k) for k in exponents)
         if len(e) != self.nvars or any(k < 0 for k in e):
@@ -381,44 +380,6 @@ class MultiJet:
     @property
     def constant_term(self):
         return float(self.coeffs[0])
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            c = self.coeffs.copy()
-            c[0] += float(other)
-            return self._like(c)
-        if not isinstance(other, MultiJet):
-            return NotImplemented
-        self._check_like(other)
-        return self._like(self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiJet) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return self._like(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._like(self.coeffs * float(other))
-        if not isinstance(other, MultiJet):
-            return NotImplemented
-        self._check_like(other)
-        return self._like(self.space.mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def log(self):
-        """Natural log, from the same recurrence as UniJet.log."""
-        a0 = self.constant_term
-        if a0 <= 0.0:
-            raise NonPositiveConstantTerm(f"log of multijet with constant term {a0!r}")
-        return self._like(self.space.log(self.coeffs))
 
     def mixed_partial(self, exponents):
         """Mixed partial derivative at the origin for the given exponent vector.

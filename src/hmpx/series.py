@@ -37,6 +37,11 @@ DEFAULT_SETTLE_TOL = 1e-8
 DEFAULT_LEMMA_TOL = 1e-9
 
 
+def _check_tolerance(name, tol):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def settling_threshold(k):
     """Smallest system length whose k-th coefficient already equals the rate's."""
     if k < 0:
@@ -108,11 +113,13 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
     exceeds k's own threshold, against the smallest valid length too.
     Any residual above settle_tol * max(1, |coefficient|) raises
     SettlingViolation: under the settling guarantee the values are equal,
-    so disagreement means numerical trouble or an invalid model.
+    so disagreement means numerical trouble or an invalid model.  A
+    settle_tol that is not finite and >= 0 raises ValueError.
     """
     warn_workers(workers)
     if order < 0:
         raise ValueError("order must be >= 0")
+    _check_tolerance("settle_tol", settle_tol)
     n_star = settling_threshold(order)
     check_budget(model.size, n_star + 1, budget)
     jets = _conditional_jets(model, n_star + 1, order, budget=budget)
@@ -192,6 +199,7 @@ def verify_lemma_blocking(model, n, j, profile, tol=DEFAULT_LEMMA_TOL, *,
     Compares the length-N per-site conditional entropy against the
     shorter system starting at site j, both evaluated at plain numbers.
     """
+    _check_tolerance("tol", tol)
     if not (1 < j < n):
         raise HypothesisNotMet(f"need 1 < j < N, got j={j}, N={n}")
     profile = [float(v) for v in profile]
@@ -214,6 +222,7 @@ def verify_lemma_zero_prepend(model, kvec, r, tol=DEFAULT_LEMMA_TOL, *,
     """Prepending r zero-derivative sites leaves the mixed partial unchanged.
 
     Requires the first entry of kvec to be 0 or 1."""
+    _check_tolerance("tol", tol)
     kvec = [int(k) for k in kvec]
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -244,6 +253,7 @@ def _has_hole(kvec):
 def verify_lemma_no_hole(model, kvec, tol=DEFAULT_LEMMA_TOL, *,
                          budget=None) -> LemmaReport:
     """Mixed partials with a low-order site after an active one vanish."""
+    _check_tolerance("tol", tol)
     kvec = [int(k) for k in kvec]
     if not _has_hole(kvec):
         raise HypothesisNotMet(
@@ -285,6 +295,7 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     """
     if lemma not in (1, 2, 3):
         raise ValueError("lemma must be 1, 2, or 3")
+    _check_tolerance("tol", tol)
     rng = np.random.default_rng(seed)
     fixed = model
     reports = []

@@ -72,6 +72,13 @@ class TestExpand:
                    "--settle-tol", "0"])
         assert rc == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_settle_tol_is_validation_error(self, capsys, model_file, tol):
+        path = model_file(BS_DOC)
+        assert main(["expand", "--model", path, "--order", "3",
+                     "--settle-tol", tol]) == 2
+        assert "settle_tol" in capsys.readouterr().err
+
 
 class TestTable:
     def test_csv_schema(self, capsys, model_file):
@@ -150,6 +157,13 @@ class TestVerifyCommand:
         assert rc == 4
         assert doc["failures"] > 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_validation_error(self, capsys, model_file, tol):
+        path = model_file(BS_DOC)
+        assert main(["verify", "--model", path, "--trials", "2",
+                     "--tolerance", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_validation_error(self, capsys, model_file, trials):
         path = model_file(BS_DOC)
@@ -179,6 +193,16 @@ class TestMcCommand:
         path = model_file(BS_DOC)
         assert main(["mc", "--model", path, "--epsilon", "0.05", "--length",
                      "1000000", "--order", order] + budget) == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "1", "--seed", "-1"],
+    ["mc", "--epsilon", "0.05", "--length", "1000", "--seed", "-2"],
+])
+def test_negative_seed_is_validation_error_naming_the_flag(capsys, model_file, argv):
+    path = model_file(BS_DOC)
+    assert main(argv[:1] + ["--model", path] + argv[1:]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestBoundsCommand:

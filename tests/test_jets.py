@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hmpx import (
     NonPositiveConstantTerm,
     OrderMismatch,
     UniJet,
+    block_entropy,
 )
 from oracles import multijet_log_naive, multijet_product_naive, richardson_central
 
@@ -43,11 +46,13 @@ class TestUniJetBasics:
         x = UniJet.variable(1)
         np.testing.assert_array_equal((x * x).coeffs, [0, 0])
 
-    def test_order_mismatch(self):
+    def test_order_mismatch(self, bs):
         with pytest.raises(OrderMismatch):
             UniJet.variable(3) + UniJet.variable(4)
         with pytest.raises(OrderMismatch):
             UniJet.variable(3) * UniJet.variable(4)
+        with pytest.raises(OrderMismatch):
+            block_entropy(bs, 3, [UniJet.variable(3), 0.1, UniJet.variable(4)])
 
     def test_immutability(self):
         e = UniJet.variable(3)
@@ -156,11 +161,18 @@ class TestMultiJetBasics:
         five = MultiJet.constant(5.0, 2, 2)
         assert five.mixed_partial((0, 0)) == pytest.approx(5.0, abs=1e-15)
 
-    def test_config_mismatch(self):
+    def test_config_mismatch(self, bs):
+        x, boxed = MultiJet.variable(0, 2, 2), MultiJet.variable(0, 2, 2, bounds=(2, 2))
         with pytest.raises(ConfigMismatch):
-            MultiJet.variable(0, 2, 2) + MultiJet.variable(0, 2, 3)
+            x + MultiJet.variable(0, 2, 3)
         with pytest.raises(ConfigMismatch):
-            MultiJet.variable(0, 2, 2) * MultiJet.variable(0, 3, 2)
+            x * MultiJet.variable(0, 3, 2)
+        with pytest.raises(ConfigMismatch):
+            x - boxed
+        for profile in ([x, MultiJet.variable(1, 2, 3)], [x, boxed],
+                        [boxed, MultiJet.variable(1, 2, 2, bounds=(1, 2))]):
+            with pytest.raises(ConfigMismatch):
+                block_entropy(bs, 2, profile)
 
     def test_caps_refused(self):
         with pytest.raises(DegreeExceedsCap):
@@ -176,6 +188,43 @@ class TestMultiJetBasics:
     def test_log_requires_positive_constant(self):
         with pytest.raises(NonPositiveConstantTerm):
             MultiJet.variable(0, 2, 2).log()
+
+
+@pytest.mark.parametrize("first_uni", [True, False])
+def test_profile_mixing_jet_classes_is_config_mismatch(bs, first_uni):
+    jets = [UniJet.variable(2), MultiJet.variable(0, 2, 2)]
+    if not first_uni:
+        jets.reverse()
+    with pytest.raises(ConfigMismatch):
+        block_entropy(bs, 3, jets + [0.1])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_uni_and_multi_jets_do_not_combine(op):
+    u, m = UniJet.variable(2), MultiJet.variable(0, 2, 2)
+    for a, b in ((u, m), (m, u)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+@pytest.mark.parametrize("jet", [
+    UniJet([0.5, -1.0, 0.25]),
+    MultiJet(2, 3, {(0, 0): 0.5, (1, 0): -1.0, (1, 2): 0.25}),
+    MultiJet(2, 3, {(0, 0): 0.5, (1, 1): 2.0}, bounds=(1, 1)),
+], ids=["uni", "multi", "multi-bounded"])
+def test_pickle_round_trip(jet):
+    def config(j):
+        return j.order if isinstance(j, UniJet) else (j.nvars, j.cap, j.bounds)
+
+    back = pickle.loads(pickle.dumps(jet))
+    assert type(back) is type(jet)
+    assert config(back) == config(jet)
+    np.testing.assert_array_equal(back.coeffs, jet.coeffs)
+    np.testing.assert_array_equal((back - jet).coeffs, 0.0)  # still combine
+    with pytest.raises(AttributeError):
+        back.coeffs = np.zeros(jet.coeffs.size)
+    with pytest.raises(ValueError):
+        back.coeffs[0] = 1.0
 
 
 def _expression_params(rng, nvars, terms=3):

@@ -75,6 +75,11 @@ class TestEntropyRateSeries:
         with pytest.raises(SettlingViolation):
             entropy_rate_series(bs, 4, settle_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_settle_tol_must_be_finite_and_nonnegative(self, bs, tol):
+        with pytest.raises(ValueError, match="settle_tol"):
+            entropy_rate_series(bs, 4, settle_tol=tol)
+
 
 class TestSettlingTable:
     def test_settled_column_agreement(self, bs):
@@ -227,6 +232,19 @@ def test_lemma_battery_fixed_degenerate_model(noiseless):
     for lemma in (1, 2, 3):
         reports = run_lemma_battery(lemma, 3, seed=0, model=noiseless)
         assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_lemma_tol_must_be_finite_and_nonnegative(bs, tol):
+    calls = [lambda: verify_lemma_blocking(bs, 3, 2, [0.01, 0.0, 0.02], tol),
+             lambda: verify_lemma_zero_prepend(bs, (1, 1), 1, tol),
+             lambda: verify_lemma_no_hole(bs, (1, 0, 1), tol)]
+    calls += [lambda lemma=lemma: run_lemma_battery(lemma, 1, seed=0, tol=tol)
+              for lemma in (1, 2, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol"):
+            call()
+    assert verify_lemma_no_hole(bs, (1, 0, 1), 0.0).tolerance == 0.0  # 0 is allowed
 
 
 def test_series_result_is_plain_data(bs):
