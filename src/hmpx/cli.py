@@ -92,9 +92,18 @@ def build_parser():
 
 def _resolved_budget(args):
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("HMPX_BUDGET")
-    return int(env) if env else None
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("HMPX_BUDGET")
+        if not env:
+            return None
+        try:
+            budget, source = int(env), "HMPX_BUDGET"
+        except ValueError:
+            raise ValueError(f"HMPX_BUDGET must be an integer, got {env!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
 def _config_dict(args, budget):

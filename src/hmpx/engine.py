@@ -75,6 +75,8 @@ def check_budget(s, n, budget=None):
     allocations for n = 12 and 1.7 MB for n = 16.
     """
     budget = _budget_or_default(budget)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if s ** n > budget:
         raise BudgetExceeded(
             f"N = {n} needs {s}**{n} = {s ** n} sequences, over the budget of {budget}"

@@ -137,6 +137,8 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
         raise ValueError("need length >= 10000 for a meaningful estimate")
     if batches < 30:
         raise ValueError("need at least 30 batches")
+    if batches > length:
+        raise ValueError(f"need batches <= length, got {batches} > {length}")
     _, observed = _sample_arrays(model, eps, length, seed)
     increments = _log_increments(model, eps, observed)
     estimate = -float(increments.sum()) / length

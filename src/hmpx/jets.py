@@ -7,7 +7,9 @@ arithmetic propagates exact derivatives: if ``e = UniJet.variable(4)`` then
 
 Every jet is a dense coefficient vector over a downward-closed exponent
 set, and one kernel, ``ExponentSet``, owns that format: the flat order of
-the exponents, the truncated product and the log.  The sets in use are
+the exponents and one shift table, which drives both the truncated
+product and the log (a triangular solve over the same shifts).  The sets
+in use are
 
 * ``{()}`` for plain numbers (width 1, only the engine uses it);
 * ``{0..K}`` for a ``UniJet`` of order K;
@@ -84,12 +86,14 @@ def _as_index(idx):
 
 
 class ExponentSet:
-    """Index tables of the exponent set {e <= bounds, sum(e) <= cap}.
+    """Index table of the exponent set {e <= bounds, sum(e) <= cap}.
 
     A jet over the set is a coefficient vector, trailing axis of length
     ``size``, in flat C order of the exponents.  In that order every
-    divisor of an exponent comes before it.  Use ``exponent_set`` to get
-    one: it caches the tables and refuses oversized sets.
+    divisor of an exponent comes before it.  The one table, ``shifts``,
+    says where each coefficient lands when multiplied by x**e_j; ``mul``
+    and ``log`` both read it.  Use ``exponent_set`` to get one: it caches
+    the table and refuses oversized sets.
     """
 
     def __init__(self, bounds, cap):
@@ -110,22 +114,11 @@ class ExponentSet:
         codes = e @ strides
         # shifts[j] = (src, dst): times x**e_j, coefficient src lands in dst
         self.shifts = []
-        pairs = []
         for j in range(self.size):
             t = e + e[j]
             src = np.flatnonzero((t <= top).all(axis=1) & (deg + deg[j] <= cap))
             dst = np.searchsorted(codes, t[src] @ strides)
             self.shifts.append((_as_index(src), _as_index(dst)))
-            pairs.append(np.stack([src, np.full(src.size, j), dst]))
-        # log_pairs[k] = (i, j): the pairs e_i + e_j = e_k with i, j != 0,
-        # ordered by i
-        i, j, k = np.concatenate(pairs, axis=1)
-        keep = (i > 0) & (j > 0)
-        order = np.lexsort((i[keep], k[keep]))
-        i, j, k = (x[keep][order] for x in (i, j, k))
-        ends = np.cumsum(np.bincount(k, minlength=self.size))
-        self.log_pairs = [(_as_index(i[lo:hi]), _as_index(j[lo:hi]))
-                          for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)]
 
     def mul(self, a, b):
         """Truncated product of jet arrays, broadcast over leading axes.
@@ -143,23 +136,24 @@ class ExponentSet:
     def log(self, a):
         """Natural log of jet arrays, batched over leading axes.
 
-        Needs a[..., 0] > 0, which the caller checks.  Solves
-        a * E(log a) = E(a) coefficient by coefficient in flat order, where
-        the Euler operator E multiplies the coefficient of x**e by |e|.  On
-        {0..K} this is the order-by-order recurrence from a * (log a)' = a'.
+        Needs a[..., 0] > 0, which the caller checks.  Solves the triangular
+        system a * E(b) = E(a) for b = log a, where the Euler operator E
+        multiplies the coefficient of x**e by |e|; on {0..K} this is
+        a * (log a)' = a'.  The solve is right-looking, in flat order: once
+        b_k is known, shifts[k] adds a * |e_k| b_k into acc, the part of
+        a * E(b) already known at every coefficient above it.
         """
+        a = np.moveaxis(a, -1, 0).copy()  # coefficient axis first
         b = np.empty_like(a)
-        wb = np.empty_like(a)  # wb[..., k] = |e_k| * b[..., k]
-        a0 = a[..., 0]
-        b[..., 0] = np.log(a0)
-        wb[..., 0] = 0.0
+        acc = np.zeros_like(a)
+        a0 = a[0]
+        b[0] = np.log(a0)
         for k in range(1, self.size):
-            i, j = self.log_pairs[k]
             d = self.degree[k]
-            inner = np.einsum("...i,...i->...", a[..., i], wb[..., j])
-            b[..., k] = (a[..., k] - inner / d) / a0
-            wb[..., k] = d * b[..., k]
-        return b
+            b[k] = (a[k] - acc[k] / d) / a0
+            src, dst = self.shifts[k]
+            acc[dst] += a[src] * (d * b[k])
+        return np.moveaxis(b, 0, -1)
 
 
 @lru_cache(maxsize=256)
@@ -371,11 +365,15 @@ class MultiJet(Jet):
                 for i in np.flatnonzero(self.coeffs)}
 
     def coefficient(self, exponents):
+        """Coefficient of x**exponents; DegreeExceedsCap outside the exponent set."""
         e = tuple(int(k) for k in exponents)
         if len(e) != self.nvars or any(k < 0 for k in e):
             raise ValueError(f"bad exponent vector {exponents}")
         i = self.space.index.get(e)
-        return 0.0 if i is None else float(self.coeffs[i])
+        if i is None:
+            raise DegreeExceedsCap(f"exponent {e} is outside the jet's set "
+                                   f"(cap {self.cap}, bounds {self.bounds})")
+        return float(self.coeffs[i])
 
     @property
     def constant_term(self):
@@ -385,17 +383,10 @@ class MultiJet(Jet):
         """Mixed partial derivative at the origin for the given exponent vector.
 
         The stored value is a Taylor coefficient; the derivative multiplies
-        back the product of factorials.
+        back the product of factorials.  DegreeExceedsCap outside the set.
         """
         e = tuple(int(k) for k in exponents)
-        if len(e) != self.nvars or any(k < 0 for k in e):
-            raise ValueError(f"bad exponent vector {exponents}")
-        if sum(e) > self.cap:
-            raise DegreeExceedsCap(f"requested weight {sum(e)} exceeds cap {self.cap}")
-        fact = 1.0
-        for k in e:
-            fact *= math.factorial(k)
-        return self.coefficient(e) * fact
+        return self.coefficient(e) * math.prod(math.factorial(k) for k in e)
 
     def specialize_to_univariate(self):
         """Set every variable to one shared variable; returns a UniJet of order cap."""

@@ -7,6 +7,7 @@ Slow and only usable at tiny sizes, which is the point.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -124,4 +125,30 @@ def multijet_log_naive(a, nvars, cap, bounds=None):
         power = multijet_product_naive(power, u, cap, bounds)
         for e, c in power.items():
             out[e] = out.get(e, 0.0) + (-1) ** (j + 1) * c / j
+    return out
+
+
+def jet_log_exact(a, nvars, cap, bounds=None):
+    """Exact Taylor coefficients of log(a) - log(a0), as Fractions.
+
+    The series of multijet_log_naive in rational arithmetic: every float of
+    ``a`` is converted exactly, so the only rounding left in a comparison is
+    the jet's.  log(a0) is irrational and is left out (the zero exponent
+    maps to 0).  Every sum starts at Fraction(0), so no float can creep in.
+    """
+    zero = (0,) * nvars
+    a0 = Fraction(a[zero])
+    u = {e: Fraction(c) / a0 for e, c in a.items() if e != zero}
+    out = {zero: Fraction(0)}
+    power = {zero: Fraction(1)}
+    for j in range(1, cap + 1):
+        nxt = {}
+        for e, c in power.items():
+            for f, d in u.items():
+                g = tuple(x + y for x, y in zip(e, f))
+                if _in_set(g, cap, bounds):
+                    nxt[g] = nxt.get(g, Fraction(0)) + c * d
+        power = nxt
+        for e, c in power.items():
+            out[e] = out.get(e, Fraction(0)) + Fraction((-1) ** (j + 1), j) * c
     return out

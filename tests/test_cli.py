@@ -194,6 +194,12 @@ class TestMcCommand:
         assert main(["mc", "--model", path, "--epsilon", "0.05", "--length",
                      "1000000", "--order", order] + budget) == code
 
+    def test_more_batches_than_length_is_validation_error(self, capsys, model_file):
+        path = model_file(BS_DOC)
+        assert main(["mc", "--model", path, "--epsilon", "0.05", "--length",
+                     "10000", "--batches", "20000"]) == 2
+        assert "batches <= length" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--trials", "1", "--seed", "-1"],
@@ -251,6 +257,20 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["expand", "--model", path, "--order", "1",
                      "--budget", "1000"]) == 0
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_validation_error(self, capsys, model_file, budget):
+        path = model_file(BS_DOC)
+        assert main(["expand", "--model", path, "--order", "1",
+                     "--budget", budget]) == 2
+        assert "--budget must be >= 1" in capsys.readouterr().err
+
+    def test_non_integer_budget_env_names_the_variable(self, capsys, model_file,
+                                                       monkeypatch):
+        path = model_file(BS_DOC)
+        monkeypatch.setenv("HMPX_BUDGET", "abc")
+        assert main(["expand", "--model", path, "--order", "1"]) == 2
+        assert "HMPX_BUDGET" in capsys.readouterr().err
 
 
 class TestOutputFile:

@@ -56,6 +56,12 @@ class TestEnumeration:
             enumerate_sequences(2, 3, budget=7)
         assert len(list(enumerate_sequences(2, 3, budget=8))) == 8
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_value_error(self, budget):
+        # not BudgetExceeded: no request fits a budget below one sequence
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            enumerate_sequences(2, 1, budget=budget)
+
 
 class TestSequenceProbability:
     def test_markov_path_at_zero_noise(self, bs):

@@ -93,6 +93,11 @@ class TestMcEntropyRate:
         with pytest.raises(ValueError):
             mc_entropy_rate(bs, 0.05, 10_000, seed=0, batches=10)
 
+    def test_more_batches_than_symbols_is_refused(self, bs):
+        # batch_size would be 0 and the standard error NaN
+        with pytest.raises(ValueError, match="batches <= length"):
+            mc_entropy_rate(bs, 0.05, 10_000, seed=0, batches=20_000)
+
     def test_seeded_determinism(self, bs):
         a = mc_entropy_rate(bs, 0.05, 10_000, seed=3)
         b = mc_entropy_rate(bs, 0.05, 10_000, seed=3)

@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from hmpx import (
     UniJet,
     block_entropy,
 )
-from oracles import multijet_log_naive, multijet_product_naive, richardson_central
+from hmpx.jets import exponent_set
+from oracles import (
+    jet_log_exact,
+    multijet_log_naive,
+    multijet_product_naive,
+    richardson_central,
+)
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -184,6 +191,17 @@ class TestMultiJetBasics:
         m = MultiJet.constant(1.0, 2, 2)
         with pytest.raises(DegreeExceedsCap):
             m.mixed_partial((2, 1))
+        with pytest.raises(DegreeExceedsCap):
+            m.coefficient((2, 1))
+        # over a per-variable bound the coefficient was discarded, not zero:
+        # the true d^2/dx^2 of (1+x+y)^2 is 2
+        x, y = (MultiJet.variable(i, 2, 4, bounds=(1, 1)) for i in range(2))
+        p = (1 + x + y) * (1 + x + y)
+        assert p.mixed_partial((1, 1)) == 2.0
+        with pytest.raises(DegreeExceedsCap):
+            p.mixed_partial((2, 0))
+        with pytest.raises(DegreeExceedsCap):
+            p.coefficient((0, 2))
 
     def test_log_requires_positive_constant(self):
         with pytest.raises(NonPositiveConstantTerm):
@@ -317,3 +335,47 @@ def test_exponent_set_size_is_refused_before_tables():
     with pytest.raises(DegreeExceedsCap, match="646646"):
         MultiJet.variable(0, 10, 12)
     assert MultiJet.variable(0, 10, 12, bounds=(2,) * 2 + (1,) * 8).space.size == 2304
+
+
+def _assert_log_exact(jet, terms, nvars, cap, bounds=None):
+    exact = jet_log_exact(terms, nvars, cap, bounds)
+    got = jet.log()
+    assert got.coeffs[0] == pytest.approx(math.log(jet.coeffs[0]), rel=1e-15)
+    for i, e in enumerate(jet.space.exponents[1:], start=1):
+        want = float(exact.get(e, 0))
+        assert abs(got.coeffs[i] - want) <= 1e-13 * max(1.0, abs(want)), e
+
+
+def test_uni_log_matches_exact_rationals_to_order_30():
+    rng = np.random.default_rng(30)
+    for order in range(5, 31):
+        a = rng.uniform(-1, 1, order + 1)
+        a[0] = rng.uniform(0.5, 2.0)
+        _assert_log_exact(UniJet(a), {(k,): c for k, c in enumerate(a.tolist())},
+                          1, order)
+
+
+def test_multi_log_matches_exact_rationals_on_boxes():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        nvars = int(rng.integers(2, 5))
+        cap = int(rng.integers(2, 7))
+        bounds = tuple(int(b) for b in rng.integers(1, cap + 1, nvars))
+        exps = exponent_set(bounds, cap).exponents
+        terms = {e: float(rng.uniform(-1, 1)) for e in exps}
+        terms[(0,) * nvars] = float(rng.uniform(0.5, 2.0))
+        _assert_log_exact(MultiJet(nvars, cap, terms, bounds=bounds), terms,
+                          nvars, cap, bounds)
+
+
+def test_exponent_set_tables_stay_small():
+    # The build holds one shift row at a time, so its memory grows with the
+    # set size, not with its square: about 0.5 MB at order 1000.
+    exponent_set.cache_clear()
+    tracemalloc.start()
+    try:
+        exponent_set((1000,), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
