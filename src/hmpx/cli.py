@@ -17,9 +17,9 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceeded, HmpxError, SettlingViolation
-from .estimation import conditional_bounds, mc_entropy_rate
+from .estimation import bounds_by_n, mc_entropy_rate
 from .model import load_model
-from .engine import block_entropy, conditional_entropy
+from .engine import block_entropies, warn_workers
 from .series import (
     entropy_rate_series,
     evaluate_series,
@@ -197,10 +197,10 @@ def _cmd_table(args):
 def _cmd_entropy(args):
     budget = _resolved_budget(args)
     model = load_model(args.model)
-    h_n = block_entropy(model, args.n, args.epsilon, budget=budget,
-                        workers=args.workers)
-    c_n = (conditional_entropy(model, args.n, args.epsilon, budget=budget,
-                               workers=args.workers) if args.n >= 2 else None)
+    warn_workers(args.workers)
+    h = block_entropies(model, args.n, args.epsilon, budget=budget)
+    h_n = h[-1]
+    c_n = h[-1] - h[-2] if args.n >= 2 else None
     div = _log_div(args)
     doc = {
         "command": "entropy",
@@ -294,11 +294,9 @@ def _cmd_bounds(args):
     budget = _resolved_budget(args)
     model = load_model(args.model)
     div = _log_div(args)
-    rows = []
-    for n in range(2, args.n_max + 1):
-        upper, lower = conditional_bounds(model, args.epsilon, n, budget=budget,
-                                          workers=args.workers)
-        rows.append((n, upper / div, lower / div))
+    warn_workers(args.workers)
+    rows = [(n, upper / div, lower / div) for n, upper, lower
+            in bounds_by_n(model, args.epsilon, args.n_max, budget=budget)]
     doc = {
         "command": "bounds",
         "config": _config_dict(args, budget),

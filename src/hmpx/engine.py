@@ -6,15 +6,15 @@ all run through one prefix trellis: level n holds the forward variables
 of all s**n prefixes as arrays of shape (prefixes, s, w), w the size of
 the jets' exponent set (1 for plain numbers, K+1 for an order-K UniJet),
 and each level yields its block entropy H_n as the walk passes it.  One
-pass to depth N therefore gives H_1..H_N.  The emission step at a site
-is a truncated jet product with the tensor R(eps) = I + eps*T; since R
-has degree 1 in eps, it is a shift-and-add over the nonzero coefficients
-of that site's jet.  The jet format, product and log live in jets.py.
+pass to depth N therefore gives H_1..H_N.  The walk's root is the start
+law (stationary, or ``initial``).  A step propagates through M and emits
+through the site tensor R(eps) = I + eps*T: a truncated jet product, a
+shift-and-add over the nonzero coefficients of the site's jet since R
+has degree 1 in eps.  sequence_probability takes the same steps along
+one path.  The jet format, product and log live in jets.py.
 
 The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
 stays bounded whatever s**N is, and the last level is never held whole.
-sequence_probability keeps a per-sequence forward pass as the reference
-the trellis is tested against.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
@@ -41,7 +41,7 @@ from .errors import (
     UnreachableSequence,
 )
 from .jets import Jet, MultiJet, exponent_set
-from .model import HmpModel, check_epsilon
+from .model import check_epsilon
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -118,31 +118,34 @@ def resolve_profile(model, noise, n):
     return out
 
 
-def _site_tables(model, profile):
-    # Emission entries r[x][z] = kron(x,z) + eps_i * t[x][z], one table per site.
+def _sites(model, profile):
+    """Site tensors r[i][y, x] = R(eps_i)[x, y] = delta_xy + eps_i * t[x, y]
+    as jets of the profile's exponent set, that set, and the result type
+    (the profile's first jet, or None for plain numbers)."""
+    jet = next((v for v in profile if isinstance(v, Jet)), None)
+    space = exponent_set((), 0) if jet is None else jet.space
+    unit = np.eye(1, space.size)[0]
     t = model.noise.matrix
-    s = model.size
-    return [[[eps * float(t[x, z]) + (1.0 if x == z else 0.0) for z in range(s)]
-             for x in range(s)] for eps in profile]
+    r = [np.eye(model.size)[:, :, None] * unit + t.T[:, :, None]
+         * (eps.coeffs if isinstance(eps, Jet) else eps * unit) for eps in profile]
+    return r, space, jet
 
 
-def _forward(tables, m_rows, init, symbols):
-    s = len(init)
-    alpha = [init[x] * tables[0][x][symbols[0]] for x in range(s)]
-    for i in range(1, len(symbols)):
-        tab = tables[i]
-        yi = symbols[i]
-        new = []
-        for xp in range(s):
-            inner = alpha[0] * m_rows[0][xp]
-            for x in range(1, s):
-                inner = inner + alpha[x] * m_rows[x][xp]
-            new.append(inner * tab[xp][yi])
-        alpha = new
-    total = alpha[0]
-    for x in range(1, s):
-        total = total + alpha[x]
-    return total
+def _value(jet, coeffs):
+    return float(coeffs[0]) if jet is None else jet._like(coeffs)
+
+
+def _step(pred, r, space):
+    """Children (P*c, s, w) of P prefixes with predicted state mass pred
+    (P, s, w): alpha[x] = pred[p, x] * R[x, y] for the c rows r[y] given."""
+    return space.mul(pred[:, None], r).reshape(-1, *pred.shape[1:])
+
+
+def _root(start, space):
+    # state mass at the root of the walk: the start law as constant jets
+    root = np.zeros((1, len(start), space.size))
+    root[0, :, 0] = start
+    return root
 
 
 def sequence_probability(model, symbols, noise):
@@ -156,10 +159,12 @@ def sequence_probability(model, symbols, noise):
     if any(y < 0 or y >= model.size for y in symbols):
         raise ValueError("symbol outside alphabet range")
     profile = resolve_profile(model, noise, len(symbols))
-    tables = _site_tables(model, profile)
-    m_rows = model.transition.matrix.tolist()
-    init = model.transition.stationary.tolist()
-    return _forward(tables, m_rows, init, symbols)
+    r, space, jet = _sites(model, profile)
+    mt = model.transition.matrix.T
+    alpha = _root(model.transition.stationary, space)
+    for i, y in enumerate(symbols):
+        alpha = _step(mt @ alpha if i else alpha, r[i][y:y + 1], space)
+    return _value(jet, alpha.sum(axis=1)[0])
 
 
 # --- compensated accumulation --------------------------------------------
@@ -182,16 +187,6 @@ class _NeumaierArray:
 
 
 # --- prefix trellis -------------------------------------------------------
-
-def _emission(pred, r, space):
-    """Map predicted state mass (P, s, w) to child forward variables (P, s, s, w).
-
-    alpha[p, y, x] = pred[p, x] * R[x, y], a truncated jet product with the
-    site's jet tensor R = I + eps*T, passed transposed as r[y, x].  With
-    w = 1 it is the plain product pred * (I + eps*T).
-    """
-    return space.mul(pred[:, None], r)
-
 
 def _xlogx_sum(p, first, n, s, jet, space):
     """Per-coefficient exact sum of p*log(p) over the rows of p, shape (P, w).
@@ -220,19 +215,16 @@ def _xlogx_sum(p, first, n, s, jet, space):
     return np.array([math.fsum(col) for col in term.T.tolist()])
 
 
-def _trellis_entropies(model, profile, levels):
-    """{n: H_n} for each n in levels, from one depth-first walk of the trellis."""
+def _entropies(model, profile, levels, start, budget=None):
+    """{n: H_n} for each n in levels, from one depth-first walk rooted at start.
+
+    The budget is checked at the deepest level before the walk begins.
+    """
     s = model.size
     depth = max(levels)
-    profile = profile[:depth]
-    jet = next((v for v in profile if isinstance(v, Jet)), None)
-    space = exponent_set((), 0) if jet is None else jet.space
+    check_budget(s, depth, budget)
+    r, space, jet = _sites(model, profile[:depth])
     w = space.size
-    t = model.noise.matrix
-    unit = np.eye(1, w)[0]
-    # R(eps)[x, y] = delta_xy + eps * t[x, y] as a jet, stored as r[y, x]
-    r = [np.eye(s)[:, :, None] * unit + t.T[:, :, None]
-         * (eps.coeffs if isinstance(eps, Jet) else eps * unit) for eps in profile]
     mt = model.transition.matrix.T
     sums = {n: _NeumaierArray(w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
@@ -240,7 +232,7 @@ def _trellis_entropies(model, profile, levels):
     def visit(pred, n, first):
         # pred: state mass of consecutive level-(n-1) prefixes, propagated
         # through M; their children at level n start at index `first`.
-        alpha = _emission(pred, r[n - 1], space).reshape(-1, s, w)
+        alpha = _step(pred, r[n - 1], space)
         if n in sums:
             p = alpha.sum(axis=1)
             sums[n].add(_xlogx_sum(p, first, n, s, jet is not None, space))
@@ -248,31 +240,20 @@ def _trellis_entropies(model, profile, levels):
             for lo in range(0, len(alpha), width):
                 visit(mt @ alpha[lo:lo + width], n + 1, (first + lo) * s)
 
-    root = np.zeros((1, s, w))
-    root[0, :, 0] = model.transition.stationary
-    visit(root, 1, 0)
-    if jet is None:
-        return {n: float(-acc.total()[0]) for n, acc in sums.items()}
-    return {n: jet._like(-acc.total()) for n, acc in sums.items()}
+    visit(_root(start, space), 1, 0)
+    return {n: _value(jet, -acc.total()) for n, acc in sums.items()}
 
 
-def _entropies(model, profile, levels, *, budget=None, initial=None):
-    """{n: H_n} over the first n sites of a resolved profile, n in levels."""
-    check_budget(model.size, max(levels), budget)
-    if initial is not None:
-        model = _with_initial(model, initial)
-    return _trellis_entropies(model, profile, levels)
-
-
-def _with_initial(model, initial):
-    # Conditioning device: swap the stationary start for an arbitrary one
-    # (e.g. a point mass on X_1) without touching validation.
+def _start(model, initial):
+    # the stationary law, or ``initial`` if it is a length-s probability
+    # vector; every check is a comparison that NaN fails
+    if initial is None:
+        return model.transition.stationary
     init = np.asarray(initial, dtype=float)
-    if init.shape != (model.size,) or abs(init.sum() - 1.0) > 1e-9 or np.any(init < 0):
+    if not (init.shape == (model.size,) and np.all(init >= 0)
+            and abs(init.sum() - 1.0) <= 1e-9):
         raise ValueError("initial distribution must be a length-s probability vector")
-    sm = model.transition
-    patched = type(sm)(matrix=sm.matrix, stationary=init)
-    return HmpModel(transition=patched, noise=model.noise)
+    return init
 
 
 # --- public entropy surface -----------------------------------------------
@@ -287,15 +268,15 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    return _entropies(model, profile, (n,), budget=budget, initial=initial)[n]
+    return _entropies(model, profile, (n,), _start(model, initial), budget)[n]
 
 
-def block_entropies(model, n, noise, *, budget=None):
-    """H_1..H_n as a list, all from one pass; ``noise`` as in block_entropy."""
+def block_entropies(model, n, noise, *, budget=None, initial=None):
+    """H_1..H_n as a list, all from one pass; arguments as in block_entropy."""
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, range(1, n + 1), budget=budget)
+    h = _entropies(model, profile, range(1, n + 1), _start(model, initial), budget)
     return [h[i] for i in range(1, n + 1)]
 
 
@@ -305,7 +286,7 @@ def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None
     if n < 2:
         raise ValueError("need N >= 2")
     profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, (n - 1, n), budget=budget, initial=initial)
+    h = _entropies(model, profile, (n - 1, n), _start(model, initial), budget)
     return h[n] - h[n - 1]
 
 
@@ -319,7 +300,7 @@ def multi_site_F(model, profile, *, budget=None, workers=1):
         raise ProfileLengthMismatch("profile must list at least two sites")
     n = len(profile)
     profile = resolve_profile(model, profile, n)
-    h = _entropies(model, profile, (n - 1, n), budget=budget)
+    h = _entropies(model, profile, (n - 1, n), model.transition.stationary, budget)
     return h[n] - h[n - 1]
 
 

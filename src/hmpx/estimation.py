@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import conditional_entropy, warn_workers
+from .engine import block_entropies, warn_workers
 from .errors import UnreachableSequence
 from .model import check_epsilon, emission_at
 
@@ -158,18 +158,20 @@ def conditional_bounds(model, eps, n, *, budget=None, workers=1):
     law.  Both tighten toward the rate as n grows.
     """
     warn_workers(workers)
-    eps = check_epsilon(model.noise, eps)
-    if n < 2:
+    return bounds_by_n(model, eps, n, budget=budget)[-1][1:]
+
+
+def bounds_by_n(model, eps, n_max, *, budget=None):
+    """[(n, upper, lower)] of conditional_bounds for n = 2..n_max, from one
+    pass per start; the budget is checked at n_max before the first."""
+    if n_max < 2:
         raise ValueError("need N >= 2")
-    upper = conditional_entropy(model, n, eps, budget=budget)
-    s = model.size
-    pi = model.transition.stationary
-    lower = 0.0
-    for x in range(s):
-        point = np.zeros(s)
-        point[x] = 1.0
-        lower += float(pi[x]) * conditional_entropy(model, n, eps, budget=budget,
-                                                    initial=point)
+    h = block_entropies(model, n_max, eps, budget=budget)
+    uppers = [b - a for a, b in zip(h, h[1:])]
+    lowers = [0.0] * len(uppers)
+    for x, weight in enumerate(model.transition.stationary.tolist()):
+        h = block_entropies(model, n_max, eps, budget=budget,
+                            initial=np.eye(model.size)[x])
+        lowers = [lo + weight * (b - a) for lo, a, b in zip(lowers, h, h[1:])]
     # conditioning cannot raise entropy; keep the contract under rounding
-    lower = min(lower, upper)
-    return float(upper), float(lower)
+    return [(n, u, min(lo, u)) for n, u, lo in zip(range(2, n_max + 1), uppers, lowers)]

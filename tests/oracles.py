@@ -1,9 +1,14 @@
 """Independent reference implementations used to pin expected test values.
 
-Everything here deliberately avoids the package's forward algorithm and
-jet arithmetic: probabilities come from explicit joint sums over hidden
-paths, derivatives from finite differences, entropies from closed forms.
-Slow and only usable at tiny sizes, which is the point.
+Everything here deliberately avoids the package's forward algorithm:
+probabilities come from explicit joint sums over hidden paths or from the
+per-sequence forward pass below, derivatives from finite differences,
+entropies from closed forms.  The per-sequence forward pass is the
+reference that sequence_probability and the trellis are tested against:
+plain Python over lists, one sequence at a time, on any number type with
++ and *, so with jet noise it uses the jets' operators but none of the
+package's trellis code.  Slow and only usable at tiny sizes, which is the
+point.
 """
 
 import math
@@ -54,6 +59,40 @@ def joint_probability(m, pi, t, y, eps_by_site):
             w *= r
         total += w
     return total
+
+
+def site_tables(model, profile):
+    """Emission entries r[x][z] = kron(x, z) + eps_i * t[x][z], one table per site."""
+    t = model.noise.matrix
+    s = model.size
+    return [[[eps * float(t[x, z]) + (1.0 if x == z else 0.0) for z in range(s)]
+             for x in range(s)] for eps in profile]
+
+
+def forward(tables, m_rows, init, symbols):
+    """P(symbols) by the forward recursion, one sequence, any number type."""
+    s = len(init)
+    alpha = [init[x] * tables[0][x][symbols[0]] for x in range(s)]
+    for i in range(1, len(symbols)):
+        tab = tables[i]
+        yi = symbols[i]
+        new = []
+        for xp in range(s):
+            inner = alpha[0] * m_rows[0][xp]
+            for x in range(1, s):
+                inner = inner + alpha[x] * m_rows[x][xp]
+            new.append(inner * tab[xp][yi])
+        alpha = new
+    total = alpha[0]
+    for x in range(1, s):
+        total = total + alpha[x]
+    return total
+
+
+def forward_probability(model, symbols, profile):
+    """P(symbols) from the stationary start, one profile entry per site."""
+    return forward(site_tables(model, profile), model.transition.matrix.tolist(),
+                   model.transition.stationary.tolist(), list(symbols))
 
 
 def block_entropy_bruteforce(model, n, eps):

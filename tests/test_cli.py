@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from hmpx import entropy_rate_series, load_model
+import hmpx.engine
+from hmpx import (
+    block_entropy,
+    conditional_bounds,
+    conditional_entropy,
+    entropy_rate_series,
+    load_model,
+)
 from hmpx.cli import main
 
 BS_DOC = {"transition": [[0.7, 0.3], [0.3, 0.7]], "noise": [[-1, 1], [1, -1]]}
@@ -15,6 +22,19 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def count_walks(monkeypatch):
+    """Record the start of every exact forward walk (trellis pass or path)."""
+    walks = []
+    root = hmpx.engine._root
+
+    def spy(start, space):
+        walks.append(tuple(start))
+        return root(start, space)
+
+    monkeypatch.setattr(hmpx.engine, "_root", spy)
+    return walks
 
 
 class TestExpand:
@@ -133,6 +153,18 @@ class TestEntropyCommand:
         assert main(["entropy", "--model", path, "--n", "2",
                      "--epsilon", "1.5"]) == 2
 
+    @pytest.mark.parametrize("doc", [BS_DOC, T3_DOC])
+    def test_bit_identical_to_library_from_one_pass(self, capsys, model_file,
+                                                    monkeypatch, doc):
+        path = model_file(doc)
+        walks = count_walks(monkeypatch)
+        rc, out = run_json(capsys, ["entropy", "--model", path, "--n", "6",
+                                    "--epsilon", "0.05"])
+        assert rc == 0 and len(walks) == 1
+        model = load_model(path)
+        assert out["block_entropy"] == block_entropy(model, 6, 0.05)
+        assert out["conditional_entropy"] == conditional_entropy(model, 6, 0.05)
+
 
 class TestVerifyCommand:
     def test_passes(self, capsys, model_file):
@@ -227,6 +259,31 @@ class TestBoundsCommand:
                      "--n-max", "1"]) == 2
         assert "n_max >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, n_max", [(BS_DOC, 14), (T3_DOC, 8)])
+    def test_one_pass_per_start_bit_identical_to_library(self, capsys, model_file,
+                                                         monkeypatch, doc, n_max):
+        path = model_file(doc)
+        walks = count_walks(monkeypatch)
+        rc, out = run_json(capsys, ["bounds", "--model", path, "--epsilon", "0.05",
+                                    "--n-max", str(n_max)])
+        assert rc == 0
+        model = load_model(path)
+        assert len(walks) == model.size + 1  # stationary start + a point mass each
+        assert [row["N"] for row in out["bounds"]] == list(range(2, n_max + 1))
+        for row in out["bounds"]:
+            upper, lower = conditional_bounds(model, 0.05, row["N"])
+            assert (row["upper"], row["lower"]) == (upper, lower)
+
+    def test_budget_is_checked_before_any_pass(self, capsys, model_file,
+                                               monkeypatch):
+        path = model_file(BS_DOC)
+        walks = count_walks(monkeypatch)
+        rc = main(["bounds", "--model", path, "--epsilon", "0.05", "--n-max", "12",
+                   "--budget", "1000"])
+        assert rc == 3
+        assert "2**12" in capsys.readouterr().err
+        assert walks == []
+
 
 class TestExitCodes:
     def test_budget_exceeded(self, capsys, model_file):
@@ -286,8 +343,9 @@ class TestOutputFile:
 
     def test_workers_flag(self, capsys, model_file):
         path = model_file(BS_DOC)
-        rc, doc = run_json(capsys, ["expand", "--model", path, "--order", "2",
-                                    "--workers", "2"])
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            rc, doc = run_json(capsys, ["expand", "--model", path, "--order", "2",
+                                        "--workers", "2"])
         _, doc1 = run_json(capsys, ["expand", "--model", path, "--order", "2"])
         assert rc == 0
         for a, b in zip(doc["coefficients"], doc1["coefficients"]):

@@ -27,6 +27,7 @@ from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
     central_difference,
+    forward_probability,
     markov_block_entropy,
     markov_entropy_rate,
     multi_site_F_bruteforce,
@@ -239,17 +240,21 @@ class TestMixedPartialF:
 class TestWorkers:
     def test_scalar_chunked_reduction_matches(self, bs):
         a = block_entropy(bs, 7, 0.05)
-        b = block_entropy(bs, 7, 0.05, workers=3)
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            b = block_entropy(bs, 7, 0.05, workers=3)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_uni_chunked_reduction_matches(self, bs):
         a = conditional_entropy(bs, 5, UniJet.variable(8))
-        b = conditional_entropy(bs, 5, UniJet.variable(8), workers=2)
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            b = conditional_entropy(bs, 5, UniJet.variable(8), workers=2)
         np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12, rtol=1e-12)
 
     def test_fixed_worker_count_is_deterministic(self, bs):
-        a = block_entropy(bs, 6, 0.03, workers=2)
-        b = block_entropy(bs, 6, 0.03, workers=2)
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            a = block_entropy(bs, 6, 0.03, workers=2)
+        with pytest.warns(DeprecationWarning, match="workers is deprecated"):
+            b = block_entropy(bs, 6, 0.03, workers=2)
         assert a == b
 
     def test_workers_is_deprecated(self, bs, recwarn):
@@ -304,12 +309,18 @@ def _block_entropy_oracle(model, profile):
     # per-sequence p*log(p), exactly summed per coefficient
     terms = []
     for y in enumerate_sequences(model.size, len(profile)):
-        p = sequence_probability(model, y, profile)
+        p = forward_probability(model, y, profile)
         terms.append([p * math.log(p)] if isinstance(p, float) else _coeffs(p * p.log()))
     return -np.array([math.fsum(col) for col in np.array(terms).T])
 
 
 def _check_against_oracle(model, profile):
+    for y in enumerate_sequences(model.size, len(profile)):
+        want = forward_probability(model, y, profile)
+        got = sequence_probability(model, y, profile)
+        assert type(got) is type(want)
+        scale = np.max(np.abs(_coeffs(want)))
+        assert np.max(np.abs(_coeffs(got) - _coeffs(want))) <= 1e-14 * scale
     h_n = _block_entropy_oracle(model, profile)
     h_prev = _block_entropy_oracle(model, profile[:-1])
     h_prev = np.pad(h_prev, (0, h_n.size - h_prev.size))  # all-scalar prefix
@@ -381,6 +392,22 @@ def test_settling_table_pass_matches_separate_calls(bs):
     for row, n in zip(table.coefficients, table.n_values):
         expected = conditional_entropy(bs, n, UniJet.variable(11)).coeffs
         np.testing.assert_allclose(row, expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("initial", [
+    [1.0],                   # length
+    [0.5, 0.3, 0.2],         # length
+    [0.6, 0.6],              # sum
+    [1.5, -0.5],             # sign
+    [math.nan, 1.0],         # NaN fails every comparison
+    [1.0, math.nan],
+    [math.inf, -math.inf],
+])
+def test_initial_must_be_a_probability_vector(bs, initial):
+    with pytest.raises(ValueError, match="initial distribution"):
+        block_entropy(bs, 3, 0.05, initial=initial)
+    with pytest.raises(ValueError, match="initial distribution"):
+        conditional_entropy(bs, 3, 0.05, initial=initial)
 
 
 class TestStructuralZeros:

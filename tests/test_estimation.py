@@ -129,3 +129,16 @@ class TestConditionalBounds:
     def test_needs_two_sites(self, bs):
         with pytest.raises(ValueError):
             conditional_bounds(bs, 0.05, 1)
+
+    def test_one_pass_per_start_equals_the_definition(self, bs, t3):
+        # every N of the sandwich comes from s + 1 passes to the deepest N;
+        # the bits are those of the per-N conditional entropies
+        for model in (bs, t3):
+            pi = model.transition.stationary.tolist()
+            for n in range(2, 9):
+                upper = conditional_entropy(model, n, 0.05)
+                lower = 0.0
+                for x, weight in enumerate(pi):
+                    lower += weight * conditional_entropy(
+                        model, n, 0.05, initial=np.eye(model.size)[x])
+                assert conditional_bounds(model, 0.05, n) == (upper, min(lower, upper))

@@ -18,6 +18,7 @@ from hmpx import (
     verify_lemma_no_hole,
     verify_lemma_zero_prepend,
 )
+from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
     markov_entropy_rate,
@@ -46,6 +47,13 @@ class TestEntropyRateSeries:
         expected = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
         assert res.coefficients[0] == pytest.approx(expected, abs=1e-12)
         assert res.thresholds == (2,)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_order_one_closed_form(self, p):
+        # c_1 = 2(1 - 2p) ln((1 - p)/p) for the binary symmetric chain
+        res = entropy_rate_series(binary_symmetric(p), 1)
+        expected = 2 * (1 - 2 * p) * math.log((1 - p) / p)
+        assert abs(res.coefficients[1] - expected) <= 1e-13 * max(1.0, abs(expected))
 
     def test_zero_noise_generator_is_constant_series(self, noiseless):
         res = entropy_rate_series(noiseless, 5)
