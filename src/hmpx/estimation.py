@@ -1,11 +1,23 @@
 """Statistical cross-checks, deliberately far from the enumeration engine.
 
 A long sampled observation path gives a consistent entropy-rate estimate
--(1/L) log P(Y_1..Y_L) through the scaled log-space forward algorithm,
+-(1/L) log P(Y_1..Y_L) through the normalized linear-space forward pass,
 with batch-means standard errors (the per-symbol log-likelihood
 increments are dependent, so i.i.d. formulas would lie).  Conditional
 entropies with and without knowledge of the first hidden state sandwich
 the entropy rate from above and below.
+
+Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
+the L-1 steps after the first symbol are cut into about sqrt(L) chunks
+that advance in lockstep, then are stitched together in order.  The
+sampler composes maps of states, so its paths are bit for bit those of a
+one-state-at-a-time walk.  The likelihood composes products of
+non-negative matrices, normalized after every step: nothing cancels, each
+chunk's start differs from the sequential forward vector by rounding
+only, and the normalized pass contracts such differences instead of
+growing them, so the increments agree with the sequential pass to a few
+ulps.  A path of probability zero raises ``UnreachableSequence`` before
+any division by zero.
 
 All randomness flows through numpy's seeded default generator (PCG64,
 inverse-CDF draws); a run is a pure function of (model, eps, L, seed).
@@ -48,28 +60,59 @@ class McEstimate:
     generator: str = GENERATOR_NAME
 
 
-def _pick(cum_row, u):
-    for k, edge in enumerate(cum_row):
-        if u < edge:
-            return k
-    return len(cum_row) - 1
+def _chunks(steps):
+    """(C, B): ``steps`` steps as C = ceil(sqrt(steps)) chunks of B steps.
+
+    C * B >= steps; the padded tail of the last chunk is less than one
+    chunk and is discarded by the caller.
+    """
+    if steps == 0:
+        return 0, 1
+    count = math.isqrt(steps - 1) + 1
+    return count, -(-steps // count)
 
 
 def _sample_arrays(model, eps, length, seed):
+    """Hidden and observed paths, in the smallest unsigned dtype holding s.
+
+    The hidden step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the
+    cumulative rows are non-decreasing, so this is the first k with
+    u_i < cum_m[x, k], capped at s-1, and the path is bit for bit that of
+    a one-state-at-a-time inverse-CDF walk.  Maps compose, so every chunk
+    advances all s possible starts in lockstep with the other chunks; a
+    loop over the chunks then takes each chunk's true start from the end
+    state of the one before, and a gather reads the path.
+    """
     rng = np.random.default_rng(seed)
     u_hidden = rng.random(length)
     u_obs = rng.random(length)
     s = model.size
-    cum_pi = np.cumsum(model.transition.stationary).tolist()
-    cum_m = [row.tolist() for row in np.cumsum(model.transition.matrix, axis=1)]
-    x = _pick(cum_pi, u_hidden[0])
-    hidden = [x]
-    append = hidden.append
-    for i in range(1, length):
-        x = _pick(cum_m[x], u_hidden[i])
-        append(x)
-    hidden = np.asarray(hidden, dtype=np.int64)
-    observed = np.empty(length, dtype=np.int64)
+    dtype = np.min_scalar_type(s)
+    hidden = np.empty(length, dtype=dtype)
+    hidden[0] = x = sum(int(edge <= u_hidden[0])
+                        for edge in np.cumsum(model.transition.stationary)[:-1])
+    count, size = _chunks(length - 1)
+    cum_m = np.cumsum(model.transition.matrix, axis=1)
+    step = np.empty((size, count, s), dtype=dtype)  # step j of chunk c from x
+    moves = np.empty(count * size, dtype=dtype)
+    for state in range(s):
+        moves[:] = 0
+        for edge in cum_m[state, :-1]:
+            moves[: length - 1] += u_hidden[1:] >= edge
+        step[:, :, state] = moves.reshape(count, size).T
+    step = step.reshape(size, count * s)
+    ends = np.empty((size, count, s), dtype=dtype)  # after step j, chunk c from x
+    offsets = np.arange(0, count * s, s)[:, None]
+    states = np.broadcast_to(np.arange(s, dtype=dtype), (count, s))
+    for j in range(size):
+        states = step[j].take(offsets + states, out=ends[j])
+    starts = np.empty(count, dtype=dtype)
+    for c, last in enumerate(ends[-1].tolist()):
+        starts[c] = x
+        x = last[x]
+    path = np.take_along_axis(ends, starts[None, :, None], axis=2)
+    hidden[1:] = path[:, :, 0].T.ravel()[: length - 1]
+    observed = np.empty(length, dtype=dtype)
     cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)
     for state in range(s):
         mask = hidden == state
@@ -78,52 +121,87 @@ def _sample_arrays(model, eps, length, seed):
     return hidden, observed
 
 
-def _log_increments(model, eps, symbols):
-    """Per-symbol log P(y_i | y_1..y_{i-1}) via the normalized forward pass."""
-    s = model.size
-    r = emission_at(model.noise, eps)
-    m = model.transition.matrix
-    # step matrices fused per symbol: A_y[x][x'] = m[x,x'] * r[x',y]
-    step = [[[float(m[x, xp] * r[xp, y]) for xp in range(s)] for x in range(s)]
-            for y in range(s)]
-    pi = model.transition.stationary.tolist()
-    first = [pi[x] * float(r[x, symbols[0]]) for x in range(s)]
-    norm = sum(first)
-    if norm <= 0.0:
+def _check_reachable(total):
+    if not np.all(total > 0.0):
         raise UnreachableSequence("observation path has probability zero")
-    increments = [math.log(norm)]
-    alpha = [v / norm for v in first]
-    log = math.log
-    for y in symbols[1:]:
-        a = step[y]
-        new = [sum(alpha[x] * a[x][xp] for x in range(s)) for xp in range(s)]
-        norm = sum(new)
-        if norm <= 0.0:
-            raise UnreachableSequence("observation path has probability zero")
-        increments.append(log(norm))
-        alpha = [v / norm for v in new]
-    return np.asarray(increments)
+
+
+def _log_increments(model, eps, symbols):
+    """Per-symbol log P(y_i | y_1..y_{i-1}) by the normalized forward pass.
+
+    The L-1 steps after the first symbol run as C chunks of B steps (see
+    ``_chunks``).  Step y takes a row vector v to v A_y with A_y[x, x'] =
+    m[x, x'] r[x', y]; the padding symbol s steps by the identity.  Pass 1
+    forms every chunk's transfer matrix Q_c = prod A_y, normalized by its
+    sum after each step, all chunks in lockstep.  Pass 2 walks the chunks
+    in order: start_{c+1} = normalize(start_c Q_c).  Pass 3 runs the
+    normalized forward pass of all chunks in lockstep from their true
+    starts and keeps the norms, whose logs are the increments.
+    """
+    s = model.size
+    length = len(symbols)
+    r = emission_at(model.noise, eps)
+    count, size = _chunks(length - 1)
+    ys = np.full(count * size, s, dtype=np.min_scalar_type(s))
+    ys[: length - 1] = symbols[1:]
+    ys = ys.reshape(count, size).T.copy()  # ys[j, c]: symbol of step j in chunk c
+    a = np.empty((s, s, s + 1))  # a[x, x', y] = A_y[x, x']
+    a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
+    a[:, :, s] = np.eye(s)
+    increments = np.empty(1 + count * size)
+    norms = increments[1:].reshape(count, size)
+    first = model.transition.stationary * r[:, symbols[0]]
+    increments[0] = norm = first.sum()
+    _check_reachable(norm)
+    q = np.broadcast_to(np.eye(s)[:, :, None], (s, s, count))  # q[x, x', c]
+    for y in ys:
+        q = np.einsum("abc,bdc->adc", q, a.take(y, axis=2))
+        total = q.sum(axis=(0, 1))
+        _check_reachable(total)
+        q /= total
+    alpha = np.empty((s, count))  # alpha[x, c]
+    alpha[:, :1] = (first / norm)[:, None]
+    for c in range(count - 1):
+        start = alpha[:, c] @ q[:, :, c]
+        total = start.sum()
+        _check_reachable(total)
+        alpha[:, c + 1] = start / total
+    for j, y in enumerate(ys):
+        alpha = np.einsum("xc,xyc->yc", alpha, a.take(y, axis=2))
+        total = alpha.sum(axis=0)
+        _check_reachable(total)
+        norms[:, j] = total
+        alpha /= total
+    return np.log(increments, out=increments)[:length]
 
 
 def path_log_likelihood(model, eps, symbols):
     """log P of an observation path; agrees with the enumeration engine's
-    sequence probabilities up to float rounding."""
-    check_epsilon(model.noise, eps)
+    sequence probabilities up to float rounding.  The empty path has log
+    probability 0."""
+    eps = check_epsilon(model.noise, eps)
     symbols = np.asarray(symbols, dtype=np.int64)
-    return float(_log_increments(model, float(eps), symbols).sum())
+    if symbols.size == 0:
+        return 0.0
+    if symbols.min() < 0 or symbols.max() >= model.size:
+        raise ValueError("symbol outside alphabet range")
+    return float(_log_increments(model, eps, symbols).sum())
 
 
 def sample_paths(model, eps, length, seed) -> SampleRun:
     """Sample hidden and observed paths of the given length.
 
     The first hidden state follows the stationary distribution; identical
-    (model, eps, length, seed) reproduce the run bit-exactly.
+    (model, eps, length, seed) reproduce the run bit-exactly.  Both paths
+    are read-only int64 arrays.
     """
     eps = check_epsilon(model.noise, eps)
     if length < 1:
         raise ValueError("need length >= 1")
     hidden, observed = _sample_arrays(model, eps, length, seed)
     loglik = float(_log_increments(model, eps, observed).sum())
+    hidden = hidden.astype(np.int64)
+    observed = observed.astype(np.int64)
     hidden.flags.writeable = False
     observed.flags.writeable = False
     return SampleRun(seed=int(seed), length=int(length), hidden=hidden,

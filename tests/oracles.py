@@ -8,7 +8,9 @@ reference that sequence_probability and the trellis are tested against:
 plain Python over lists, one sequence at a time, on any number type with
 + and *, so with jet noise it uses the jets' operators but none of the
 package's trellis code.  Slow and only usable at tiny sizes, which is the
-point.
+point.  The Monte Carlo sampler and likelihood have scalar references too:
+one hidden state and one symbol at a time, in the order the chunked
+versions in hmpx.estimation must reproduce.
 """
 
 import math
@@ -16,6 +18,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from hmpx.errors import UnreachableSequence
 
 
 def stationary_2x2(m):
@@ -93,6 +97,65 @@ def forward_probability(model, symbols, profile):
     """P(symbols) from the stationary start, one profile entry per site."""
     return forward(site_tables(model, profile), model.transition.matrix.tolist(),
                    model.transition.stationary.tolist(), list(symbols))
+
+
+def _pick(cum_row, u):
+    for k, edge in enumerate(cum_row):
+        if u < edge:
+            return k
+    return len(cum_row) - 1
+
+
+def sample_arrays(model, eps, length, seed):
+    """Hidden and observed paths, one inverse-CDF pick per hidden step.
+
+    The same two draws of numpy's default_rng(seed) as hmpx.estimation:
+    u_hidden drives the chain, u_obs the emissions.
+    """
+    rng = np.random.default_rng(seed)
+    u_hidden = rng.random(length)
+    u_obs = rng.random(length)
+    s = model.size
+    cum_pi = np.cumsum(model.transition.stationary).tolist()
+    cum_m = [row.tolist() for row in np.cumsum(model.transition.matrix, axis=1)]
+    x = _pick(cum_pi, u_hidden[0])
+    hidden = [x]
+    for i in range(1, length):
+        x = _pick(cum_m[x], u_hidden[i])
+        hidden.append(x)
+    hidden = np.asarray(hidden, dtype=np.int64)
+    observed = np.empty(length, dtype=np.int64)
+    cum_r = np.cumsum(np.eye(s) + eps * model.noise.matrix, axis=1)
+    for state in range(s):
+        mask = hidden == state
+        observed[mask] = np.searchsorted(cum_r[state], u_obs[mask], side="right")
+    np.minimum(observed, s - 1, out=observed)
+    return hidden, observed
+
+
+def log_increments(model, eps, symbols):
+    """Per-symbol log P(y_i | y_1..y_{i-1}) by the normalized forward pass."""
+    s = model.size
+    r = np.eye(s) + eps * model.noise.matrix
+    m = model.transition.matrix
+    step = [[[float(m[x, xp] * r[xp, y]) for xp in range(s)] for x in range(s)]
+            for y in range(s)]
+    pi = model.transition.stationary.tolist()
+    first = [pi[x] * float(r[x, symbols[0]]) for x in range(s)]
+    norm = sum(first)
+    if norm <= 0.0:
+        raise UnreachableSequence("observation path has probability zero")
+    increments = [math.log(norm)]
+    alpha = [v / norm for v in first]
+    for y in symbols[1:]:
+        a = step[y]
+        new = [sum(alpha[x] * a[x][xp] for x in range(s)) for xp in range(s)]
+        norm = sum(new)
+        if norm <= 0.0:
+            raise UnreachableSequence("observation path has probability zero")
+        increments.append(math.log(norm))
+        alpha = [v / norm for v in new]
+    return np.asarray(increments)
 
 
 def block_entropy_bruteforce(model, n, eps):

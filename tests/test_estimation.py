@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,15 +6,18 @@ import pytest
 
 from hmpx import (
     EpsilonOutOfRange,
+    UnreachableSequence,
     conditional_bounds,
     conditional_entropy,
+    make_model,
     mc_entropy_rate,
     sample_paths,
     sequence_probability,
 )
-from hmpx.estimation import path_log_likelihood
+from hmpx.estimation import (GENERATOR_NAME, _chunks, _log_increments,
+                              path_log_likelihood)
 from conftest import binary_symmetric
-from oracles import markov_entropy_rate
+from oracles import log_increments, markov_entropy_rate, sample_arrays
 
 
 class TestSamplePaths:
@@ -48,6 +52,92 @@ class TestSamplePaths:
             sample_paths(bs, 0.1, 0, seed=0)
 
 
+class TestStreamPin:
+    def test_paths_and_estimate_are_pinned(self, bs):
+        # (model, eps, L, seed) fixes the run; these values were taken from
+        # the one-state-at-a-time sampler and scalar forward loop
+        run = sample_paths(bs, 0.05, 10_000, seed=1)
+        assert hashlib.sha256(run.observed.tobytes()).hexdigest() == (
+            "f6f64efc2b044ad33551115413c3bdaf3821ca2b069ed4875c6008a4f1c8d9e3")
+        est = mc_entropy_rate(bs, 0.05, 20_000, seed=1)
+        assert est.estimate.hex() == "0x1.4620415d9bf1ep-1"
+        assert GENERATOR_NAME == "numpy default_rng (PCG64), inverse-CDF sampling"
+
+
+def _batch_means(increments, batches=30):
+    size = len(increments) // batches
+    means = -increments[: batches * size].reshape(batches, size).mean(axis=1)
+    return -increments.sum() / len(increments), means.std(ddof=1) / math.sqrt(batches)
+
+
+class TestChunkedScan:
+    """The chunked sampler and likelihood against the scalar loops."""
+
+    @pytest.mark.parametrize("name", ["bs", "t3"])
+    @pytest.mark.parametrize("which", ["zero", "mid", "max"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 10_001, 10_007, 100_000])
+    def test_matches_scalar_oracle(self, request, name, which, length):
+        model = request.getfixturevalue(name)
+        eps = {"zero": 0.0, "mid": 0.05, "max": model.noise.epsilon_max}[which]
+        hidden, observed = sample_arrays(model, eps, length, seed=11)
+        run = sample_paths(model, eps, length, seed=11)
+        assert np.array_equal(run.hidden, hidden)
+        assert np.array_equal(run.observed, observed)
+        assert run.hidden.dtype == run.observed.dtype == np.int64
+        reference = log_increments(model, eps, observed)
+        np.testing.assert_allclose(_log_increments(model, eps, run.observed),
+                                   reference, rtol=1e-14, atol=0.0)
+        if length >= 10_000:
+            est = mc_entropy_rate(model, eps, length, seed=11)
+            estimate, se = _batch_means(reference)
+            assert est.estimate == pytest.approx(estimate, rel=1e-12)
+            assert est.standard_error == pytest.approx(se, rel=1e-12)
+
+    def test_chunk_shape(self):
+        assert _chunks(0) == (0, 1)
+        for steps in (1, 2, 3, 16, 10_000, 10_006, 99_999):
+            count, size = _chunks(steps)
+            assert count == math.ceil(math.sqrt(steps))
+            assert count * size >= steps > (count - 1) * size
+
+
+class TestUnreachable:
+    """Symbol 0 has emission probability 0 from every state at eps = 1."""
+
+    LENGTH = 10_007
+
+    @pytest.fixture
+    def blind(self):
+        return make_model([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+                          [[-1, 1, 0], [0, -0.5, 0.5], [0, 0.5, -0.5]])
+
+    def _path(self):
+        return np.random.default_rng(5).integers(1, 3, self.LENGTH)
+
+    def test_path_without_the_symbol_is_reachable(self, blind):
+        symbols = self._path()
+        assert path_log_likelihood(blind, 1.0, symbols) == pytest.approx(
+            log_increments(blind, 1.0, symbols).sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("where", ["first", "second", "chunk end",
+                                       "chunk start", "last"])
+    def test_zero_probability_symbol_raises(self, blind, where):
+        size = _chunks(self.LENGTH - 1)[1]
+        position = {"first": 0, "second": 1, "chunk end": size,
+                    "chunk start": size + 1, "last": self.LENGTH - 1}[where]
+        symbols = self._path()
+        symbols[position] = 0
+        with pytest.raises(UnreachableSequence):
+            log_increments(blind, 1.0, symbols)
+        with pytest.raises(UnreachableSequence):
+            path_log_likelihood(blind, 1.0, symbols)
+
+    def test_sampled_paths_avoid_the_symbol(self, blind):
+        run = sample_paths(blind, 1.0, self.LENGTH, seed=3)
+        assert not np.any(run.observed == 0)
+        assert math.isfinite(run.loglik)
+
+
 class TestLogSpaceForward:
     def test_matches_linear_forward(self, bs):
         rng = np.random.default_rng(3)
@@ -64,6 +154,16 @@ class TestLogSpaceForward:
         p = sequence_probability(t3, y, 0.1)
         assert math.exp(path_log_likelihood(t3, 0.1, y)) == pytest.approx(
             p, rel=1e-12)
+
+    @pytest.mark.parametrize("symbols", [[-1, 0], [0, -2, 1], [0, 2], [2]])
+    def test_symbol_outside_alphabet_is_refused(self, bs, symbols):
+        with pytest.raises(ValueError, match="symbol outside alphabet range"):
+            path_log_likelihood(bs, 0.05, symbols)
+
+    def test_empty_path_has_log_probability_zero(self, bs):
+        assert path_log_likelihood(bs, 0.05, []) == 0.0
+        assert path_log_likelihood(bs, 0.05, []) == math.log(
+            sequence_probability(bs, (), 0.05))
 
 
 class TestMcEntropyRate:
