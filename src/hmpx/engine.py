@@ -13,24 +13,38 @@ shift-and-add over the nonzero coefficients of the site's jet since R
 has degree 1 in eps.  sequence_probability takes the same steps along
 one path.  The jet format, product and log live in jets.py.
 
+Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
+= M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
+also fix the start law.  Applying sigma to every site of a sequence keeps
+its probability, for any per-site noise, so the sequences starting with
+a and with sigma(a) contribute the same sum.  The walk therefore visits
+only first symbols that are the smallest of their orbit, and weights
+each one's block sums by the orbit size.  Without symmetry every symbol
+is its own orbit, of weight 1.  The stationary law is G-invariant in
+exact arithmetic only, so with G known the walk starts from its exact
+G-average, which differs from it by rounding; an explicit ``initial``
+must be G-fixed bit for bit.  The search runs for s <= 7 only.
+
 The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
 stays bounded whatever s**N is, and the last level is never held whole.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
-Summation order is fixed: each block's p*log(p) terms are summed exactly
-(math.fsum per coefficient), and the block sums are added with Neumaier
-compensation in lexicographic order.  Blocks depend only on the level, so
-a given H_n is the same bits whichever call computes it.  Everything runs
-serially in the calling process; the ``workers`` argument is deprecated,
-ignored, and warns when not 1.
+Summation order is fixed: each block's p*log(p) terms are summed per
+coefficient by numpy (pairwise), and the block sums are added with
+Neumaier compensation in lexicographic order.  Blocks depend only on the
+level and the start, so on one machine and numpy build a given H_n is
+the same bits whichever call computes it.  Everything runs serially in
+the calling process; the ``workers`` argument is deprecated, ignored,
+and warns when not 1.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 import numpy as np
 
@@ -41,7 +55,7 @@ from .errors import (
     UnreachableSequence,
 )
 from .jets import Jet, MultiJet, exponent_set
-from .model import check_epsilon
+from .model import check_epsilon, check_symbols
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -153,11 +167,10 @@ def sequence_probability(model, symbols, noise):
 
     ``noise`` is a shared value (float or jet) or a per-site profile; the
     result has the corresponding number type.  Shared-noise results are
-    polynomials of degree <= N in the noise variable.
+    polynomials of degree <= N in the noise variable.  ``symbols`` must be
+    one-dimensional with integer entries in [0, s), else ValueError.
     """
-    symbols = [int(y) for y in symbols]
-    if any(y < 0 or y >= model.size for y in symbols):
-        raise ValueError("symbol outside alphabet range")
+    symbols = check_symbols(model.size, symbols).tolist()
     profile = resolve_profile(model, noise, len(symbols))
     r, space, jet = _sites(model, profile)
     mt = model.transition.matrix.T
@@ -186,10 +199,77 @@ class _NeumaierArray:
         return self.s + self.c
 
 
+# --- symbol symmetry -----------------------------------------------------
+
+# Largest alphabet whose symbol permutations are searched; 7! = 5040.
+_MAX_SYMMETRY_SIZE = 7
+
+
+@lru_cache(maxsize=None)
+def _permutations(s):
+    # every permutation of range(s), one per row, the identity first
+    perms = np.array(list(permutations(range(s))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
+
+
+def _symmetries(model):
+    """Symbol permutations fixing M and T exactly, one per row of a (|G|, s)
+    array, the identity first."""
+    s = model.size
+    m, t = model.transition.matrix, model.noise.matrix
+    dm, dt = m.diagonal(), t.diagonal()
+    # a symmetry maps each symbol to one with the same diagonal entries;
+    # when no two symbols agree on both, only the identity is left
+    if s > _MAX_SYMMETRY_SIZE or len(set(zip(dm.tolist(), dt.tolist()))) == s:
+        return np.arange(s)[None]
+    g = _permutations(s)
+    g = g[(dm[g] == dm).all(axis=1) & (dt[g] == dt).all(axis=1)]
+    rows, cols = g[:, :, None], g[:, None, :]
+    fixed = (m[rows, cols] == m).all(axis=(1, 2)) & (t[rows, cols] == t).all(axis=(1, 2))
+    return g[fixed]
+
+
+def _symmetric_start(model, initial):
+    """The start law and the symmetries of M and T that fix it.
+
+    The start is ``initial`` if it is a length-s probability vector (every
+    check is a comparison that NaN fails), and only the symmetries that fix
+    it bit for bit are kept.  Without ``initial`` every symmetry is kept and
+    the start is the G-average of the stationary law: the exact law is
+    G-invariant, the computed one only up to rounding.  Each average is an
+    fsum over the orbit, correctly rounded whatever the order, so it is
+    G-invariant bit for bit.
+    """
+    g = _symmetries(model)
+    if initial is None:
+        pi = model.transition.stationary
+        return np.array([math.fsum(pi[orbit]) / len(g) for orbit in g.T]), g
+    init = np.asarray(initial, dtype=float)
+    if not (init.shape == (model.size,) and np.all(init >= 0)
+            and abs(init.sum() - 1.0) <= 1e-9):
+        raise ValueError("initial distribution must be a length-s probability vector")
+    return init, g[(init[g] == init).all(axis=1)]
+
+
+def _runs(g):
+    """[a, c, size]: symbols a..a+c-1 are each the smallest of an orbit of
+    that size.  The runs are maximal; together they meet every orbit once."""
+    runs = []
+    for a, orbit in enumerate(g.T.tolist()):
+        if a == min(orbit):
+            size = len(set(orbit))
+            if runs and runs[-1][0] + runs[-1][1] == a and runs[-1][2] == size:
+                runs[-1][1] += 1
+            else:
+                runs.append([a, 1, size])
+    return runs
+
+
 # --- prefix trellis -------------------------------------------------------
 
 def _xlogx_sum(p, first, n, s, jet, space):
-    """Per-coefficient exact sum of p*log(p) over the rows of p, shape (P, w).
+    """Per-coefficient sum of p*log(p) over the rows of p, shape (P, w).
 
     Row i is the probability of the level-n prefix with index first + i.
     """
@@ -211,17 +291,19 @@ def _xlogx_sum(p, first, n, s, jet, space):
             seq = tuple(int(d) for d in np.unravel_index(first + bad[0], (s,) * n))
             raise UnreachableSequence(f"P{seq} = {p[bad[0]].tolist()} underflowed")
         p = p[~low]
-    term = space.mul(space.log(p), p)
-    return np.array([math.fsum(col) for col in term.T.tolist()])
+    # coefficient-major, so numpy sums each coefficient's rows pairwise
+    return np.ascontiguousarray(space.mul(space.log(p), p).T).sum(axis=1)
 
 
-def _entropies(model, profile, levels, start, budget=None):
-    """{n: H_n} for each n in levels, from one depth-first walk rooted at start.
+def _entropies(model, profile, levels, initial=None, budget=None):
+    """{n: H_n} for each n in levels, from one depth-first walk rooted at
+    the start law (see _symmetric_start) and reduced by its symmetries.
 
     The budget is checked at the deepest level before the walk begins.
     """
     s = model.size
     depth = max(levels)
+    start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
     r, space, jet = _sites(model, profile[:depth])
     w = space.size
@@ -229,31 +311,21 @@ def _entropies(model, profile, levels, start, budget=None):
     sums = {n: _NeumaierArray(w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
-    def visit(pred, n, first):
-        # pred: state mass of consecutive level-(n-1) prefixes, propagated
-        # through M; their children at level n start at index `first`.
-        alpha = _step(pred, r[n - 1], space)
+    def visit(alpha, n, first, weight):
+        # alpha: state mass of consecutive level-n prefixes from index first,
+        # each standing for the `weight` sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            sums[n].add(_xlogx_sum(p, first, n, s, jet is not None, space))
+            sums[n].add(weight * _xlogx_sum(p, first, n, s, jet is not None, space))
         if n < depth:
             for lo in range(0, len(alpha), width):
-                visit(mt @ alpha[lo:lo + width], n + 1, (first + lo) * s)
+                child = _step(mt @ alpha[lo:lo + width], r[n], space)
+                visit(child, n + 1, (first + lo) * s, weight)
 
-    visit(_root(start, space), 1, 0)
+    root = _root(start, space)
+    for a, count, weight in _runs(g):
+        visit(_step(root, r[0][a:a + count], space), 1, a, weight)
     return {n: _value(jet, -acc.total()) for n, acc in sums.items()}
-
-
-def _start(model, initial):
-    # the stationary law, or ``initial`` if it is a length-s probability
-    # vector; every check is a comparison that NaN fails
-    if initial is None:
-        return model.transition.stationary
-    init = np.asarray(initial, dtype=float)
-    if not (init.shape == (model.size,) and np.all(init >= 0)
-            and abs(init.sum() - 1.0) <= 1e-9):
-        raise ValueError("initial distribution must be a length-s probability vector")
-    return init
 
 
 # --- public entropy surface -----------------------------------------------
@@ -268,7 +340,7 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    return _entropies(model, profile, (n,), _start(model, initial), budget)[n]
+    return _entropies(model, profile, (n,), initial, budget)[n]
 
 
 def block_entropies(model, n, noise, *, budget=None, initial=None):
@@ -276,7 +348,7 @@ def block_entropies(model, n, noise, *, budget=None, initial=None):
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, range(1, n + 1), _start(model, initial), budget)
+    h = _entropies(model, profile, range(1, n + 1), initial, budget)
     return [h[i] for i in range(1, n + 1)]
 
 
@@ -286,7 +358,7 @@ def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None
     if n < 2:
         raise ValueError("need N >= 2")
     profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, (n - 1, n), _start(model, initial), budget)
+    h = _entropies(model, profile, (n - 1, n), initial, budget)
     return h[n] - h[n - 1]
 
 
@@ -300,7 +372,7 @@ def multi_site_F(model, profile, *, budget=None, workers=1):
         raise ProfileLengthMismatch("profile must list at least two sites")
     n = len(profile)
     profile = resolve_profile(model, profile, n)
-    h = _entropies(model, profile, (n - 1, n), model.transition.stationary, budget)
+    h = _entropies(model, profile, (n - 1, n), budget=budget)
     return h[n] - h[n - 1]
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .engine import block_entropies, warn_workers
 from .errors import UnreachableSequence
-from .model import check_epsilon, emission_at
+from .model import check_epsilon, check_symbols, emission_at
 
 GENERATOR_NAME = "numpy default_rng (PCG64), inverse-CDF sampling"
 
@@ -81,7 +81,8 @@ def _sample_arrays(model, eps, length, seed):
     a one-state-at-a-time inverse-CDF walk.  Maps compose, so every chunk
     advances all s possible starts in lockstep with the other chunks; a
     loop over the chunks then takes each chunk's true start from the end
-    state of the one before, and a gather reads the path.
+    state of the one before, and a gather reads the path.  Emissions
+    count edges the same way, in the cumulative row of each hidden state.
     """
     rng = np.random.default_rng(seed)
     u_hidden = rng.random(length)
@@ -112,12 +113,10 @@ def _sample_arrays(model, eps, length, seed):
         x = last[x]
     path = np.take_along_axis(ends, starts[None, :, None], axis=2)
     hidden[1:] = path[:, :, 0].T.ravel()[: length - 1]
-    observed = np.empty(length, dtype=dtype)
+    observed = np.zeros(length, dtype=dtype)
     cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)
-    for state in range(s):
-        mask = hidden == state
-        observed[mask] = np.searchsorted(cum_r[state], u_obs[mask], side="right")
-    np.minimum(observed, s - 1, out=observed)
+    for edges in cum_r[:, :-1].T:  # edges[x]: one cumulative edge of row x
+        observed += u_obs >= edges[hidden]
     return hidden, observed
 
 
@@ -178,13 +177,11 @@ def _log_increments(model, eps, symbols):
 def path_log_likelihood(model, eps, symbols):
     """log P of an observation path; agrees with the enumeration engine's
     sequence probabilities up to float rounding.  The empty path has log
-    probability 0."""
+    probability 0.  Symbols are checked as in sequence_probability."""
     eps = check_epsilon(model.noise, eps)
-    symbols = np.asarray(symbols, dtype=np.int64)
+    symbols = check_symbols(model.size, symbols)
     if symbols.size == 0:
         return 0.0
-    if symbols.min() < 0 or symbols.max() >= model.size:
-        raise ValueError("symbol outside alphabet range")
     return float(_log_increments(model, eps, symbols).sum())
 
 

@@ -173,6 +173,23 @@ def check_epsilon(noise, eps):
     return eps
 
 
+def check_symbols(size, symbols):
+    """Observation symbols as a 1-D int64 array.
+
+    Raises ValueError unless ``symbols`` is one-dimensional and every entry
+    is an integer, of integer or integral float type, in [0, size).
+    """
+    raw = np.asarray(symbols)
+    if raw.ndim != 1:
+        raise ValueError(f"symbols must be one-dimensional, got shape {raw.shape}")
+    if not (raw.dtype.kind in "biu"
+            or raw.dtype.kind == "f" and np.all(raw == np.trunc(raw))):
+        raise ValueError("symbols must be integers")
+    if raw.size and (raw.min() < 0 or raw.max() >= size):
+        raise ValueError("symbol outside alphabet range")
+    return raw.astype(np.int64, copy=False)
+
+
 def make_model(transition_raw, noise_raw) -> HmpModel:
     """Validate both matrices and pair them into a model."""
     return HmpModel(transition=validate_transition(transition_raw),

@@ -12,25 +12,31 @@ from hmpx import (
     MultiJet,
     ProfileLengthMismatch,
     UniJet,
+    UnreachableSequence,
     block_entropy,
     conditional_bounds,
     conditional_entropy,
+    entropy_rate_series,
     enumerate_sequences,
+    make_model,
     mixed_partial_F,
     multi_site_F,
     random_model,
     sequence_probability,
     settling_table,
 )
-from hmpx.engine import block_entropies
+import hmpx.engine
+from hmpx.engine import _symmetric_start, block_entropies
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
     central_difference,
+    forward,
     forward_probability,
     markov_block_entropy,
     markov_entropy_rate,
     multi_site_F_bruteforce,
+    site_tables,
 )
 
 
@@ -87,6 +93,17 @@ class TestSequenceProbability:
     def test_symbol_range(self, bs):
         with pytest.raises(ValueError):
             sequence_probability(bs, (0, 2), 0.1)
+
+    def test_non_integral_symbols_are_refused(self, bs):
+        # int() would truncate these to (0, 1)
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            sequence_probability(bs, [0.7, 1.2], 0.1)
+        assert sequence_probability(bs, [0.0, 1.0], 0.1) == sequence_probability(
+            bs, (0, 1), 0.1)
+
+    def test_non_1d_symbols_are_refused(self, bs):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sequence_probability(bs, [[0, 1]], 0.1)
 
     def test_scalar_matches_jet_evaluation(self, bs):
         jet = sequence_probability(bs, (0, 1, 1), UniJet.variable(3))
@@ -305,11 +322,14 @@ def _coeffs(value):
     return np.array([value]) if isinstance(value, float) else value.coeffs
 
 
-def _block_entropy_oracle(model, profile):
+def _block_entropy_oracle(model, profile, initial=None):
     # per-sequence p*log(p), exactly summed per coefficient
+    start = model.transition.stationary if initial is None else np.asarray(initial)
+    tables = site_tables(model, profile)
+    rows = model.transition.matrix.tolist()
     terms = []
     for y in enumerate_sequences(model.size, len(profile)):
-        p = forward_probability(model, y, profile)
+        p = forward(tables, rows, start.tolist(), y)
         terms.append([p * math.log(p)] if isinstance(p, float) else _coeffs(p * p.log()))
     return -np.array([math.fsum(col) for col in np.array(terms).T])
 
@@ -361,6 +381,125 @@ def test_multijet_trellis_matches_per_sequence_oracle(seed, kinds):
                else float(0.2 * model.epsilon_max * rng.random())
                for i, k in enumerate(kinds)]
     _check_against_oracle(model, profile)
+
+
+def _circulant(s):
+    # dyadic rows: every row sum is exact in any order, so the rotations
+    # are symmetries bit for bit; row[k] != row[-k], so no reflection is
+    row = [2.0 ** -(k + 1) for k in range(s - 1)] + [2.0 ** -(s - 1)]
+    gen = [-(s - 1) / 8] + [1 / 8] * (s - 1)
+    return make_model([row[-i:] + row[:-i] for i in range(s)],
+                      [gen[-i:] + gen[:-i] for i in range(s)])
+
+
+def _swap01():
+    # symbols 0 and 1 are exchangeable, 2 is fixed: orbits {0, 1} and {2}
+    return make_model([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]],
+                      [[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.25, 0.25, -0.5]])
+
+
+class TestOrbitReduction:
+    """The walk visits one first symbol per orbit of the model's symmetries."""
+
+    def test_groups_found(self, bs, t3):
+        assert len(_symmetric_start(bs, None)[1]) == 2
+        assert len(_symmetric_start(t3, None)[1]) == 3      # the rotations
+        assert len(_symmetric_start(_swap01(), None)[1]) == 2
+        rng = np.random.default_rng(0)
+        assert len(_symmetric_start(random_model(rng, 3), None)[1]) == 1
+        # a start must be fixed exactly: a point mass breaks the swap, the
+        # uniform law keeps it
+        assert len(_symmetric_start(bs, [1.0, 0.0])[1]) == 1
+        assert len(_symmetric_start(bs, [0.5, 0.5])[1]) == 2
+
+    MODELS = ["bs", "bs-slow", "t3", "swap01"]
+
+    @staticmethod
+    def _model(name, t3):
+        return {"bs": binary_symmetric(0.3), "bs-slow": binary_symmetric(0.05),
+                "t3": t3, "swap01": _swap01()}[name]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_stationary_start_is_averaged_over_the_group(self, t3, name):
+        model = self._model(name, t3)
+        start, g = _symmetric_start(model, None)
+        assert len(g) > 1
+        np.testing.assert_array_equal(start[g], np.broadcast_to(start, g.shape))
+        np.testing.assert_allclose(start, model.transition.stationary,
+                                   rtol=1e-15, atol=0)
+
+    def test_search_is_cheap_or_skipped(self, monkeypatch):
+        calls = []
+        perms = hmpx.engine._permutations
+        monkeypatch.setattr(hmpx.engine, "_permutations",
+                            lambda s: calls.append(s) or perms(s))
+        # distinct diagonals: rejected before any permutation is formed
+        _symmetric_start(random_model(np.random.default_rng(1), 3), None)
+        assert calls == []
+        assert len(_symmetric_start(_circulant(7), None)[1]) == 7
+        assert calls == [7]
+        # s = 8 is symmetric too, but not searched
+        assert len(_symmetric_start(_circulant(8), None)[1]) == 1
+        assert calls == [7]
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("kind", ["float", "unijet", "multijet"])
+    def test_reduced_walk_matches_oracle(self, t3, name, kind):
+        model = self._model(name, t3)
+        v = UniJet.variable(5)
+        xs = [MultiJet.variable(i, 4, 3) for i in range(4)]
+        profile = {"float": [0.05, 0.0, 0.03, 0.01],
+                   "unijet": [v, 0.02 + 0.5 * v + v * v, v, 0.01],
+                   "multijet": [xs[0], 0.02 + xs[1] * xs[0], 0.01, xs[3]]}[kind]
+        _check_against_oracle(model, profile)
+
+    @pytest.mark.parametrize("initial", [[0.5, 0.5], [0.6, 0.4], [1.0, 0.0]])
+    def test_explicit_start_matches_oracle(self, bs, initial):
+        # only the uniform start keeps the swap; the others must walk both
+        # first symbols
+        for profile in ([0.05, 0.02, 0.03, 0.01], [0.02, 0.0, 0.04]):
+            got = block_entropy(bs, len(profile), profile, initial=initial)
+            want = _block_entropy_oracle(bs, profile, initial)[0]
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+        v = UniJet.variable(4)
+        if initial[1]:  # a point mass has sequences of zero constant term
+            got = block_entropy(bs, 3, [v, 0.02, v], initial=initial)
+            np.testing.assert_allclose(
+                got.coeffs, _block_entropy_oracle(bs, [v, 0.02, v], initial),
+                rtol=1e-12, atol=1e-12)
+
+    def test_underflow_names_the_true_sequence(self):
+        # orbits {0, 1} and {2}: the reduced walk visits first symbols 0 and
+        # 2 only; P(2, 2, 2, 2) = pi_2 * 1e-315 underflows at N = 4
+        model = make_model([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                            [0.5, 0.5, 1e-105]], [[0] * 3] * 3)
+        assert len(_symmetric_start(model, None)[1]) == 2
+        assert block_entropy(model, 3, 0.0) > 0
+        with pytest.raises(UnreachableSequence, match=r"P\(2, 2, 2, 2\)"):
+            block_entropy(model, 4, 0.0)
+
+
+def test_coefficients_pinned_to_fsum_reference(bs, t3):
+    # taken from the engine that summed every block with math.fsum and
+    # walked every first symbol; guards the block summation from now on
+    pinned = {
+        (19, "bs"): [
+            0.6108643020548925, 0.6778382883097631, -2.4918972452258608,
+            7.6648447234776995, -34.207667306456926, 209.58532272612433,
+            -1543.8619760404745, 12977.374707806739, -119493.75758641085,
+            1177500.0449958108, -12246683.095570445, 133160173.4332422,
+            -1502935835.410902, 17511309129.032486, -209700766658.7859,
+            2571829584098.5547, -32209707209073.47, 410959595724223.0,
+            -5331155825148028.0, 7.019973905830099e+16],
+        (11, "t3"): [
+            1.029653014064574, 0.8351977102525225, -4.1654854542676745,
+            13.987828164609056, -60.466133790196636, 383.74019611073436,
+            -2898.719098022675, 24951.432513312568, -235968.12621853838,
+            2391667.1963477405, -25613296.621431172, 286937044.01775336],
+    }
+    for (order, name), want in pinned.items():
+        got = entropy_rate_series({"bs": bs, "t3": t3}[name], order).coefficients
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -160,6 +160,19 @@ class TestLogSpaceForward:
         with pytest.raises(ValueError, match="symbol outside alphabet range"):
             path_log_likelihood(bs, 0.05, symbols)
 
+    def test_non_integral_symbols_are_refused(self, bs):
+        # a cast to int64 would truncate these to [0, 1]
+        for symbols in ([0.7, 1.2], [0.0, math.nan], np.array([1.0, 0.5])):
+            with pytest.raises(ValueError, match="symbols must be integers"):
+                path_log_likelihood(bs, 0.05, symbols)
+        assert path_log_likelihood(bs, 0.05, [0.0, 1.0]) == path_log_likelihood(
+            bs, 0.05, [0, 1])
+
+    def test_non_1d_symbols_are_refused(self, bs):
+        for symbols in ([[0, 1]], np.zeros((2, 3), dtype=int), 1):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                path_log_likelihood(bs, 0.05, symbols)
+
     def test_empty_path_has_log_probability_zero(self, bs):
         assert path_log_likelihood(bs, 0.05, []) == 0.0
         assert path_log_likelihood(bs, 0.05, []) == math.log(
