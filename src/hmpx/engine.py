@@ -343,12 +343,12 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     return _entropies(model, profile, (n,), initial, budget)[n]
 
 
-def block_entropies(model, n, noise, *, budget=None, initial=None):
-    """H_1..H_n as a list, all from one pass; arguments as in block_entropy."""
+def block_entropies(model, n, noise, *, budget=None):
+    """H_1..H_n from one pass from the stationary start; see block_entropy."""
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, range(1, n + 1), initial, budget)
+    h = _entropies(model, profile, range(1, n + 1), budget=budget)
     return [h[i] for i in range(1, n + 1)]
 
 

@@ -5,7 +5,9 @@ A long sampled observation path gives a consistent entropy-rate estimate
 with batch-means standard errors (the per-symbol log-likelihood
 increments are dependent, so i.i.d. formulas would lie).  Conditional
 entropies with and without knowledge of the first hidden state sandwich
-the entropy rate from above and below.
+the entropy rate from above and below.  By the blocking identity the
+lower one is the conditional entropy of the process whose first site is
+noiseless, so each comes from one trellis pass from the stationary start.
 
 Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
 the L-1 steps after the first symbol are cut into about sqrt(L) chunks
@@ -229,24 +231,23 @@ def conditional_bounds(model, eps, n, *, budget=None, workers=1):
     """(upper, lower) bounds on the entropy rate at a fixed noise level.
 
     Upper: H(Y_n | Y_1..Y_{n-1}).  Lower: the same quantity additionally
-    conditioned on the first hidden state, averaged over its stationary
-    law.  Both tighten toward the rate as n grows.
+    conditioned on the first hidden state (Birch 1962).  It is computed
+    with the first site noiseless, so that its symbol is X_1: by blocking,
+    Y_1 adds nothing once X_1 is known.  Both tighten toward the rate as n
+    grows.
     """
     warn_workers(workers)
     return bounds_by_n(model, eps, n, budget=budget)[-1][1:]
 
 
 def bounds_by_n(model, eps, n_max, *, budget=None):
-    """[(n, upper, lower)] of conditional_bounds for n = 2..n_max, from one
-    pass per start; the budget is checked at n_max before the first."""
+    """[(n, upper, lower)] of conditional_bounds for n = 2..n_max, from two
+    passes; the budget is checked at n_max before the first."""
     if n_max < 2:
         raise ValueError("need N >= 2")
-    h = block_entropies(model, n_max, eps, budget=budget)
-    uppers = [b - a for a, b in zip(h, h[1:])]
-    lowers = [0.0] * len(uppers)
-    for x, weight in enumerate(model.transition.stationary.tolist()):
-        h = block_entropies(model, n_max, eps, budget=budget,
-                            initial=np.eye(model.size)[x])
-        lowers = [lo + weight * (b - a) for lo, a, b in zip(lowers, h, h[1:])]
+    columns = []
+    for profile in ([eps] * n_max, [0.0] + [eps] * (n_max - 1)):
+        h = block_entropies(model, n_max, profile, budget=budget)
+        columns.append([b - a for a, b in zip(h, h[1:])])
     # conditioning cannot raise entropy; keep the contract under rounding
-    return [(n, u, min(lo, u)) for n, u, lo in zip(range(2, n_max + 1), uppers, lowers)]
+    return [(n, u, min(lo, u)) for n, u, lo in zip(range(2, n_max + 1), *columns)]

@@ -10,7 +10,7 @@ deforms the identity into the emission matrix
 
 which stays row-stochastic for 0 <= eps <= epsilon_max = min_i 1/|t_ii|.
 All validation happens at construction time; the resulting objects are
-immutable and safe to share across workers.
+immutable.
 """
 
 from __future__ import annotations

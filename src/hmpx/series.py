@@ -24,7 +24,6 @@ import numpy as np
 
 from .engine import (
     block_entropies,
-    check_budget,
     mixed_partial_F,
     multi_site_F,
     warn_workers,
@@ -121,7 +120,6 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
         raise ValueError("order must be >= 0")
     _check_tolerance("settle_tol", settle_tol)
     n_star = settling_threshold(order)
-    check_budget(model.size, n_star + 1, budget)
     jets = _conditional_jets(model, n_star + 1, order, budget=budget)
     coeffs = jets[n_star].coeffs
     check = jets[n_star + 1].coeffs
@@ -153,7 +151,6 @@ def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTa
     warn_workers(workers)
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    check_budget(model.size, n_max, budget)
     jets = _conditional_jets(model, n_max, order, budget=budget)
     n_values = tuple(range(2, n_max + 1))
     coef = np.array([jets[n].coeffs for n in n_values])

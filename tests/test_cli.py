@@ -260,15 +260,17 @@ class TestBoundsCommand:
         assert "n_max >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, n_max", [(BS_DOC, 14), (T3_DOC, 8)])
-    def test_one_pass_per_start_bit_identical_to_library(self, capsys, model_file,
-                                                         monkeypatch, doc, n_max):
+    def test_two_stationary_passes_bit_identical_to_library(self, capsys, model_file,
+                                                            monkeypatch, doc, n_max):
         path = model_file(doc)
         walks = count_walks(monkeypatch)
         rc, out = run_json(capsys, ["bounds", "--model", path, "--epsilon", "0.05",
                                     "--n-max", str(n_max)])
         assert rc == 0
         model = load_model(path)
-        assert len(walks) == model.size + 1  # stationary start + a point mass each
+        # one pass per column, whatever s: noisy, then noiseless-first-site
+        stationary = tuple(hmpx.engine._symmetric_start(model, None)[0])
+        assert walks == [stationary, stationary]
         assert [row["N"] for row in out["bounds"]] == list(range(2, n_max + 1))
         for row in out["bounds"]:
             upper, lower = conditional_bounds(model, 0.05, row["N"])

@@ -11,6 +11,8 @@ from hmpx import (
     conditional_entropy,
     make_model,
     mc_entropy_rate,
+    multi_site_F,
+    random_model,
     sample_paths,
     sequence_probability,
 )
@@ -243,15 +245,19 @@ class TestConditionalBounds:
         with pytest.raises(ValueError):
             conditional_bounds(bs, 0.05, 1)
 
-    def test_one_pass_per_start_equals_the_definition(self, bs, t3):
-        # every N of the sandwich comes from s + 1 passes to the deepest N;
-        # the bits are those of the per-N conditional entropies
-        for model in (bs, t3):
+    def test_lower_is_the_noiseless_first_site_conditional_entropy(self, bs, t3):
+        # (a) bit for bit the per-site conditional entropy with Z_1 = X_1;
+        # (b) by blocking, the point-mass definition up to rounding
+        for model in (bs, t3, random_model(np.random.default_rng(2024), 3)):
             pi = model.transition.stationary.tolist()
-            for n in range(2, 9):
-                upper = conditional_entropy(model, n, 0.05)
-                lower = 0.0
-                for x, weight in enumerate(pi):
-                    lower += weight * conditional_entropy(
-                        model, n, 0.05, initial=np.eye(model.size)[x])
-                assert conditional_bounds(model, 0.05, n) == (upper, min(lower, upper))
+            for eps in (0.0, 0.05, model.epsilon_max):
+                for n in range(2, 8):
+                    upper, lower = conditional_bounds(model, eps, n)
+                    assert upper == conditional_entropy(model, n, eps)
+                    first_exact = multi_site_F(model, [0.0] + [eps] * (n - 1))
+                    assert lower == min(first_exact, upper)
+                    point_mass = sum(
+                        weight * conditional_entropy(model, n, eps,
+                                                     initial=np.eye(model.size)[x])
+                        for x, weight in enumerate(pi))
+                    assert abs(lower - point_mass) <= 1e-14
