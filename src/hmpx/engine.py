@@ -3,15 +3,17 @@
 Every quantity here is a sum over all s**N observation sequences of a
 forward-algorithm probability.  Plain-number, UniJet and MultiJet noise
 all run through one prefix trellis: level n holds the forward variables
-of all s**n prefixes as arrays of shape (prefixes, s, w), w the size of
-the jets' exponent set (1 for plain numbers, K+1 for an order-K UniJet),
-and each level yields its block entropy H_n as the walk passes it.  One
-pass to depth N therefore gives H_1..H_N.  The walk's root is the start
-law (stationary, or ``initial``).  A step propagates through M and emits
-through the site tensor R(eps) = I + eps*T: a truncated jet product, a
-shift-and-add over the nonzero coefficients of the site's jet since R
-has degree 1 in eps.  sequence_probability takes the same steps along
-one path.  The jet format, product and log live in jets.py.
+of all s**n prefixes as arrays of shape (w, s, prefixes), w the size of
+the jets' exponent set (1 for plain numbers, K+1 for an order-K UniJet).
+The Taylor-coefficient axis comes first everywhere, from the site tensors
+to the p*log(p) sums, so each coefficient is one contiguous slab and the
+jet kernel in jets.py works on whole slabs.  Each level yields its block
+entropy H_n as the walk passes it, so one pass to depth N gives
+H_1..H_N.  The walk's root is the start law (stationary, or
+``initial``).  A step propagates through M and emits through the site
+tensor R(eps) = I + eps*T: a truncated jet product, a shift-and-add over
+the nonzero coefficients of the site's jet since R has degree 1 in eps.
+sequence_probability takes the same steps along one path.
 
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
@@ -27,16 +29,19 @@ must be G-fixed bit for bit.  The search runs for s <= 7 only.
 
 The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
 stays bounded whatever s**N is, and the last level is never held whole.
+A block's children come in (symbol, parent) order, which keeps the step
+free of copies; each row carries its prefix's lexicographic index, so an
+underflow names the true sequence.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
 Summation order is fixed: each block's p*log(p) terms are summed per
 coefficient by numpy (pairwise), and the block sums are added with
-Neumaier compensation in lexicographic order.  Blocks depend only on the
-level and the start, so on one machine and numpy build a given H_n is
-the same bits whichever call computes it.  Everything runs serially in
-the calling process; the ``workers`` argument is deprecated, ignored,
-and warns when not 1.
+Neumaier compensation in the order the walk meets the blocks.  Blocks
+and their row order depend only on the level and the start, so on one
+machine and numpy build a given H_n is the same bits whichever call
+computes it.  Everything runs serially in the calling process; the
+``workers`` argument is deprecated, ignored, and warns when not 1.
 """
 
 from __future__ import annotations
@@ -75,7 +80,12 @@ def warn_workers(workers):
 
 
 def _budget_or_default(budget):
-    return DEFAULT_BUDGET if budget is None else int(budget)
+    if budget is None:
+        return DEFAULT_BUDGET
+    whole = int(budget)
+    if whole != budget:
+        raise ValueError(f"budget must be a whole number, got {budget!r}")
+    return whole
 
 
 def check_budget(s, n, budget=None):
@@ -83,10 +93,11 @@ def check_budget(s, n, budget=None):
 
     The budget bounds time; working memory grows with n, not with s**n.
     Per level the depth-first trellis walk holds one block of at most
-    _CHUNK = 512 prefixes (s*(K+1) floats each) plus the propagated mass of
-    its parents, about (s+1) * 512 * (K+1) * 8 bytes: 0.15 MB at s = 2,
-    K = 11.  block_entropy at s = 2, K = 11 peaks at 1.1 MB of numpy
-    allocations for n = 12 and 1.7 MB for n = 16.
+    _CHUNK = 512 prefixes, s*(K+1) floats and one index each, about
+    s * 512 * (K+1) * 8 bytes: 0.1 MB at s = 2, K = 11.  block_entropy at
+    s = 2, K = 11 peaks at 0.8 MB of numpy allocations (tracemalloc) for
+    n = 12, 1.2 MB for n = 16 and 1.6 MB for n = 20.  A budget that is not
+    a whole number raises ValueError.
     """
     budget = _budget_or_default(budget)
     if budget < 1:
@@ -133,15 +144,16 @@ def resolve_profile(model, noise, n):
 
 
 def _sites(model, profile):
-    """Site tensors r[i][y, x] = R(eps_i)[x, y] = delta_xy + eps_i * t[x, y]
-    as jets of the profile's exponent set, that set, and the result type
-    (the profile's first jet, or None for plain numbers)."""
+    """Site tensors r[i][:, x, y, 0] = R(eps_i)[x, y] = delta_xy + eps_i * t[x, y]
+    as jets of the profile's exponent set, shape (w, s, s, 1); that set; and
+    the result type (the profile's first jet, or None for plain numbers)."""
     jet = next((v for v in profile if isinstance(v, Jet)), None)
     space = exponent_set((), 0) if jet is None else jet.space
-    unit = np.eye(1, space.size)[0]
-    t = model.noise.matrix
-    r = [np.eye(model.size)[:, :, None] * unit + t.T[:, :, None]
-         * (eps.coeffs if isinstance(eps, Jet) else eps * unit) for eps in profile]
+    unit = np.eye(space.size, 1)[:, :, None, None]
+    eye = np.eye(model.size)[:, :, None]
+    t = model.noise.matrix[:, :, None]
+    r = [unit * eye + t * (eps.coeffs[:, None, None, None] if isinstance(eps, Jet)
+                           else eps * unit) for eps in profile]
     return r, space, jet
 
 
@@ -149,15 +161,17 @@ def _value(jet, coeffs):
     return float(coeffs[0]) if jet is None else jet._like(coeffs)
 
 
-def _step(pred, r, space):
-    """Children (P*c, s, w) of P prefixes with predicted state mass pred
-    (P, s, w): alpha[x] = pred[p, x] * R[x, y] for the c rows r[y] given."""
-    return space.mul(pred[:, None], r).reshape(-1, *pred.shape[1:])
+def _step(pred, site, space):
+    """Children (w, s, c*P) of P prefixes with predicted state mass pred
+    (w, s, P): alpha[x] = pred[x] * R[x, y] for the c symbols y of site
+    (w, s, c, 1).  Child row y*P + p extends prefix p by the y-th symbol."""
+    w, s, _ = pred.shape
+    return space.mul(pred[:, :, None, :], site).reshape(w, s, -1)
 
 
 def _root(start, space):
     # state mass at the root of the walk: the start law as constant jets
-    root = np.zeros((1, len(start), space.size))
+    root = np.zeros((space.size, len(start), 1))
     root[0, :, 0] = start
     return root
 
@@ -166,18 +180,21 @@ def sequence_probability(model, symbols, noise):
     """Probability of one observation sequence under the given noise.
 
     ``noise`` is a shared value (float or jet) or a per-site profile; the
-    result has the corresponding number type.  Shared-noise results are
+    result has the corresponding number type, also for the empty sequence,
+    whose probability is 1.  Shared-noise results are
     polynomials of degree <= N in the noise variable.  ``symbols`` must be
     one-dimensional with integer entries in [0, s), else ValueError.
     """
     symbols = check_symbols(model.size, symbols).tolist()
     profile = resolve_profile(model, noise, len(symbols))
+    if not profile and isinstance(noise, Jet):
+        profile = [noise]  # a shared jet sets the result type even with no site
     r, space, jet = _sites(model, profile)
     mt = model.transition.matrix.T
     alpha = _root(model.transition.stationary, space)
     for i, y in enumerate(symbols):
-        alpha = _step(mt @ alpha if i else alpha, r[i][y:y + 1], space)
-    return _value(jet, alpha.sum(axis=1)[0])
+        alpha = _step(mt @ alpha if i else alpha, r[i][:, :, y:y + 1], space)
+    return _value(jet, alpha.sum(axis=1)[:, 0])
 
 
 # --- compensated accumulation --------------------------------------------
@@ -268,12 +285,13 @@ def _runs(g):
 
 # --- prefix trellis -------------------------------------------------------
 
-def _xlogx_sum(p, first, n, s, jet, space):
-    """Per-coefficient sum of p*log(p) over the rows of p, shape (P, w).
+def _xlogx_sum(p, index, n, s, jet, space):
+    """Per-coefficient sum of p*log(p) over the rows of p, shape (w, R).
 
-    Row i is the probability of the level-n prefix with index first + i.
+    Row i is the probability of the level-n prefix whose lexicographic
+    index is index[i].
     """
-    low = p[:, 0] < _P_FLOOR
+    low = p[0] < _P_FLOOR
     if low.any():
         # A probability of exactly zero is a structurally unreachable
         # sequence (point-mass start, or a hard zero in the emission
@@ -283,16 +301,16 @@ def _xlogx_sum(p, first, n, s, jet, space):
         # rounding at the eps boundary, so a vanishing probability can land
         # just below 0.
         if jet:
-            vanished = ~p.any(axis=1)
+            vanished = ~p.any(axis=0)
         else:
-            vanished = (p[:, 0] >= -1e-15) & (p[:, 0] <= 0.0)
+            vanished = (p[0] >= -1e-15) & (p[0] <= 0.0)
         bad = np.flatnonzero(low & ~vanished)
         if bad.size:
-            seq = tuple(int(d) for d in np.unravel_index(first + bad[0], (s,) * n))
-            raise UnreachableSequence(f"P{seq} = {p[bad[0]].tolist()} underflowed")
-        p = p[~low]
-    # coefficient-major, so numpy sums each coefficient's rows pairwise
-    return np.ascontiguousarray(space.mul(space.log(p), p).T).sum(axis=1)
+            seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
+            raise UnreachableSequence(f"P{seq} = {p[:, bad[0]].tolist()} underflowed")
+        p = p[:, ~low]
+    # each coefficient's rows are contiguous, so numpy sums them pairwise
+    return space.mul(space.log(p), p).sum(axis=1)
 
 
 def _entropies(model, profile, levels, initial=None, budget=None):
@@ -311,20 +329,25 @@ def _entropies(model, profile, levels, initial=None, budget=None):
     sums = {n: _NeumaierArray(w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
-    def visit(alpha, n, first, weight):
-        # alpha: state mass of consecutive level-n prefixes from index first,
-        # each standing for the `weight` sequences its orbit maps it to
+    symbols = np.arange(s)[:, None]
+
+    def visit(alpha, index, n, weight):
+        # alpha (w, s, R): state mass of the level-n prefixes with
+        # lexicographic indices index, each standing for the `weight`
+        # sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            sums[n].add(weight * _xlogx_sum(p, first, n, s, jet is not None, space))
+            sums[n].add(weight * _xlogx_sum(p, index, n, s, jet is not None, space))
         if n < depth:
-            for lo in range(0, len(alpha), width):
-                child = _step(mt @ alpha[lo:lo + width], r[n], space)
-                visit(child, n + 1, (first + lo) * s, weight)
+            for lo in range(0, index.size, width):
+                parents = slice(lo, lo + width)
+                child = _step(mt @ alpha[:, :, parents], r[n], space)
+                visit(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
 
     root = _root(start, space)
     for a, count, weight in _runs(g):
-        visit(_step(root, r[0][a:a + count], space), 1, a, weight)
+        visit(_step(root, r[0][:, :, a:a + count], space), np.arange(a, a + count),
+              1, weight)
     return {n: _value(jet, -acc.total()) for n, acc in sums.items()}
 
 

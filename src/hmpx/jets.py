@@ -88,12 +88,14 @@ def _as_index(idx):
 class ExponentSet:
     """Index table of the exponent set {e <= bounds, sum(e) <= cap}.
 
-    A jet over the set is a coefficient vector, trailing axis of length
-    ``size``, in flat C order of the exponents.  In that order every
-    divisor of an exponent comes before it.  The one table, ``shifts``,
-    says where each coefficient lands when multiplied by x**e_j; ``mul``
-    and ``log`` both read it.  Use ``exponent_set`` to get one: it caches
-    the table and refuses oversized sets.
+    A jet over the set is a coefficient vector in flat C order of the
+    exponents; in that order every divisor of an exponent comes before it.
+    Arrays of jets keep the coefficients on axis 0, of length ``size``, and
+    the jets on the trailing axes, so each coefficient is one contiguous
+    slab.  The one table, ``shifts``, says where each coefficient lands
+    when multiplied by x**e_j; ``mul`` and ``log`` both read it.  Use
+    ``exponent_set`` to get one: it caches the table and refuses oversized
+    sets.
     """
 
     def __init__(self, bounds, cap):
@@ -121,29 +123,30 @@ class ExponentSet:
             self.shifts.append((_as_index(src), _as_index(dst)))
 
     def mul(self, a, b):
-        """Truncated product of jet arrays, broadcast over leading axes.
+        """Truncated product of jet arrays, coefficients on axis 0 and the
+        trailing axes broadcast (so a and b have the same number of axes).
 
-        One shift-and-add per nonzero coefficient column of b, so a sparse
-        factor such as an emission tensor costs only its nonzero terms.
+        One shift-and-add per nonzero coefficient of b, so a sparse factor
+        such as an emission tensor costs only its nonzero terms.
         """
-        out = a * b[..., :1]
-        nonzero = np.flatnonzero(b.reshape(-1, self.size).any(axis=0))
+        out = a * b[:1]
+        nonzero = np.flatnonzero(b.reshape(self.size, -1).any(axis=1))
         for j in nonzero[nonzero > 0]:
             src, dst = self.shifts[j]
-            out[..., dst] += b[..., j:j + 1] * a[..., src]
+            out[dst] += b[j] * a[src]
         return out
 
     def log(self, a):
-        """Natural log of jet arrays, batched over leading axes.
+        """Natural log of jet arrays, coefficients on axis 0, batched over
+        the trailing axes.
 
-        Needs a[..., 0] > 0, which the caller checks.  Solves the triangular
+        Needs a[0] > 0, which the caller checks.  Solves the triangular
         system a * E(b) = E(a) for b = log a, where the Euler operator E
         multiplies the coefficient of x**e by |e|; on {0..K} this is
         a * (log a)' = a'.  The solve is right-looking, in flat order: once
         b_k is known, shifts[k] adds a * |e_k| b_k into acc, the part of
         a * E(b) already known at every coefficient above it.
         """
-        a = np.moveaxis(a, -1, 0).copy()  # coefficient axis first
         b = np.empty_like(a)
         acc = np.zeros_like(a)
         a0 = a[0]
@@ -153,7 +156,7 @@ class ExponentSet:
             b[k] = (a[k] - acc[k] / d) / a0
             src, dst = self.shifts[k]
             acc[dst] += a[src] * (d * b[k])
-        return np.moveaxis(b, 0, -1)
+        return b
 
 
 @lru_cache(maxsize=256)

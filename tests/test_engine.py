@@ -69,6 +69,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             enumerate_sequences(2, 1, budget=budget)
 
+    def test_budget_must_be_a_whole_number(self, bs):
+        # truncating 2.5 to 2 would report a budget nobody gave
+        with pytest.raises(ValueError, match="whole number, got 2.5"):
+            block_entropy(bs, 3, 0.1, budget=2.5)
+        with pytest.raises(ValueError, match="whole number"):
+            enumerate_sequences(2, 3, budget=8.5)
+        assert len(list(enumerate_sequences(2, 3, budget=8.0))) == 8
+
 
 class TestSequenceProbability:
     def test_markov_path_at_zero_noise(self, bs):
@@ -104,6 +112,17 @@ class TestSequenceProbability:
     def test_non_1d_symbols_are_refused(self, bs):
         with pytest.raises(ValueError, match="one-dimensional"):
             sequence_probability(bs, [[0, 1]], 0.1)
+
+    def test_empty_sequence_keeps_the_number_type(self, bs):
+        one = sequence_probability(bs, [], UniJet.variable(3))
+        np.testing.assert_array_equal(one.coeffs, UniJet.constant(1.0, 3).coeffs)
+        x = MultiJet.variable(0, 2, 2, bounds=(1, 2))
+        one = sequence_probability(bs, [], x)
+        assert type(one) is MultiJet and one.bounds == (1, 2)
+        assert one.terms == {(0, 0): 1.0}
+        # an empty per-site profile names no number type
+        assert sequence_probability(bs, [], []) == 1.0
+        assert sequence_probability(bs, [], 0.1) == 1.0
 
     def test_scalar_matches_jet_evaluation(self, bs):
         jet = sequence_probability(bs, (0, 1, 1), UniJet.variable(3))
@@ -524,6 +543,49 @@ def test_one_pass_is_bit_identical_to_separate_calls(bs):
         for n in range(1, 11):
             alone = block_entropy(bs, n, noise)
             assert _coeffs(one_pass[n - 1]).tobytes() == _coeffs(alone).tobytes()
+
+
+class TestSmallBlocks:
+    """Blocks of at most 9 rows, so every level past the second spans
+    several blocks whatever the production block size is."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(hmpx.engine, "_CHUNK", 9)
+
+    @pytest.mark.parametrize("name", ["bs", "t3"])
+    @pytest.mark.parametrize("kind", ["float", "unijet", "multijet"])
+    def test_block_entropies_match_oracle(self, bs, t3, name, kind):
+        model = {"bs": bs, "t3": t3}[name]
+        n = 6 if model.size == 2 else 5
+        xs = [MultiJet.variable(i, n, 2) for i in range(n)]
+        profile = {"float": [0.05] * n, "unijet": [UniJet.variable(5)] * n,
+                   "multijet": [0.02 + x for x in xs]}[kind]
+        one_pass = block_entropies(model, n, profile)
+        for k in range(1, n + 1):
+            np.testing.assert_allclose(_coeffs(one_pass[k - 1]),
+                                       _block_entropy_oracle(model, profile[:k]),
+                                       rtol=1e-12, atol=1e-12)
+            alone = block_entropy(model, k, profile[:k])
+            assert _coeffs(one_pass[k - 1]).tobytes() == _coeffs(alone).tobytes()
+
+    @pytest.mark.parametrize("initial, seq", [
+        # the walk meets P(0, 2, 2, 2, 2) first, in the last block of the
+        # first symbol's walk
+        (None, "0, 2, 2, 2, 2"),
+        # sequences of probability exactly zero share its block and are skipped
+        ([0.0, 1.0, 0.0], "1, 2, 2, 2, 2"),
+        # P(2, 2, 2, 2, y) for every y in one block of three parents, where
+        # (symbol, parent) and lexicographic row order differ
+        ([0.0, 0.0, 1.0], "2, 2, 2, 2, 0"),
+    ])
+    def test_underflow_in_a_later_block_names_the_true_sequence(self, initial, seq):
+        # only P(x, 2, 2, 2, 2) and P(2, 2, 2, 2, y) underflow at N = 5
+        model = make_model([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                            [0.5, 0.5, 1e-105]], [[0] * 3] * 3)
+        for noise in (0.0, UniJet.variable(2)):
+            with pytest.raises(UnreachableSequence, match=rf"P\({seq}\)"):
+                block_entropy(model, 5, noise, initial=initial)
 
 
 def test_settling_table_pass_matches_separate_calls(bs):

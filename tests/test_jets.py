@@ -379,3 +379,23 @@ def test_exponent_set_tables_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+@pytest.mark.parametrize("bounds, cap", [((11,), 11), ((2, 1, 3), 4)],
+                         ids=["unijet", "multijet-box"])
+def test_batched_kernel_is_one_jet_per_column(bounds, cap):
+    # coefficients on axis 0, jets on the trailing axes, which broadcast:
+    # a batch gives the 1-D results side by side, bit for bit
+    space = exponent_set(bounds, cap)
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1, 1, (space.size, 3, 1))
+    a[0] = rng.uniform(0.5, 2.0, (3, 1))
+    b = rng.uniform(-1, 1, (space.size, 1, 4))
+    b[1, :, :2] = 0.0  # zero in some columns only
+    b[2] = 0.0         # zero in every column
+    c = rng.uniform(-1, 1, (space.size, 3, 4))
+    c[0] = rng.uniform(0.5, 2.0, (3, 4))
+    prod, log = space.mul(a, b), space.log(c)
+    for i, j in np.ndindex(3, 4):
+        assert prod[:, i, j].tobytes() == space.mul(a[:, i, 0], b[:, 0, j]).tobytes()
+        assert log[:, i, j].tobytes() == space.log(c[:, i, j]).tobytes()
