@@ -14,12 +14,15 @@ the L-1 steps after the first symbol are cut into about sqrt(L) chunks
 that advance in lockstep, then are stitched together in order.  The
 sampler composes maps of states, so its paths are bit for bit those of a
 one-state-at-a-time walk.  The likelihood composes products of
-non-negative matrices, normalized after every step: nothing cancels, each
-chunk's start differs from the sequential forward vector by rounding
-only, and the normalized pass contracts such differences instead of
-growing them, so the increments agree with the sequential pass to a few
-ulps.  A path of probability zero raises ``UnreachableSequence`` before
-any division by zero.
+non-negative matrices, normalized after every factor.  The chunk transfer
+products advance k symbols per lockstep step, by a table of the products
+of every k-symbol word; the forward pass that yields the increments then
+steps one symbol at a time, with the arithmetic of the sequential pass.
+Nothing cancels, each chunk's start differs from the sequential forward
+vector by rounding only, and the normalized pass contracts such
+differences instead of growing them, so the increments agree with the
+sequential pass to a few ulps.  A path of probability zero raises
+``UnreachableSequence``, from one check on the finished increments.
 
 All randomness flows through numpy's seeded default generator (PCG64,
 inverse-CDF draws); a run is a pure function of (model, eps, L, seed).
@@ -123,8 +126,64 @@ def _sample_arrays(model, eps, length, seed):
 
 
 def _check_reachable(total):
-    if not np.all(total > 0.0):
+    # min propagates NaN, and NaN > 0 is false
+    if not np.min(total) > 0.0:
         raise UnreachableSequence("observation path has probability zero")
+
+
+_WORDS = 4096  # bound on the (s+1)**k words of the pass-1 table
+
+
+def _word_length(s, size):
+    """k: the largest word length with (s+1)**k <= _WORDS and k <= size,
+    at least 1; a chunk of ``size`` steps is ceil(size / k) words."""
+    k = 1
+    while k < size and (s + 1) ** (k + 1) <= _WORDS:
+        k += 1
+    return k
+
+
+def _word_table(a, k):
+    """p[x, x', w]: the product A_{y_1} ... A_{y_k} normalized by its sum.
+
+    ``a[x, x', y]`` holds A_y; the word w has base-(s+1) digits
+    y_1 .. y_k, most significant first.  Each product is normalized after
+    every factor, so words of small steps do not underflow early.
+    """
+    s = a.shape[0]
+    p = a / a.sum(axis=(0, 1))
+    for _ in range(k - 1):
+        p = np.einsum("abw,bdy->adwy", p, a).reshape(s, s, -1)
+        p /= p.sum(axis=(0, 1))
+    return p
+
+
+def _chunk_products(a, ys):
+    """Pass 1: q[x, x', c], the transfer matrix of chunk c normalized by its sum.
+
+    ``a[x, x', y]`` holds A_y and ``ys[c, j]`` the symbol of step j in
+    chunk c.  Each chunk is padded with the identity symbol s to whole
+    words of k steps; word i of every chunk is encoded, Horner-style, as
+    its base-(s+1) code, and all chunks advance in lockstep by one word
+    of the table per step.
+    """
+    s = a.shape[0]
+    count, size = ys.shape
+    k = _word_length(s, size)
+    words = -(-size // k)
+    padded = np.full((count, words * k), s, dtype=ys.dtype)
+    padded[:, :size] = ys
+    digits = padded.reshape(count, words, k).T  # digits[d, i, c]: digit d of word i
+    codes = digits[0].astype(np.min_scalar_type((s + 1) ** k - 1))
+    for digit in digits[1:]:
+        codes *= s + 1
+        codes += digit
+    table = _word_table(a, k)
+    q = table.take(codes[0], axis=2)
+    for code in codes[1:]:
+        q = np.einsum("abc,bdc->adc", q, table.take(code, axis=2))
+        q /= q.sum(axis=(0, 1))
+    return q
 
 
 def _log_increments(model, eps, symbols):
@@ -133,11 +192,19 @@ def _log_increments(model, eps, symbols):
     The L-1 steps after the first symbol run as C chunks of B steps (see
     ``_chunks``).  Step y takes a row vector v to v A_y with A_y[x, x'] =
     m[x, x'] r[x', y]; the padding symbol s steps by the identity.  Pass 1
-    forms every chunk's transfer matrix Q_c = prod A_y, normalized by its
-    sum after each step, all chunks in lockstep.  Pass 2 walks the chunks
-    in order: start_{c+1} = normalize(start_c Q_c).  Pass 3 runs the
-    normalized forward pass of all chunks in lockstep from their true
-    starts and keeps the norms, whose logs are the increments.
+    forms every chunk's transfer matrix Q_c = prod A_y, all chunks in
+    lockstep, k symbols at a time: it multiplies by tabulated products of
+    k-symbol words and normalizes Q_c by its sum after every word (see
+    ``_chunk_products``).  Pass 2 walks the chunks in order:
+    start_{c+1} = normalize(start_c Q_c).  Pass 3 runs the normalized
+    forward pass of all chunks in lockstep from their true starts, one
+    symbol at a time, and keeps the norms, whose logs are the increments.
+
+    Reachability is checked once, on the finished norms.  A step of
+    probability zero gives a zero norm, and the division by it 0/0 = NaN,
+    which every later product carries along; the check refuses both.
+    Pass 3 meets every step of the path itself, so a zero inside the
+    padded last chunk, whose Q_c pass 2 never reads, is caught as well.
     """
     s = model.size
     length = len(symbols)
@@ -145,35 +212,30 @@ def _log_increments(model, eps, symbols):
     count, size = _chunks(length - 1)
     ys = np.full(count * size, s, dtype=np.min_scalar_type(s))
     ys[: length - 1] = symbols[1:]
-    ys = ys.reshape(count, size).T.copy()  # ys[j, c]: symbol of step j in chunk c
+    ys = ys.reshape(count, size)  # ys[c, j]: symbol of step j in chunk c
     a = np.empty((s, s, s + 1))  # a[x, x', y] = A_y[x, x']
     a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
     a[:, :, s] = np.eye(s)
-    increments = np.empty(1 + count * size)
-    norms = increments[1:].reshape(count, size)
     first = model.transition.stationary * r[:, symbols[0]]
-    increments[0] = norm = first.sum()
-    _check_reachable(norm)
-    q = np.broadcast_to(np.eye(s)[:, :, None], (s, s, count))  # q[x, x', c]
-    for y in ys:
-        q = np.einsum("abc,bdc->adc", q, a.take(y, axis=2))
-        total = q.sum(axis=(0, 1))
-        _check_reachable(total)
-        q /= total
-    alpha = np.empty((s, count))  # alpha[x, c]
-    alpha[:, :1] = (first / norm)[:, None]
-    for c in range(count - 1):
-        start = alpha[:, c] @ q[:, :, c]
-        total = start.sum()
-        _check_reachable(total)
-        alpha[:, c + 1] = start / total
-    for j, y in enumerate(ys):
-        alpha = np.einsum("xc,xyc->yc", alpha, a.take(y, axis=2))
-        total = alpha.sum(axis=0)
-        _check_reachable(total)
-        norms[:, j] = total
-        alpha /= total
-    return np.log(increments, out=increments)[:length]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = _chunk_products(a, ys)  # q[x, x', c]
+        ys = ys.T.copy()  # ys[j, c]
+        increments = np.empty(1 + count * size)
+        norms = increments[1:].reshape(count, size)
+        increments[0] = norm = first.sum()
+        alpha = np.empty((s, count))  # alpha[x, c]
+        alpha[:, :1] = (first / norm)[:, None]
+        for c in range(count - 1):
+            start = alpha[:, c] @ q[:, :, c]
+            alpha[:, c + 1] = start / start.sum()
+        for j, y in enumerate(ys):
+            alpha = np.einsum("xc,xyc->yc", alpha, a.take(y, axis=2))
+            total = alpha.sum(axis=0)
+            norms[:, j] = total
+            alpha /= total
+    increments = increments[:length]
+    _check_reachable(increments)
+    return np.log(increments, out=increments)
 
 
 def path_log_likelihood(model, eps, symbols):

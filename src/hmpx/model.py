@@ -98,14 +98,24 @@ class HmpModel:
 
 
 def _stationary_distribution(m):
-    # Replace the last balance equation of pi (M - I) = 0 with normalization;
-    # exact to machine precision for desk-scale alphabets.
-    s = m.shape[0]
-    a = m.T - np.eye(s)
-    a[-1, :] = 1.0
-    b = np.zeros(s)
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
+    # GTH state reduction (Grassmann, Taksar & Heyman 1985): fold the last
+    # state into the others, using sum_{j<n} p[n][j] for 1 - p[n][n]; then
+    # back-substitute.  No subtraction, so every entry of pi keeps its
+    # relative accuracy however slowly the chain mixes.
+    p = m.tolist()
+    s = len(p)
+    for n in range(s - 1, 0, -1):
+        last = p[n]
+        out = sum(last[:n])
+        for row in p[:n]:
+            row[n] /= out
+            for j in range(n):
+                row[j] += row[n] * last[j]
+    pi = [1.0]
+    for j in range(1, s):
+        pi.append(sum(pi[i] * p[i][j] for i in range(j)))
+    total = sum(pi)
+    return np.array([v / total for v in pi])
 
 
 def validate_transition(raw) -> StochasticMatrix:

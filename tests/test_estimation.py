@@ -9,6 +9,7 @@ from hmpx import (
     UnreachableSequence,
     conditional_bounds,
     conditional_entropy,
+    emission_at,
     make_model,
     mc_entropy_rate,
     multi_site_F,
@@ -17,7 +18,7 @@ from hmpx import (
     sequence_probability,
 )
 from hmpx.estimation import (GENERATOR_NAME, _chunks, _log_increments,
-                              path_log_likelihood)
+                              _word_length, _word_table, path_log_likelihood)
 from conftest import binary_symmetric
 from oracles import log_increments, markov_entropy_rate, sample_arrays
 
@@ -103,6 +104,55 @@ class TestChunkedScan:
             assert count * size >= steps > (count - 1) * size
 
 
+class TestWordBlockedScan:
+    """Pass 1 multiplies by tabulated k-symbol words; the increments must
+    still agree with the sequential forward pass."""
+
+    @staticmethod
+    def _steps(model, eps):
+        s = model.size
+        r = emission_at(model.noise, eps)
+        a = np.empty((s, s, s + 1))
+        a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
+        a[:, :, s] = np.eye(s)
+        return a
+
+    def test_word_length(self):
+        assert [_word_length(s, 1000) for s in (2, 3, 4, 7, 9, 63, 64)] == [
+            7, 6, 5, 4, 3, 2, 1]
+        assert [_word_length(2, size) for size in (1, 2, 6, 7, 8)] == [
+            1, 2, 6, 7, 7]
+
+    @pytest.mark.parametrize("s", [2, 3, 5])
+    def test_table_is_the_left_to_right_product(self, s):
+        model = random_model(np.random.default_rng(s), s)
+        a = self._steps(model, 0.5 * model.epsilon_max)
+        k = _word_length(s, 1000)
+        table = _word_table(a, k)
+        assert table.shape == (s, s, (s + 1) ** k)
+        for w in range((s + 1) ** k):
+            digits = np.unravel_index(w, (s + 1,) * k)
+            product = np.eye(s)
+            for y in digits:  # the padding digit s is the identity
+                product = product @ (np.eye(s) if y == s else a[:, :, y])
+            np.testing.assert_allclose(table[:, :, w], product / product.sum(),
+                                       rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("which", ["zero", "mid", "max"])
+    def test_matches_scalar_oracle(self, s, which):
+        model = random_model(np.random.default_rng(100 + s), s)
+        eps = {"zero": 0.0, "mid": 0.3 * model.epsilon_max,
+               "max": model.epsilon_max}[which]
+        rng = np.random.default_rng(s)
+        k = _word_length(s, 1000)
+        for length in (1, 2, k + 1, 10_007, 100_000):
+            symbols = rng.integers(0, s, length)
+            np.testing.assert_allclose(_log_increments(model, eps, symbols),
+                                       log_increments(model, eps, symbols),
+                                       rtol=1e-14, atol=0.0)
+
+
 class TestUnreachable:
     """Symbol 0 has emission probability 0 from every state at eps = 1."""
 
@@ -122,11 +172,19 @@ class TestUnreachable:
             log_increments(blind, 1.0, symbols).sum(), rel=1e-14)
 
     @pytest.mark.parametrize("where", ["first", "second", "chunk end",
-                                       "chunk start", "last"])
+                                       "chunk start", "word end", "word start",
+                                       "last chunk", "last"])
     def test_zero_probability_symbol_raises(self, blind, where):
-        size = _chunks(self.LENGTH - 1)[1]
+        count, size = _chunks(self.LENGTH - 1)
+        k = _word_length(blind.size, size)
+        # symbol i is step i - 1 - c*size of chunk c; "word end" and "word
+        # start" are steps k and k+1 of the second chunk, "last chunk" is
+        # inside the padded chunk whose transfer matrix pass 2 never reads
         position = {"first": 0, "second": 1, "chunk end": size,
-                    "chunk start": size + 1, "last": self.LENGTH - 1}[where]
+                    "chunk start": size + 1, "word end": size + k,
+                    "word start": size + k + 1,
+                    "last chunk": (count - 1) * size + 3,
+                    "last": self.LENGTH - 1}[where]
         symbols = self._path()
         symbols[position] = 0
         with pytest.raises(UnreachableSequence):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +64,35 @@ class TestValidateTransition:
         assert np.max(np.abs(residual)) <= 1e-12
         assert abs(sm.stationary.sum() - 1.0) <= 1e-12
         assert np.all(sm.stationary > 0)
+
+
+
+def _ulps(value, exact):
+    """|value - exact| in units of the spacing of floats next to exact."""
+    return abs(Fraction(value) - exact) / Fraction(float(np.spacing(float(exact))))
+
+
+class TestStationaryLaw:
+    """The stationary law keeps its relative accuracy as mixing slows."""
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-8, 1e-12, 1e-17, 1e-200])
+    def test_slow_two_state_chain_matches_closed_form(self, t):
+        sm = validate_transition([[1 - t, t], [3 * t, 1 - 3 * t]])
+        m01, m10 = Fraction(sm.matrix[0, 1]), Fraction(sm.matrix[1, 0])
+        exact = (m10 / (m01 + m10), m01 / (m01 + m10))
+        for value, target in zip(sm.stationary.tolist(), exact):
+            assert _ulps(value, target) <= 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_balance_holds_to_a_few_ulps(self, seed):
+        rng = np.random.default_rng(seed)
+        for s in range(2, 10):
+            sm = random_model(rng, s).transition
+            m = [[Fraction(v) for v in row] for row in sm.matrix.tolist()]
+            pi = [Fraction(v) for v in sm.stationary.tolist()]
+            for j in range(s):
+                balance = sum(pi[i] * m[i][j] for i in range(s))
+                assert _ulps(float(pi[j]), balance) <= 4
 
 
 class TestValidateNoise:
