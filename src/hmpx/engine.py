@@ -60,7 +60,7 @@ from .errors import (
     UnreachableSequence,
 )
 from .jets import Jet, MultiJet, exponent_set
-from .model import check_epsilon, check_symbols
+from .model import check_epsilon, check_symbols, check_whole
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -82,10 +82,7 @@ def warn_workers(workers):
 def _budget_or_default(budget):
     if budget is None:
         return DEFAULT_BUDGET
-    whole = int(budget)
-    if whole != budget:
-        raise ValueError(f"budget must be a whole number, got {budget!r}")
-    return whole
+    return check_whole("budget", budget)
 
 
 def check_budget(s, n, budget=None):

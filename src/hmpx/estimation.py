@@ -2,27 +2,29 @@
 
 A long sampled observation path gives a consistent entropy-rate estimate
 -(1/L) log P(Y_1..Y_L) through the normalized linear-space forward pass,
-with batch-means standard errors (the per-symbol log-likelihood
-increments are dependent, so i.i.d. formulas would lie).  Conditional
+with batch-means standard errors (the log-likelihoods of consecutive
+batches are dependent, so i.i.d. formulas would lie).  Conditional
 entropies with and without knowledge of the first hidden state sandwich
 the entropy rate from above and below.  By the blocking identity the
 lower one is the conditional entropy of the process whose first site is
 noiseless, so each comes from one trellis pass from the stationary start.
 
 Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
-the L-1 steps after the first symbol are cut into about sqrt(L) chunks
-that advance in lockstep, then are stitched together in order.  The
-sampler composes maps of states, so its paths are bit for bit those of a
-one-state-at-a-time walk.  The likelihood composes products of
-non-negative matrices, normalized after every factor.  The chunk transfer
-products advance k symbols per lockstep step, by a table of the products
-of every k-symbol word; the forward pass that yields the increments then
-steps one symbol at a time, with the arithmetic of the sequential pass.
-Nothing cancels, each chunk's start differs from the sequential forward
-vector by rounding only, and the normalized pass contracts such
-differences instead of growing them, so the increments agree with the
-sequential pass to a few ulps.  A path of probability zero raises
-``UnreachableSequence``, from one check on the finished increments.
+the path is cut into about sqrt(L) chunks that advance in lockstep, then
+are stitched together in order.  The sampler composes maps of states, so
+its paths are bit for bit those of a one-state-at-a-time walk.  The
+likelihood scores the path in rows (one row for the whole path, one per
+batch for the estimate), each padded to whole k-symbol words, and
+composes products of non-negative matrices, normalized after every
+factor, from a table of the products of every k-symbol word.  Both the
+chunk transfer products and the forward pass that scores the words step
+one word at a time, and a row is the sum of its words' log-likelihoods;
+no per-symbol increment is formed.  Nothing cancels, each chunk's start
+differs from the sequential forward vector by rounding only, and the
+normalized pass contracts such differences instead of growing them, so
+each row agrees with the exact sum of the sequential pass's increments to
+a few ulps.  A path of probability zero raises ``UnreachableSequence``,
+from one check on the finished rows.
 
 All randomness flows through numpy's seeded default generator (PCG64,
 inverse-CDF draws); a run is a pure function of (model, eps, L, seed).
@@ -37,7 +39,7 @@ import numpy as np
 
 from .engine import block_entropies, warn_workers
 from .errors import UnreachableSequence
-from .model import check_epsilon, check_symbols, emission_at
+from .model import check_epsilon, check_symbols, check_whole, emission_at
 
 GENERATOR_NAME = "numpy default_rng (PCG64), inverse-CDF sampling"
 
@@ -125,18 +127,18 @@ def _sample_arrays(model, eps, length, seed):
     return hidden, observed
 
 
-def _check_reachable(total):
-    # min propagates NaN, and NaN > 0 is false
-    if not np.min(total) > 0.0:
+def _check_reachable(rows):
+    # min propagates NaN, and neither NaN nor -inf is > -inf
+    if not np.min(rows) > -np.inf:
         raise UnreachableSequence("observation path has probability zero")
 
 
-_WORDS = 4096  # bound on the (s+1)**k words of the pass-1 table
+_WORDS = 4096  # bound on the (s+1)**k words of the word table
 
 
 def _word_length(s, size):
     """k: the largest word length with (s+1)**k <= _WORDS and k <= size,
-    at least 1; a chunk of ``size`` steps is ceil(size / k) words."""
+    at least 1; a run of ``size`` steps is ceil(size / k) words."""
     k = 1
     while k < size and (s + 1) ** (k + 1) <= _WORDS:
         k += 1
@@ -144,109 +146,160 @@ def _word_length(s, size):
 
 
 def _word_table(a, k):
-    """p[x, x', w]: the product A_{y_1} ... A_{y_k} normalized by its sum.
+    """(p, lt): p[x, x', w], the product A_{y_1} ... A_{y_k} normalized by
+    its sum, and lt[w], the sum of the logs of the per-factor norms.
 
     ``a[x, x', y]`` holds A_y; the word w has base-(s+1) digits
     y_1 .. y_k, most significant first.  Each product is normalized after
-    every factor, so words of small steps do not underflow early.
+    every factor, so words of small steps do not underflow early; the
+    product itself is p[:, :, w] * exp(lt[w]).
     """
     s = a.shape[0]
-    p = a / a.sum(axis=(0, 1))
+    norm = a.sum(axis=(0, 1))
+    p = a / norm
+    lt = np.log(norm)
     for _ in range(k - 1):
         p = np.einsum("abw,bdy->adwy", p, a).reshape(s, s, -1)
-        p /= p.sum(axis=(0, 1))
-    return p
+        norm = p.sum(axis=(0, 1))
+        p /= norm
+        lt = np.repeat(lt, s + 1) + np.log(norm)
+    return p, lt
 
 
-def _chunk_products(a, ys):
-    """Pass 1: q[x, x', c], the transfer matrix of chunk c normalized by its sum.
+def _scan_shape(s, length, width):
+    """(k, size): the word length, and the words per chunk of the scan of
+    ``length`` symbols in rows of ``width``.
 
-    ``a[x, x', y]`` holds A_y and ``ys[c, j]`` the symbol of step j in
-    chunk c.  Each chunk is padded with the identity symbol s to whole
-    words of k steps; word i of every chunk is encoded, Horner-style, as
-    its base-(s+1) code, and all chunks advance in lockstep by one word
-    of the table per step.
+    A chunk spans about sqrt(L) symbols: the B steps of ``_chunks``,
+    rounded up to whole words.  k is capped at both B and the row width.
     """
-    s = a.shape[0]
-    count, size = ys.shape
-    k = _word_length(s, size)
-    words = -(-size // k)
-    padded = np.full((count, words * k), s, dtype=ys.dtype)
-    padded[:, :size] = ys
-    digits = padded.reshape(count, words, k).T  # digits[d, i, c]: digit d of word i
+    steps = _chunks(length - 1)[1]
+    k = _word_length(s, min(width, steps))
+    return k, -(-steps // k)
+
+
+def _row_words(symbols, s, width, k):
+    """codes[i, j]: the base-(s+1) code of word j of row i.
+
+    Row i holds symbols [i*width, (i+1)*width), padded with the identity
+    symbol s to whole words of k symbols, so no word straddles a row end;
+    the shorter last row is padded to as many words as the others.  Symbol
+    0 is replaced by the identity, since the forward pass starts from its
+    distribution.  Words are encoded Horner-style, earliest digit first.
+    """
+    length = len(symbols)
+    rows, tail = divmod(length, width)
+    padded = np.full((rows + (tail > 0), -(-width // k) * k), s,
+                     dtype=np.min_scalar_type(s))
+    padded[:rows, :width] = symbols[: rows * width].reshape(rows, width)
+    padded[rows:, :tail] = symbols[rows * width:]
+    padded[0, 0] = s
+    digits = padded.reshape(len(padded), -1, k).transpose(2, 0, 1)  # digits[d, i, j]
     codes = digits[0].astype(np.min_scalar_type((s + 1) ** k - 1))
     for digit in digits[1:]:
         codes *= s + 1
         codes += digit
-    table = _word_table(a, k)
-    q = table.take(codes[0], axis=2)
-    for code in codes[1:]:
+    return codes
+
+
+def _chunk_products(table, words):
+    """Pass 1: q[x, x', c], the transfer matrix of chunk c normalized by its sum.
+
+    ``words[j, c]`` is the code of word j of chunk c; all chunks advance
+    in lockstep by one word of the table per step.
+    """
+    q = table.take(words[0], axis=2)
+    for code in words[1:]:
         q = np.einsum("abc,bdc->adc", q, table.take(code, axis=2))
         q /= q.sum(axis=(0, 1))
     return q
 
 
-def _log_increments(model, eps, symbols):
-    """Per-symbol log P(y_i | y_1..y_{i-1}) by the normalized forward pass.
+def _row_log_likelihoods(model, eps, symbols, width):
+    """log P(row i | the rows before it), the path cut into rows of ``width``.
 
-    The L-1 steps after the first symbol run as C chunks of B steps (see
-    ``_chunks``).  Step y takes a row vector v to v A_y with A_y[x, x'] =
-    m[x, x'] r[x', y]; the padding symbol s steps by the identity.  Pass 1
-    forms every chunk's transfer matrix Q_c = prod A_y, all chunks in
-    lockstep, k symbols at a time: it multiplies by tabulated products of
-    k-symbol words and normalizes Q_c by its sum after every word (see
-    ``_chunk_products``).  Pass 2 walks the chunks in order:
-    start_{c+1} = normalize(start_c Q_c).  Pass 3 runs the normalized
-    forward pass of all chunks in lockstep from their true starts, one
-    symbol at a time, and keeps the norms, whose logs are the increments.
+    Row i holds symbols [i*width, (i+1)*width); the last row may be
+    shorter.  The rows sum to log P(y_1..y_L), and row b is batch b of the
+    batch-means estimate.  Step y takes a row vector v to v A_y with
+    A_y[x, x'] = m[x, x'] r[x', y]; the padding symbol s steps by the
+    identity.  Each row is cut into words of k steps (see ``_row_words``),
+    and the word sequence into chunks of about sqrt(L) symbols (see
+    ``_scan_shape``), the last chunk padded with identity words.  Pass 1
+    forms every chunk's transfer matrix Q_c, all chunks in lockstep, one
+    word at a time: it multiplies by the tabulated word products of
+    ``_word_table`` and normalizes Q_c by its sum after every word.  Pass
+    2 walks the chunks in order: start_{c+1} = normalize(start_c Q_c).
+    Pass 3 runs the normalized forward pass of all chunks in lockstep from
+    their true starts, one word at a time: the log of each norm plus the
+    word's lt is that word's log-likelihood.  A word of identity steps
+    scores exactly 0.  Each row is the pairwise numpy sum of its words,
+    and row 0 adds the log of the first symbol's probability.
 
-    Reachability is checked once, on the finished norms.  A step of
-    probability zero gives a zero norm, and the division by it 0/0 = NaN,
-    which every later product carries along; the check refuses both.
-    Pass 3 meets every step of the path itself, so a zero inside the
-    padded last chunk, whose Q_c pass 2 never reads, is caught as well.
+    Reachability is checked once, on the finished rows.  A word of
+    probability zero gives a zero norm, so a log of -inf, and the division
+    by it 0/0 = NaN, which every later product carries along; the check
+    refuses both.  Pass 3 meets every word of the path itself, so a zero
+    inside the padded last chunk, whose Q_c pass 2 never reads, is caught
+    as well.
     """
     s = model.size
-    length = len(symbols)
     r = emission_at(model.noise, eps)
-    count, size = _chunks(length - 1)
-    ys = np.full(count * size, s, dtype=np.min_scalar_type(s))
-    ys[: length - 1] = symbols[1:]
-    ys = ys.reshape(count, size)  # ys[c, j]: symbol of step j in chunk c
     a = np.empty((s, s, s + 1))  # a[x, x', y] = A_y[x, x']
     a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
     a[:, :, s] = np.eye(s)
     first = model.transition.stationary * r[:, symbols[0]]
+    k, size = _scan_shape(s, len(symbols), width)
+    codes = _row_words(symbols, s, width, k)
+    rows, per_row = codes.shape
+    identity = (s + 1) ** k - 1  # the code of k identity steps
+    count = -(-codes.size // size)
+    words = np.full(count * size, identity, dtype=codes.dtype)
+    words[: codes.size] = codes.ravel()
+    words = words.reshape(count, size).T.copy()  # words[j, c]: word j of chunk c
     with np.errstate(invalid="ignore", divide="ignore"):
-        q = _chunk_products(a, ys)  # q[x, x', c]
-        ys = ys.T.copy()  # ys[j, c]
-        increments = np.empty(1 + count * size)
-        norms = increments[1:].reshape(count, size)
-        increments[0] = norm = first.sum()
+        table, lt = _word_table(a, k)
+        q = _chunk_products(table, words)  # q[x, x', c]
+        head = first.sum()
         alpha = np.empty((s, count))  # alpha[x, c]
-        alpha[:, :1] = (first / norm)[:, None]
+        alpha[:, 0] = first / head
         for c in range(count - 1):
             start = alpha[:, c] @ q[:, :, c]
             alpha[:, c + 1] = start / start.sum()
-        for j, y in enumerate(ys):
-            alpha = np.einsum("xc,xyc->yc", alpha, a.take(y, axis=2))
-            total = alpha.sum(axis=0)
-            norms[:, j] = total
+        # buffers reused by every step: fresh step-sized arrays on each step
+        # fragment the heap, and the next sampler call then peaks higher
+        step, after = np.empty((s, s, count)), np.empty_like(alpha)
+        total = np.empty(count)
+        values = np.empty((count, size))  # values[c, j]: word j of chunk c
+        for j, code in enumerate(words):
+            np.einsum("xc,xyc->yc", alpha, table.take(code, axis=2, out=step), out=after)
+            alpha, after = after, alpha
+            alpha.sum(axis=0, out=total)
             alpha /= total
-    increments = increments[:length]
-    _check_reachable(increments)
-    return np.log(increments, out=increments)
+            value = values[:, j]
+            np.log(total, out=value)
+            value += lt.take(code)
+            value[code == identity] = 0.0
+        values = values.reshape(-1)[: codes.size].reshape(rows, per_row).sum(axis=1)
+        values[0] += np.log(head)
+    _check_reachable(values)
+    return values
 
 
 def path_log_likelihood(model, eps, symbols):
     """log P of an observation path; agrees with the enumeration engine's
     sequence probabilities up to float rounding.  The empty path has log
-    probability 0.  Symbols are checked as in sequence_probability."""
+    probability 0.  Symbols are checked as in sequence_probability.
+
+    A reachable path can still raise ``UnreachableSequence`` at eps = 0
+    when a transition entry is at or below about 1.6e-162, near the square
+    root of the smallest subnormal double: the chunk transfer products of
+    the scan then underflow to zero.
+    """
     eps = check_epsilon(model.noise, eps)
     symbols = check_symbols(model.size, symbols)
     if symbols.size == 0:
         return 0.0
-    return float(_log_increments(model, eps, symbols).sum())
+    return float(_row_log_likelihoods(model, eps, symbols, symbols.size)[0])
 
 
 def sample_paths(model, eps, length, seed) -> SampleRun:
@@ -254,24 +307,35 @@ def sample_paths(model, eps, length, seed) -> SampleRun:
 
     The first hidden state follows the stationary distribution; identical
     (model, eps, length, seed) reproduce the run bit-exactly.  Both paths
-    are read-only int64 arrays.
+    are read-only int64 arrays.  ``length`` and ``seed`` must be whole
+    numbers.
     """
     eps = check_epsilon(model.noise, eps)
+    length = check_whole("length", length)
+    seed = check_whole("seed", seed)
     if length < 1:
         raise ValueError("need length >= 1")
     hidden, observed = _sample_arrays(model, eps, length, seed)
-    loglik = float(_log_increments(model, eps, observed).sum())
+    loglik = float(_row_log_likelihoods(model, eps, observed, length)[0])
     hidden = hidden.astype(np.int64)
     observed = observed.astype(np.int64)
     hidden.flags.writeable = False
     observed.flags.writeable = False
-    return SampleRun(seed=int(seed), length=int(length), hidden=hidden,
+    return SampleRun(seed=seed, length=length, hidden=hidden,
                      observed=observed, loglik=loglik)
 
 
 def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
-    """Entropy-rate estimate -(1/L) log P(observed path), with batch-means SE."""
+    """Entropy-rate estimate -(1/L) log P(observed path), with batch-means SE.
+
+    The path is scored in rows of L // batches symbols; batch b is row b,
+    and the symbols after the last whole batch count only in the estimate.
+    ``length``, ``seed`` and ``batches`` must be whole numbers.
+    """
     eps = check_epsilon(model.noise, eps)
+    length = check_whole("length", length)
+    seed = check_whole("seed", seed)
+    batches = check_whole("batches", batches)
     if length < 10_000:
         raise ValueError("need length >= 10000 for a meaningful estimate")
     if batches < 30:
@@ -279,13 +343,13 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
     if batches > length:
         raise ValueError(f"need batches <= length, got {batches} > {length}")
     _, observed = _sample_arrays(model, eps, length, seed)
-    increments = _log_increments(model, eps, observed)
-    estimate = -float(increments.sum()) / length
     batch_size = length // batches
-    means = -increments[: batches * batch_size].reshape(batches, batch_size).mean(axis=1)
+    rows = _row_log_likelihoods(model, eps, observed, batch_size)
+    estimate = -math.fsum(rows) / length
+    means = -rows[:batches] / batch_size
     se = float(means.std(ddof=1)) / math.sqrt(batches)
-    return McEstimate(estimate=estimate, standard_error=se, batches=int(batches),
-                      batch_size=batch_size, length=int(length), seed=int(seed),
+    return McEstimate(estimate=estimate, standard_error=se, batches=batches,
+                      batch_size=batch_size, length=length, seed=seed,
                       epsilon=eps)
 
 

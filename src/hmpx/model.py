@@ -183,6 +183,18 @@ def check_epsilon(noise, eps):
     return eps
 
 
+def check_whole(name, value):
+    """``value`` as an int; ValueError unless it is a whole number, such
+    as 3 or 3.0 (not 3.5, nan, inf or "3")."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 def check_symbols(size, symbols):
     """Observation symbols as a 1-D int64 array.
 

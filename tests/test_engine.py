@@ -73,8 +73,9 @@ class TestEnumeration:
         # truncating 2.5 to 2 would report a budget nobody gave
         with pytest.raises(ValueError, match="whole number, got 2.5"):
             block_entropy(bs, 3, 0.1, budget=2.5)
-        with pytest.raises(ValueError, match="whole number"):
-            enumerate_sequences(2, 3, budget=8.5)
+        for budget in (8.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="whole number"):
+                enumerate_sequences(2, 3, budget=budget)
         assert len(list(enumerate_sequences(2, 3, budget=8.0))) == 8
 
 

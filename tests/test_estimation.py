@@ -17,8 +17,9 @@ from hmpx import (
     sample_paths,
     sequence_probability,
 )
-from hmpx.estimation import (GENERATOR_NAME, _chunks, _log_increments,
-                              _word_length, _word_table, path_log_likelihood)
+from hmpx.estimation import (GENERATOR_NAME, _chunks, _row_log_likelihoods,
+                              _row_words, _scan_shape, _word_length,
+                              _word_table, path_log_likelihood)
 from conftest import binary_symmetric
 from oracles import log_increments, markov_entropy_rate, sample_arrays
 
@@ -54,17 +55,41 @@ class TestSamplePaths:
         with pytest.raises(ValueError):
             sample_paths(bs, 0.1, 0, seed=0)
 
+    def test_length_and_seed_must_be_whole_numbers(self, bs):
+        for length, seed in ((10, 1.5), (10.5, 1), (10, math.nan), ("10", 1)):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                sample_paths(bs, 0.3, length, seed)
+        run = sample_paths(bs, 0.3, 10.0, 1.0)
+        assert (run.length, run.seed) == (10, 1)
+        assert type(run.length) is type(run.seed) is int
+        np.testing.assert_array_equal(run.observed, sample_paths(bs, 0.3, 10, 1).observed)
+
 
 class TestStreamPin:
     def test_paths_and_estimate_are_pinned(self, bs):
-        # (model, eps, L, seed) fixes the run; these values were taken from
-        # the one-state-at-a-time sampler and scalar forward loop
+        # (model, eps, L, seed) fixes the run; the path hash was taken from
+        # the one-state-at-a-time sampler, and the estimate is the scalar
+        # forward loop's increments summed exactly (fsum), over L
         run = sample_paths(bs, 0.05, 10_000, seed=1)
         assert hashlib.sha256(run.observed.tobytes()).hexdigest() == (
             "f6f64efc2b044ad33551115413c3bdaf3821ca2b069ed4875c6008a4f1c8d9e3")
         est = mc_entropy_rate(bs, 0.05, 20_000, seed=1)
-        assert est.estimate.hex() == "0x1.4620415d9bf1ep-1"
+        observed = sample_paths(bs, 0.05, 20_000, seed=1).observed
+        assert est.estimate == -math.fsum(log_increments(bs, 0.05, observed)) / 20_000
+        assert est.estimate.hex() == "0x1.4620415d9bf1dp-1"
         assert GENERATOR_NAME == "numpy default_rng (PCG64), inverse-CDF sampling"
+
+
+def _assert_rows_match(model, eps, symbols, reference, k):
+    """Each row's log-likelihood against the exact (fsum) sum of the scalar
+    loop's increments over the same symbols, at every width of the grid."""
+    length = len(symbols)
+    reference = reference.tolist()
+    for width in {length, 1, k, k + 1, length // 30, length // 40} - {0}:
+        rows = _row_log_likelihoods(model, eps, symbols, width)
+        expected = [math.fsum(reference[i:i + width]) for i in range(0, length, width)]
+        np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=0.0,
+                                   err_msg=f"width {width}")
 
 
 def _batch_means(increments, batches=30):
@@ -88,8 +113,8 @@ class TestChunkedScan:
         assert np.array_equal(run.observed, observed)
         assert run.hidden.dtype == run.observed.dtype == np.int64
         reference = log_increments(model, eps, observed)
-        np.testing.assert_allclose(_log_increments(model, eps, run.observed),
-                                   reference, rtol=1e-14, atol=0.0)
+        k = _scan_shape(model.size, length, length)[0]
+        _assert_rows_match(model, eps, run.observed, reference, k)
         if length >= 10_000:
             est = mc_entropy_rate(model, eps, length, seed=11)
             estimate, se = _batch_means(reference)
@@ -105,7 +130,7 @@ class TestChunkedScan:
 
 
 class TestWordBlockedScan:
-    """Pass 1 multiplies by tabulated k-symbol words; the increments must
+    """Both passes multiply by tabulated k-symbol words; the row sums must
     still agree with the sequential forward pass."""
 
     @staticmethod
@@ -128,8 +153,9 @@ class TestWordBlockedScan:
         model = random_model(np.random.default_rng(s), s)
         a = self._steps(model, 0.5 * model.epsilon_max)
         k = _word_length(s, 1000)
-        table = _word_table(a, k)
+        table, lt = _word_table(a, k)
         assert table.shape == (s, s, (s + 1) ** k)
+        assert lt.shape == ((s + 1) ** k,)
         for w in range((s + 1) ** k):
             digits = np.unravel_index(w, (s + 1,) * k)
             product = np.eye(s)
@@ -137,6 +163,8 @@ class TestWordBlockedScan:
                 product = product @ (np.eye(s) if y == s else a[:, :, y])
             np.testing.assert_allclose(table[:, :, w], product / product.sum(),
                                        rtol=1e-14, atol=0.0)
+            # the per-factor norms multiply to the product's sum
+            assert lt[w] == pytest.approx(math.log(product.sum()), rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 9])
     @pytest.mark.parametrize("which", ["zero", "mid", "max"])
@@ -148,9 +176,41 @@ class TestWordBlockedScan:
         k = _word_length(s, 1000)
         for length in (1, 2, k + 1, 10_007, 100_000):
             symbols = rng.integers(0, s, length)
-            np.testing.assert_allclose(_log_increments(model, eps, symbols),
-                                       log_increments(model, eps, symbols),
-                                       rtol=1e-14, atol=0.0)
+            _assert_rows_match(model, eps, symbols,
+                               log_increments(model, eps, symbols), k)
+
+    def test_identity_words_score_exactly_zero(self):
+        # a one-symbol path is the start law and then one word of identity
+        # steps, which must add nothing, not a rounding of log(1/s) + log(s)
+        for s in (2, 3, 5, 7):
+            model = random_model(np.random.default_rng(s), s)
+            eps = 0.3 * model.epsilon_max
+            first = model.transition.stationary[:, None] * emission_at(model.noise, eps)
+            for y in range(s):
+                assert path_log_likelihood(model, eps, [y]) == math.log(first[:, y].sum())
+
+    @pytest.mark.parametrize("s", [2, 3, 9])
+    def test_no_word_straddles_a_row_end(self, s):
+        # decoding every row's words gives back that row's symbols, then
+        # only identity padding; symbol 0 is the identity step
+        rng = np.random.default_rng(s)
+        for length in (1, 2, 9, 100, 1001):
+            symbols = rng.integers(0, s, length)
+            steps = symbols.copy()
+            steps[0] = s
+            for width in (length, 1, 2, 3, 7, 8, length // 30 + 1):
+                k, size = _scan_shape(s, length, width)
+                span = _chunks(length - 1)[1]  # a chunk spans whole words
+                assert k <= min(width, span) and (size - 1) * k < span <= size * k
+                codes = _row_words(symbols, s, width, k)
+                rows, per_row = codes.shape
+                assert rows == -(-length // width) and per_row == -(-width // k)
+                digits = np.stack(np.unravel_index(codes, (s + 1,) * k), axis=-1)
+                decoded = digits.reshape(rows, per_row * k)
+                for i in range(rows):
+                    row = steps[i * width:(i + 1) * width]
+                    np.testing.assert_array_equal(decoded[i, :len(row)], row)
+                    assert np.all(decoded[i, len(row):] == s)
 
 
 class TestUnreachable:
@@ -175,22 +235,38 @@ class TestUnreachable:
                                        "chunk start", "word end", "word start",
                                        "last chunk", "last"])
     def test_zero_probability_symbol_raises(self, blind, where):
-        count, size = _chunks(self.LENGTH - 1)
-        k = _word_length(blind.size, size)
-        # symbol i is step i - 1 - c*size of chunk c; "word end" and "word
-        # start" are steps k and k+1 of the second chunk, "last chunk" is
-        # inside the padded chunk whose transfer matrix pass 2 never reads
-        position = {"first": 0, "second": 1, "chunk end": size,
-                    "chunk start": size + 1, "word end": size + k,
-                    "word start": size + k + 1,
-                    "last chunk": (count - 1) * size + 3,
+        # one row: symbol i is in word i // k, and chunk c holds words
+        # [c*size, (c+1)*size), so span = size*k symbols; "word end" and
+        # "word start" are the last symbol of the second chunk's first word
+        # and the first of its second, "last chunk" is inside the padded
+        # chunk whose transfer matrix pass 2 never reads
+        k, size = _scan_shape(blind.size, self.LENGTH, self.LENGTH)
+        span = size * k
+        count = -(-self.LENGTH // span)
+        position = {"first": 0, "second": 1, "chunk end": span - 1,
+                    "chunk start": span, "word end": span + k - 1,
+                    "word start": span + k,
+                    "last chunk": (count - 1) * span + 3,
                     "last": self.LENGTH - 1}[where]
+        assert (count - 1) * span + 3 < self.LENGTH < count * span
         symbols = self._path()
         symbols[position] = 0
         with pytest.raises(UnreachableSequence):
             log_increments(blind, 1.0, symbols)
         with pytest.raises(UnreachableSequence):
             path_log_likelihood(blind, 1.0, symbols)
+
+    @pytest.mark.parametrize("where", ["row end", "row start"])
+    def test_zero_probability_at_a_row_boundary_raises(self, blind, where):
+        width = self.LENGTH // 30
+        position = {"row end": width - 1, "row start": width}[where]
+        symbols = self._path()
+        assert math.isfinite(_row_log_likelihoods(blind, 1.0, symbols, width).sum())
+        symbols[position] = 0
+        with pytest.raises(UnreachableSequence):
+            log_increments(blind, 1.0, symbols)
+        with pytest.raises(UnreachableSequence):
+            _row_log_likelihoods(blind, 1.0, symbols, width)
 
     def test_sampled_paths_avoid_the_symbol(self, blind):
         run = sample_paths(blind, 1.0, self.LENGTH, seed=3)
@@ -265,6 +341,15 @@ class TestMcEntropyRate:
             mc_entropy_rate(bs, 0.05, 5000, seed=0)
         with pytest.raises(ValueError):
             mc_entropy_rate(bs, 0.05, 10_000, seed=0, batches=10)
+
+    def test_length_batches_and_seed_must_be_whole_numbers(self, bs):
+        for length, seed, batches in ((20_000.5, 5, 30), (20_000, 5, 30.5),
+                                      (20_000, 5.5, 30), (math.inf, 5, 30)):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                mc_entropy_rate(bs, 0.3, length, seed, batches=batches)
+        est = mc_entropy_rate(bs, 0.3, 20_000.0, 5.0, batches=30.0)
+        assert est == mc_entropy_rate(bs, 0.3, 20_000, 5, batches=30)
+        assert type(est.length) is type(est.seed) is type(est.batches) is int
 
     def test_more_batches_than_symbols_is_refused(self, bs):
         # batch_size would be 0 and the standard error NaN
