@@ -251,6 +251,22 @@ def _cmd_verify(args):
     return 4 if failed else 0
 
 
+_ROUNDING_ULPS = 4
+
+
+def _sigma_distance(estimate, value, standard_error):
+    """|estimate - value| over the larger of the standard error and the two
+    values' rounding, ``_ROUNDING_ULPS`` ulps of each.
+
+    A path of symbols that each have probability exactly 1/s has a standard
+    error of rounding alone (6e-17 nats on a fair coin), and values that
+    agree to rounding must not read as several standard errors apart.  The
+    floor is never zero, so the distance is always finite.
+    """
+    floor = _ROUNDING_ULPS * (math.ulp(estimate) + math.ulp(value))
+    return abs(estimate - value) / max(standard_error, floor)
+
+
 def _cmd_mc(args):
     _check_seed(args)
     budget = _resolved_budget(args)
@@ -280,8 +296,8 @@ def _cmd_mc(args):
         diff = abs(doc["estimate"] - value)
         doc["series_value"] = value
         doc["abs_difference"] = diff
-        doc["sigma_distance"] = (diff / doc["standard_error"]
-                                 if doc["standard_error"] > 0 else math.inf)
+        doc["sigma_distance"] = _sigma_distance(doc["estimate"], value,
+                                                doc["standard_error"])
         header += ["series_value", "abs_difference", "sigma_distance"]
         row += [value, diff, doc["sigma_distance"]]
     _emit(args, doc, tuple(header), [tuple(row)])

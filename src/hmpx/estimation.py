@@ -10,24 +10,29 @@ lower one is the conditional entropy of the process whose first site is
 noiseless, so each comes from one trellis pass from the stationary start.
 
 Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
-the path is cut into about sqrt(L) chunks that advance in lockstep, then
-are stitched together in order.  The sampler composes maps of states, so
-its paths are bit for bit those of a one-state-at-a-time walk.  The
-likelihood scores the path in rows (one row for the whole path, one per
-batch for the estimate), each padded to whole k-symbol words, and
-composes products of non-negative matrices, normalized after every
-factor, from a table of the products of every k-symbol word.  Both the
-chunk transfer products and the forward pass that scores the words step
-one word at a time, and a row is the sum of its words' log-likelihoods;
-no per-symbol increment is formed.  Nothing cancels, each chunk's start
-differs from the sequential forward vector by rounding only, and the
-normalized pass contracts such differences instead of growing them, so
-each row agrees with the exact sum of the sequential pass's increments to
-a few ulps.  A path of probability zero raises ``UnreachableSequence``,
-from one check on the finished rows.
+the path is cut into chunks that advance in lockstep, then are stitched
+together in order.  The sampler draws and uses its uniforms in segments
+of 2**16 symbols, the whole hidden path first and then the observations.
+It scans each segment in at most 256 chunks, from the last hidden state
+of the segment before, and composes maps of states, so its paths are bit
+for bit those of a one-state-at-a-time walk.  The likelihood cuts the
+path into about sqrt(L) chunks.  It scores the path in rows (one row for
+the whole path, one per batch for the estimate), each padded to whole
+k-symbol words, and composes products of non-negative matrices,
+normalized after every factor, from a table of the products of every
+k-symbol word.  Both the chunk transfer products and the forward pass
+that scores the words step one word at a time, and a row is the sum of
+its words' log-likelihoods; no per-symbol increment is formed.  Nothing
+cancels, each chunk's start differs from the sequential forward vector
+by rounding only, and the normalized pass contracts such differences
+instead of growing them, so each row agrees with the exact sum of the
+sequential pass's increments to a few ulps.  A path of probability zero
+raises ``UnreachableSequence``, from one check on the finished rows.
 
 All randomness flows through numpy's seeded default generator (PCG64,
-inverse-CDF draws); a run is a pure function of (model, eps, L, seed).
+inverse-CDF draws): L uniforms for the hidden path, then L for the
+observations, whatever the segment size.  A run is a pure function of
+(model, eps, L, seed).
 """
 
 from __future__ import annotations
@@ -79,51 +84,84 @@ def _chunks(steps):
     return count, -(-steps // count)
 
 
-def _sample_arrays(model, eps, length, seed):
-    """Hidden and observed paths, in the smallest unsigned dtype holding s.
+_SEGMENT = 1 << 16  # uniforms drawn and used at a time by either sampler pass
 
-    The hidden step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the
-    cumulative rows are non-decreasing, so this is the first k with
-    u_i < cum_m[x, k], capped at s-1, and the path is bit for bit that of
-    a one-state-at-a-time inverse-CDF walk.  Maps compose, so every chunk
-    advances all s possible starts in lockstep with the other chunks; a
-    loop over the chunks then takes each chunk's true start from the end
-    state of the one before, and a gather reads the path.  Emissions
-    count edges the same way, in the cumulative row of each hidden state.
+
+def _walk(cum_m, u, x, out):
+    """out[i]: the hidden state after step i of the walk from state x.
+
+    The step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the cumulative
+    rows are non-decreasing, so this is the first k with u_i < cum_m[x, k],
+    capped at s-1, and the path is bit for bit that of a one-state-at-a-time
+    inverse-CDF walk.  Maps compose, so every chunk advances all s possible
+    starts in lockstep with the other chunks.  A state is held as its cell
+    c*s + x in a flat row of all chunks' states, so one step is one gather
+    of the step's row.  A loop over the chunks then takes each chunk's true
+    start from the end state of the one before, and a flat gather reads the
+    path.  The padded tail of the last chunk maps every state to 0, so the
+    loop's final state is not the walk's.
     """
-    rng = np.random.default_rng(seed)
-    u_hidden = rng.random(length)
-    u_obs = rng.random(length)
-    s = model.size
-    dtype = np.min_scalar_type(s)
-    hidden = np.empty(length, dtype=dtype)
-    hidden[0] = x = sum(int(edge <= u_hidden[0])
-                        for edge in np.cumsum(model.transition.stationary)[:-1])
-    count, size = _chunks(length - 1)
-    cum_m = np.cumsum(model.transition.matrix, axis=1)
-    step = np.empty((size, count, s), dtype=dtype)  # step j of chunk c from x
+    steps, s = len(u), len(cum_m)
+    if steps == 0:
+        return
+    count, size = _chunks(steps)
+    cells = count * s
+    dtype = np.min_scalar_type(cells - 1)
+    step = np.empty((size, count, s), dtype=dtype)  # step j of chunk c, to a cell
     moves = np.empty(count * size, dtype=dtype)
     for state in range(s):
         moves[:] = 0
         for edge in cum_m[state, :-1]:
-            moves[: length - 1] += u_hidden[1:] >= edge
+            moves[:steps] += u >= edge
         step[:, :, state] = moves.reshape(count, size).T
-    step = step.reshape(size, count * s)
-    ends = np.empty((size, count, s), dtype=dtype)  # after step j, chunk c from x
-    offsets = np.arange(0, count * s, s)[:, None]
-    states = np.broadcast_to(np.arange(s, dtype=dtype), (count, s))
+    base = np.arange(0, cells, s, dtype=dtype)  # the first cell of chunk c
+    step += base[:, None]
+    step = step.reshape(size, cells)
+    ends = np.empty((size, cells), dtype=dtype)  # cell after step j, from cell x
+    cell = np.arange(cells, dtype=dtype)
     for j in range(size):
-        states = step[j].take(offsets + states, out=ends[j])
-    starts = np.empty(count, dtype=dtype)
-    for c, last in enumerate(ends[-1].tolist()):
-        starts[c] = x
-        x = last[x]
-    path = np.take_along_axis(ends, starts[None, :, None], axis=2)
-    hidden[1:] = path[:, :, 0].T.ravel()[: length - 1]
+        # indices are in range; mode "raise" would buffer ``out`` on every step
+        cell = step[j].take(cell, out=ends[j], mode="clip")
+    starts, last = [], ends[-1].tolist()
+    for first in range(0, cells, s):  # first: the first cell of a chunk
+        starts.append(first + x)
+        x = last[first + x] - first
+    out[:] = (ends[:, starts] - base).T.ravel()[:steps]
+
+
+def _sample_arrays(model, eps, length, seed):
+    """Hidden and observed paths, in the smallest unsigned dtype holding s.
+
+    One generator makes two draws of ``length`` uniforms, the first for
+    the hidden path and the second for the observations, used in segments
+    of ``_SEGMENT`` symbols: random(a) then random(b) gives the draws of
+    random(a + b), so the segments change no draw.  Pass A walks the
+    hidden path (see ``_walk``) segment by segment, each from the last
+    hidden state of the segment before; u_0 picks the first state from the
+    stationary law.  Pass B then emits each segment's observations,
+    counting edges in the cumulative emission row of each hidden state.
+    Only one segment's uniforms and scan arrays are held at a time.
+    """
+    rng = np.random.default_rng(seed)
+    s = model.size
+    dtype = np.min_scalar_type(s)
+    hidden = np.empty(length, dtype=dtype)
+    cum_m = np.cumsum(model.transition.matrix, axis=1)
+    cum_pi = np.cumsum(model.transition.stationary)[:-1]
+    for lo in range(0, length, _SEGMENT):
+        u = rng.random(min(_SEGMENT, length - lo))
+        if lo == 0:
+            hidden[0] = np.count_nonzero(cum_pi <= u[0])
+        first = max(lo, 1)
+        _walk(cum_m, u[first - lo:], int(hidden[first - 1]),
+              hidden[first:lo + len(u)])
     observed = np.zeros(length, dtype=dtype)
-    cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)
-    for edges in cum_r[:, :-1].T:  # edges[x]: one cumulative edge of row x
-        observed += u_obs >= edges[hidden]
+    cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)[:, :-1].T
+    for lo in range(0, length, _SEGMENT):
+        u = rng.random(min(_SEGMENT, length - lo))
+        states, out = hidden[lo:lo + len(u)], observed[lo:lo + len(u)]
+        for edges in cum_r:  # edges[x]: one cumulative edge of row x
+            out += u >= edges[states]
     return hidden, observed
 
 
@@ -342,7 +380,7 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
         raise ValueError("need at least 30 batches")
     if batches > length:
         raise ValueError(f"need batches <= length, got {batches} > {length}")
-    _, observed = _sample_arrays(model, eps, length, seed)
+    observed = _sample_arrays(model, eps, length, seed)[1]  # drop the hidden path
     batch_size = length // batches
     rows = _row_log_likelihoods(model, eps, observed, batch_size)
     estimate = -math.fsum(rows) / length

@@ -214,6 +214,19 @@ class TestMcCommand:
         assert doc["batches"] == 30
         assert "PCG64" in doc["generator"]
 
+    def test_rounding_is_not_a_sigma_distance(self, capsys, model_file):
+        # every symbol has probability exactly 1/2, so the standard error is
+        # rounding alone and both values are ln 2 to an ulp
+        path = model_file({"transition": [[0.5, 0.5], [0.5, 0.5]],
+                           "noise": [[0, 0], [0, 0]]})
+        rc, doc = run_json(capsys, ["mc", "--model", path, "--epsilon", "0.1",
+                                    "--length", "12000", "--order", "3"])
+        assert rc == 0
+        assert doc["standard_error"] < 1e-15
+        assert doc["estimate"] == pytest.approx(math.log(2), rel=1e-15)
+        assert doc["series_value"] == pytest.approx(math.log(2), rel=1e-15)
+        assert doc["sigma_distance"] <= 1
+
     @pytest.mark.parametrize("order, budget, code", [("-1", [], 2),
                                                      ("11", ["--budget", "64"], 3)])
     def test_bad_order_fails_before_sampling(self, capsys, model_file, monkeypatch,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from hmpx import (
     sample_paths,
     sequence_probability,
 )
-from hmpx.estimation import (GENERATOR_NAME, _chunks, _row_log_likelihoods,
-                              _row_words, _scan_shape, _word_length,
-                              _word_table, path_log_likelihood)
+from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _chunks,
+                              _row_log_likelihoods, _row_words, _scan_shape,
+                              _word_length, _word_table, path_log_likelihood)
 from conftest import binary_symmetric
 from oracles import log_increments, markov_entropy_rate, sample_arrays
 
@@ -127,6 +128,52 @@ class TestChunkedScan:
             count, size = _chunks(steps)
             assert count == math.ceil(math.sqrt(steps))
             assert count * size >= steps > (count - 1) * size
+
+
+class TestSegments:
+    """The sampler draws and uses its uniforms one segment at a time; the
+    paths must not show where a segment ends."""
+
+    @staticmethod
+    def _check(model, eps, length):
+        hidden, observed = sample_arrays(model, eps, length, seed=11)
+        run = sample_paths(model, eps, length, seed=11)
+        np.testing.assert_array_equal(run.hidden, hidden)
+        np.testing.assert_array_equal(run.observed, observed)
+        if length > _SEGMENT:
+            # the first segment's walk has a padded last chunk, whose tail
+            # maps every state to 0; a walk that carried that state into
+            # the second segment, not the last real one, would step elsewhere
+            count, size = _chunks(_SEGMENT - 1)
+            assert count * size > _SEGMENT - 1
+            u = np.random.default_rng(11).random(_SEGMENT + 1)[_SEGMENT]
+            edges = np.cumsum(model.transition.matrix, axis=1)[:, :-1]
+            step = [np.count_nonzero(row <= u) for row in edges]
+            assert step[0] != step[hidden[_SEGMENT - 1]] == hidden[_SEGMENT]
+
+    @pytest.mark.parametrize("name", ["bs", "t3"])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("length", [_SEGMENT - 1, _SEGMENT, _SEGMENT + 1,
+                                        _SEGMENT + 2, 2 * _SEGMENT + 1])
+    def test_matches_scalar_oracle_across_segment_ends(self, request, name, eps,
+                                                       length):
+        self._check(request.getfixturevalue(name), eps, length)
+
+    def test_nine_symbols_across_a_segment_end(self):
+        model = random_model(np.random.default_rng(11), 9)
+        self._check(model, 0.5 * model.epsilon_max, _SEGMENT + 2)
+
+    def test_peak_memory_of_the_estimate(self, bs):
+        # the two uniform draws are held one segment at a time: at L = 1e6
+        # the estimate peaked at 31.5 MiB of numpy allocations with whole
+        # draws and at 3.0 MiB with segments
+        tracemalloc.start()
+        try:
+            mc_entropy_rate(bs, 0.05, 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestWordBlockedScan:
