@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .errors import BudgetExceeded, HmpxError, SettlingViolation
@@ -88,6 +89,13 @@ def build_parser():
     p.add_argument("--n-max", type=int, required=True)
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    # parse_args keeps no state in the parser, so one per process serves
+    # every main() call
+    return build_parser()
 
 
 def _resolved_budget(args):
@@ -335,7 +343,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:

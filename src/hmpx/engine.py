@@ -15,6 +15,15 @@ tensor R(eps) = I + eps*T: a truncated jet product, a shift-and-add over
 the nonzero coefficients of the site's jet since R has degree 1 in eps.
 sequence_probability takes the same steps along one path.
 
+Mixed partials need one coefficient, x**kvec, the top corner of the box
+{e <= kvec}.  The total-degree cap sum(kvec) never binds there, so the
+box is full and flat C order pairs each exponent e at index i with
+kvec - e at index w-1-i: the top coefficient of log(p) * p is
+sum_i log(p)[i] * p[w-1-i], one dot product per sequence
+(ExponentSet.corner) instead of a whole jet product.  And H_{N-1} has no
+x_N term, since site N's variable enters no level below N, so when
+kvec[-1] > 0 only level N is summed.
+
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
 also fix the start law.  Applying sigma to every site of a sequence keeps
@@ -291,11 +300,12 @@ def _runs(g):
 
 # --- prefix trellis -------------------------------------------------------
 
-def _xlogx_sum(p, index, n, s, jet, space):
-    """Per-coefficient sum of p*log(p) over the rows of p, shape (w, R).
+def _xlogx_sum(p, index, n, s, jet, space, corner=False):
+    """Per-coefficient sum of p*log(p) over the rows of p (w, R), shape (w,).
 
     Row i is the probability of the level-n prefix whose lexicographic
-    index is index[i].
+    index is index[i].  With ``corner`` only the top coefficient of a full
+    box is summed (ExponentSet.corner), and the result has shape (1,).
     """
     low = p[0] < _P_FLOOR
     if low.any():
@@ -315,14 +325,18 @@ def _xlogx_sum(p, index, n, s, jet, space):
             seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
             raise UnreachableSequence(f"P{seq} = {p[:, bad[0]].tolist()} underflowed")
         p = p[:, ~low]
+    if corner:
+        return space.corner(space.log(p), p).sum(keepdims=True)
     # each coefficient's rows are contiguous, so numpy sums them pairwise
     return space.mul(space.log(p), p).sum(axis=1)
 
 
-def _entropies(model, profile, levels, initial=None, budget=None):
+def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     """{n: H_n} for each n in levels, from one depth-first walk rooted at
     the start law (see _symmetric_start) and reduced by its symmetries.
 
+    With ``corner`` each H_n is a float: the top coefficient of its jet,
+    whose exponent set must be a full box (see ExponentSet.corner).
     The budget is checked at the deepest level before the walk begins.
     """
     s = model.size
@@ -332,7 +346,7 @@ def _entropies(model, profile, levels, initial=None, budget=None):
     r, space, jet = _sites(model, profile[:depth])
     w = space.size
     mt = model.transition.matrix.T
-    sums = {n: _NeumaierArray(w) for n in levels}
+    sums = {n: _NeumaierArray(1 if corner else w) for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
     symbols = np.arange(s)[:, None]
@@ -343,7 +357,8 @@ def _entropies(model, profile, levels, initial=None, budget=None):
         # sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            sums[n].add(weight * _xlogx_sum(p, index, n, s, jet is not None, space))
+            sums[n].add(weight * _xlogx_sum(p, index, n, s, jet is not None, space,
+                                            corner))
         if n < depth:
             for lo in range(0, index.size, width):
                 parents = slice(lo, lo + width)
@@ -354,6 +369,8 @@ def _entropies(model, profile, levels, initial=None, budget=None):
     for a, count, weight in _runs(g):
         visit(_step(root, r[0][:, :, a:a + count], space), np.arange(a, a + count),
               1, weight)
+    if corner:
+        return {n: float(-acc.total()[0]) for n, acc in sums.items()}
     return {n: _value(jet, -acc.total()) for n, acc in sums.items()}
 
 
@@ -411,15 +428,29 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     Site i gets its own expansion variable.  Higher powers of a variable
     cannot reach the target coefficient, so the multijet lives in the box
     e <= kvec; inside it the total degree never exceeds sum(kvec), so the
-    total-degree cap plays no part.
+    total-degree cap plays no part and the box is full.  Only the box's
+    top coefficient, x**kvec, is wanted, and it is computed alone:
+
+    * the top coefficient of log(p) * p pairs flat index i with w-1-i
+      (ExponentSet.corner), one dot product per sequence instead of a
+      whole jet product;
+    * H_{N-1} has no x_N term, since site N's variable enters no level
+      below N.  So when kvec[-1] > 0 it adds exactly 0 and the walk sums
+      level N only.
+
+    Entries of kvec must be whole numbers >= 0 (1.0 is accepted), at
+    least two of them, else ValueError.
     """
     warn_workers(workers)
-    kvec = [int(k) for k in kvec]
+    kvec = [check_whole("kvec entry", k) for k in kvec]
     if len(kvec) < 2:
         raise ValueError("kvec must cover at least two sites")
     if any(k < 0 for k in kvec):
         raise ValueError("kvec entries must be >= 0")
     n = len(kvec)
-    profile = [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)]
-    f = multi_site_F(model, profile, budget=budget)
-    return f.mixed_partial(kvec)
+    profile = resolve_profile(
+        model, [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)], n)
+    levels = (n,) if kvec[-1] else (n - 1, n)
+    h = _entropies(model, profile, levels, budget=budget, corner=True)
+    coefficient = h[n] - h.get(n - 1, 0.0)
+    return coefficient * math.prod(math.factorial(k) for k in kvec)

@@ -96,6 +96,12 @@ class ExponentSet:
     when multiplied by x**e_j; ``mul`` and ``log`` both read it.  Use
     ``exponent_set`` to get one: it caches the table and refuses oversized
     sets.
+
+    ``full`` says the cap never binds, so the set is the whole box
+    {e <= top}, top = min(bounds, cap).  Then flat C order is the box's
+    mixed-radix code, and the exponent at flat index w-1-i is top minus
+    the one at i; ``corner`` reads the product's top coefficient from
+    that pairing alone.
     """
 
     def __init__(self, bounds, cap):
@@ -114,6 +120,7 @@ class ExponentSet:
         strides = np.array([math.prod(top[d + 1:] + 1) for d in range(top.size)],
                            dtype=np.int64)
         codes = e @ strides
+        self.full = int(top.sum()) <= cap
         # shifts[j] = (src, dst): times x**e_j, coefficient src lands in dst
         self.shifts = []
         for j in range(self.size):
@@ -135,6 +142,16 @@ class ExponentSet:
             src, dst = self.shifts[j]
             out[dst] += b[j] * a[src]
         return out
+
+    def corner(self, a, b):
+        """Top coefficient of the product a * b, x**top for a full box, over
+        the trailing axes: sum over i of a[i] * b[w-1-i], since e and
+        top - e sit at mirrored flat indices.  ValueError for a capped set,
+        where the pairing fails.
+        """
+        if not self.full:
+            raise ValueError("corner needs a full box: the total-degree cap binds")
+        return (a * b[::-1]).sum(axis=0)
 
     def log(self, a):
         """Natural log of jet arrays, coefficients on axis 0, batched over

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import EpsilonOutOfRange, HypothesisNotMet, SettlingViolation
 from .jets import UniJet
-from .model import random_model
+from .model import check_whole, random_model
 
 DEFAULT_SETTLE_TOL = 1e-8
 DEFAULT_LEMMA_TOL = 1e-9
@@ -218,9 +218,13 @@ def verify_lemma_zero_prepend(model, kvec, r, tol=DEFAULT_LEMMA_TOL, *,
                               budget=None) -> LemmaReport:
     """Prepending r zero-derivative sites leaves the mixed partial unchanged.
 
-    Requires the first entry of kvec to be 0 or 1."""
+    Requires the first entry of kvec to be 0 or 1.  kvec entries and r
+    must be whole numbers, and kvec not empty (ValueError otherwise)."""
     _check_tolerance("tol", tol)
-    kvec = [int(k) for k in kvec]
+    kvec = [check_whole("kvec entry", k) for k in kvec]
+    r = check_whole("r", r)
+    if not kvec:
+        raise ValueError("kvec must not be empty")
     if r < 1:
         raise ValueError("r must be >= 1")
     if kvec[0] > 1:
@@ -249,9 +253,11 @@ def _has_hole(kvec):
 
 def verify_lemma_no_hole(model, kvec, tol=DEFAULT_LEMMA_TOL, *,
                          budget=None) -> LemmaReport:
-    """Mixed partials with a low-order site after an active one vanish."""
+    """Mixed partials with a low-order site after an active one vanish.
+
+    kvec entries must be whole numbers (ValueError otherwise)."""
     _check_tolerance("tol", tol)
-    kvec = [int(k) for k in kvec]
+    kvec = [check_whole("kvec entry", k) for k in kvec]
     if not _has_hole(kvec):
         raise HypothesisNotMet(
             f"kvec={tuple(kvec)} has no positions i < j < N with k_i >= 1, k_j <= 1"

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import hmpx.cli
 import hmpx.engine
 from hmpx import (
     block_entropy,
@@ -195,6 +196,17 @@ class TestVerifyCommand:
         assert main(["verify", "--model", path, "--trials", "2",
                      "--tolerance", tol]) == 2
         assert "tol" in capsys.readouterr().err
+
+    def test_one_parser_keeps_no_state_between_calls(self, capsys, model_file):
+        path = model_file(BS_DOC)
+        rc, first = run_json(capsys, ["verify", "--model", path, "--lemma", "2",
+                                      "--trials", "1", "--budget", "100"])
+        rc2, second = run_json(capsys, ["verify", "--model", path, "--trials", "1"])
+        assert rc == rc2 == 0
+        assert {r["lemma"] for r in first["reports"]} == {2}
+        assert {r["lemma"] for r in second["reports"]} == {1, 2, 3}
+        assert second["config"]["budget"] is None
+        assert hmpx.cli._parser() is hmpx.cli._parser()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_validation_error(self, capsys, model_file, trials):

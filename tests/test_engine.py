@@ -273,6 +273,46 @@ class TestMixedPartialF:
         with pytest.raises(ValueError):
             mixed_partial_F(bs, (1, -1))
 
+    @pytest.mark.parametrize("kvec", [(1.5, 1), (1, 0.5), (1, math.nan), (1, "1")])
+    def test_kvec_entries_must_be_whole(self, bs, kvec):
+        with pytest.raises(ValueError, match="whole number"):
+            mixed_partial_F(bs, kvec)
+
+    def test_whole_floats_are_accepted(self, bs):
+        assert mixed_partial_F(bs, (1.0, 1.0)) == mixed_partial_F(bs, (1, 1))
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_corner_matches_the_whole_jet(self, s):
+        # the corner read against the full jet of F = H_N - H_{N-1}, with
+        # kvec[-1] > 0 (level N alone), kvec[-1] = 0 and the all-zero kvec
+        rng = np.random.default_rng(40 + s)
+        model = random_model(rng, s)
+        for n in range(2, 7):
+            kvecs = [(0,) * n, (1,) + (0,) * (n - 1)]
+            while len(kvecs) < 4:
+                kvec = tuple(int(k) for k in rng.integers(0, 3, size=n))
+                if sum(kvec) <= 6 and kvec not in kvecs:
+                    kvecs.append(kvec)
+            kvecs.append(kvecs[-1][:-1] + (0,))
+            kvecs.append(kvecs[-1][:-1] + (1,))
+            for kvec in kvecs:
+                profile = [MultiJet.variable(i, n, sum(kvec), bounds=kvec)
+                           for i in range(n)]
+                want = multi_site_F(model, profile).mixed_partial(kvec)
+                got = mixed_partial_F(model, kvec)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (s, kvec)
+
+    @pytest.mark.parametrize("kvec", [(1, 0, 2), (0, 2, 1, 1), (2, 1, 0, 1, 3)])
+    def test_shorter_level_has_no_last_site_term(self, t3, kvec):
+        # H_{N-1} never sees site N's variable, so every coefficient with
+        # e_N > 0 is exactly zero and level N-1 adds nothing to x**kvec
+        n = len(kvec)
+        profile = [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)]
+        shorter = hmpx.engine._entropies(t3, profile, (n - 1, n))[n - 1]
+        last = np.array([e[-1] > 0 for e in shorter.space.exponents])
+        assert last.any()
+        assert np.all(shorter.coeffs[last] == 0.0)
+
 
 class TestWorkers:
     def test_scalar_chunked_reduction_matches(self, bs):

@@ -399,3 +399,27 @@ def test_batched_kernel_is_one_jet_per_column(bounds, cap):
     for i, j in np.ndindex(3, 4):
         assert prod[:, i, j].tobytes() == space.mul(a[:, i, 0], b[:, 0, j]).tobytes()
         assert log[:, i, j].tobytes() == space.log(c[:, i, j]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_corner_is_the_top_coefficient_of_the_product(seed):
+    # in a full box, flat index i holds e and w-1-i holds top - e, so the
+    # top coefficient of a*b is one reversed dot product
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        bounds = tuple(int(b) for b in rng.integers(0, 4, size=rng.integers(1, 5)))
+        space = exponent_set(bounds, sum(bounds) + int(rng.integers(0, 3)))
+        assert space.full
+        a = rng.uniform(-1, 1, (space.size, 5))
+        b = rng.uniform(-1, 1, (space.size, 5))
+        scale = (np.abs(a) * np.abs(b[::-1])).sum(axis=0)
+        np.testing.assert_array_less(np.abs(space.corner(a, b) - space.mul(a, b)[-1]),
+                                     1e-15 * scale + 1e-300)
+
+
+def test_corner_refuses_a_capped_set():
+    space = exponent_set((2, 2), 3)  # (2, 2) is over the cap: not a full box
+    assert not space.full
+    a = np.ones((space.size, 1))
+    with pytest.raises(ValueError, match="full box"):
+        space.corner(a, a)

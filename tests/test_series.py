@@ -193,11 +193,27 @@ class TestLemmaZeroPrepend:
         with pytest.raises(HypothesisNotMet):
             verify_lemma_zero_prepend(bs, (2, 1), 1)
 
+    def test_entries_and_r_must_be_whole(self, bs):
+        with pytest.raises(ValueError, match="kvec entry"):
+            verify_lemma_zero_prepend(bs, (1, 1.5), 1)
+        with pytest.raises(ValueError, match="r must be a whole number"):
+            verify_lemma_zero_prepend(bs, (1, 1), 1.5)
+        with pytest.raises(ValueError, match="empty"):
+            verify_lemma_zero_prepend(bs, (), 1)
+        whole = verify_lemma_zero_prepend(bs, (1.0, 1.0), 2.0)
+        assert whole.residual == verify_lemma_zero_prepend(bs, (1, 1), 2).residual
+
 
 class TestLemmaNoHole:
     def test_spec_instances(self, bs):
         assert verify_lemma_no_hole(bs, (1, 0, 0, 1)).residual <= 1e-9
         assert verify_lemma_no_hole(bs, (2, 1, 0, 3)).residual <= 1e-9
+
+    def test_entries_must_be_whole(self, bs):
+        with pytest.raises(ValueError, match="kvec entry"):
+            verify_lemma_no_hole(bs, (1, 0, 0.5, 1))
+        assert (verify_lemma_no_hole(bs, (1.0, 0.0, 0.0, 1.0)).residual
+                == verify_lemma_no_hole(bs, (1, 0, 0, 1)).residual)
 
     def test_hypothesis_guard(self, bs):
         with pytest.raises(HypothesisNotMet):
@@ -227,6 +243,16 @@ def test_lemma_batteries_smoke():
         reports = run_lemma_battery(lemma, 5, seed=11)
         assert len(reports) == 5
         assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("lemma", [1, 2, 3])
+def test_lemma_batteries_reach_ten_sites_and_weight_ten(lemma):
+    # the larger instances of the binary case: N <= 10, weight <= 10
+    reports = run_lemma_battery(lemma, 4, seed=0, sizes=(2,), n_max=10,
+                                weight_max=10)
+    assert len(reports) == 4
+    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+    assert all(r.tolerance == 1e-9 for r in reports)
 
 
 def test_lemma_battery_fixed_model(bs):
