@@ -36,19 +36,20 @@ exact arithmetic only, so with G known the walk starts from its exact
 G-average, which differs from it by rounding; an explicit ``initial``
 must be G-fixed bit for bit.  The search runs for s <= 7 only.
 
-The walk is depth-first over blocks of at most _CHUNK prefixes, so memory
-stays bounded whatever s**N is, and the last level is never held whole.
+The walk is depth-first over blocks of at most _CHUNK prefixes, so its
+working set grows with N, not with s**N, and the last level is never held
+whole; of each block it keeps only the block sums (see check_budget).
 A block's children come in (symbol, parent) order, which keeps the step
 free of copies; each row carries its prefix's lexicographic index, so an
 underflow names the true sequence.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
-Summation order is fixed: each block's p*log(p) terms are summed per
-coefficient by numpy (pairwise), and the block sums are added with
-Neumaier compensation in the order the walk meets the blocks.  Blocks
-and their row order depend only on the level and the start, so on one
-machine and numpy build a given H_n is the same bits whichever call
+Within a block numpy sums each coefficient's p*log(p) terms pairwise; a
+level keeps its block sums and is their math.fsum, the correctly rounded
+sum, so H_n does not depend on the order the walk visits the blocks in.
+Blocks and their row order depend only on the level and the start, so on
+one machine and numpy build a given H_n is the same bits whichever call
 computes it.  Everything runs serially in the calling process; the
 ``workers`` argument is deprecated, ignored, and warns when not 1.
 """
@@ -97,13 +98,18 @@ def _budget_or_default(budget):
 def check_budget(s, n, budget=None):
     """Raise BudgetExceeded unless s**n sequences fit the budget.
 
-    The budget bounds time; working memory grows with n, not with s**n.
-    Per level the depth-first trellis walk holds one block of at most
-    _CHUNK = 512 prefixes, s*(K+1) floats and one index each, about
-    s * 512 * (K+1) * 8 bytes: 0.1 MB at s = 2, K = 11.  block_entropy at
-    s = 2, K = 11 peaks at 0.8 MB of numpy allocations (tracemalloc) for
-    n = 12, 1.2 MB for n = 16 and 1.6 MB for n = 20.  A budget that is not
-    a whole number raises ValueError.
+    The budget bounds time, and through it memory.  Per level the
+    depth-first trellis walk holds one block of at most _CHUNK = 512
+    prefixes, s*(K+1) floats and one index each, about s * 512 * (K+1) * 8
+    bytes: 0.1 MB at s = 2, K = 11.  Each summed level also keeps one
+    w-float vector of block sums per block until the walk ends (w = K+1
+    for an order-K UniJet), at most about s**n / _CHUNK vectors at level n,
+    so that it can add them exactly.  block_entropy at s = 2, K = 11 peaks
+    at 0.76 MiB (tracemalloc) for n = 12, 1.16 MiB for n = 16 and 1.76 MiB
+    for n = 20.  block_entropies on the binary symmetric chain at n = 24,
+    the largest order the default budget admits, peaks at 9.4 MiB for
+    K = 11 and 25 MiB for K = 45.  A budget that is not a whole number
+    raises ValueError.
 
     The Monte Carlo estimate has no sequence budget; its memory grows with
     the path length L: about 1 byte per symbol for each uint8 path (hidden,
@@ -210,25 +216,6 @@ def sequence_probability(model, symbols, noise):
     for i, y in enumerate(symbols):
         alpha = _step(mt @ alpha if i else alpha, r[i][:, :, y:y + 1], space)
     return _value(jet, alpha.sum(axis=1)[:, 0])
-
-
-# --- compensated accumulation --------------------------------------------
-
-class _NeumaierArray:
-    __slots__ = ("s", "c")
-
-    def __init__(self, size):
-        self.s = np.zeros(size)
-        self.c = np.zeros(size)
-
-    def add(self, x):
-        t = self.s + x
-        big = np.abs(self.s) >= np.abs(x)
-        self.c += np.where(big, (self.s - t) + x, (x - t) + self.s)
-        self.s = t
-
-    def total(self):
-        return self.s + self.c
 
 
 # --- symbol symmetry -----------------------------------------------------
@@ -344,9 +331,8 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
     r, space, jet = _sites(model, profile[:depth])
-    w = space.size
     mt = model.transition.matrix.T
-    sums = {n: _NeumaierArray(1 if corner else w) for n in levels}
+    sums = {n: [] for n in levels}  # each level's block sums, in walk order
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
     symbols = np.arange(s)[:, None]
@@ -357,8 +343,8 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
         # sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            sums[n].add(weight * _xlogx_sum(p, index, n, s, jet is not None, space,
-                                            corner))
+            sums[n].append(weight * _xlogx_sum(p, index, n, s, jet is not None, space,
+                                               corner))
         if n < depth:
             for lo in range(0, index.size, width):
                 parents = slice(lo, lo + width)
@@ -369,9 +355,10 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     for a, count, weight in _runs(g):
         visit(_step(root, r[0][:, :, a:a + count], space), np.arange(a, a + count),
               1, weight)
-    if corner:
-        return {n: float(-acc.total()[0]) for n, acc in sums.items()}
-    return {n: _value(jet, -acc.total()) for n, acc in sums.items()}
+    jet = None if corner else jet
+    # each coefficient of H_n is the correctly rounded sum of its block sums
+    return {n: _value(jet, -np.array([math.fsum(c) for c in zip(*blocks)]))
+            for n, blocks in sums.items()}
 
 
 # --- public entropy surface -----------------------------------------------

@@ -195,8 +195,10 @@ def verify_lemma_blocking(model, n, j, profile, tol=DEFAULT_LEMMA_TOL, *,
 
     Compares the length-N per-site conditional entropy against the
     shorter system starting at site j, both evaluated at plain numbers.
+    n and j must be whole numbers (4.0 is accepted), else ValueError.
     """
     _check_tolerance("tol", tol)
+    n, j = check_whole("n", n), check_whole("j", j)
     if not (1 < j < n):
         raise HypothesisNotMet(f"need 1 < j < N, got j={j}, N={n}")
     profile = [float(v) for v in profile]
@@ -294,7 +296,8 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     conditioned (entries floored away from zero) since the identities
     hold for any valid model and ill conditioning only inflates float
     noise, not information.  Passing a model pins it for every trial and
-    randomizes only the instance.
+    randomizes only the instance.  ``trials`` must be a whole number (3.0
+    is accepted), else ValueError.
     """
     if lemma not in (1, 2, 3):
         raise ValueError("lemma must be 1, 2, or 3")
@@ -302,7 +305,7 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     rng = np.random.default_rng(seed)
     fixed = model
     reports = []
-    for _ in range(int(trials)):
+    for _ in range(check_whole("trials", trials)):
         if fixed is None:
             s = int(rng.choice(sizes))
             model = random_model(rng, s)

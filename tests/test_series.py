@@ -175,6 +175,16 @@ class TestLemmaBlocking:
         with pytest.raises(HypothesisNotMet):
             verify_lemma_blocking(bs, 4, 2, [0.0, 0.01, 0.0, 0.0])
 
+    def test_n_and_j_must_be_whole(self, bs):
+        profile = [0.01, 0.0, 0.02, 0.03]
+        with pytest.raises(ValueError, match="j must be a whole number"):
+            verify_lemma_blocking(bs, 4, 2.5, profile)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            verify_lemma_blocking(bs, 4.5, 2, profile)
+        whole = verify_lemma_blocking(bs, 4.0, 2.0, profile)
+        assert whole.residual == verify_lemma_blocking(bs, 4, 2, profile).residual
+        assert "N=4 j=2 " in whole.instance
+
 
 class TestLemmaZeroPrepend:
     def test_pair_instance(self, bs):
@@ -253,6 +263,12 @@ def test_lemma_batteries_reach_ten_sites_and_weight_ten(lemma):
     assert len(reports) == 4
     assert all(r.passed for r in reports), [r for r in reports if not r.passed]
     assert all(r.tolerance == 1e-9 for r in reports)
+
+
+def test_lemma_battery_trials_must_be_whole():
+    with pytest.raises(ValueError, match="trials must be a whole number"):
+        run_lemma_battery(3, 2.5, seed=0)
+    assert run_lemma_battery(3, 3.0, seed=0) == run_lemma_battery(3, 3, seed=0)
 
 
 def test_lemma_battery_fixed_model(bs):
