@@ -1,10 +1,15 @@
-"""Command-line driver: model loading, the computations, CSV/JSON output.
+"""Command-line driver: one pipeline for every command.
 
+_run checks the flags that need no file, warns once on --workers,
+resolves the budget, loads the model and calls the command's handler.
+A handler only computes: given (args, model, budget, div) it returns the
+document's fields, which follow the command/config/log_base head, the CSV
+header and rows, and the exit code; _emit writes them as JSON or CSV.
 Everything internal is in nats; an optional --log-base 2 divides the
-emitted entropies and coefficients by ln 2 exactly once, at
-serialization.  Every output document embeds the resolved run
-configuration.  Exit codes: 0 success, 2 validation, 3 budget,
-4 settling or lemma failure, 5 I/O.
+emitted entropies and coefficients by div = ln 2 exactly once, in the
+handler.  Every output document embeds the resolved run configuration.
+Exit codes: 0 success, 2 validation, 3 budget, 4 settling or lemma
+failure, 5 I/O.
 """
 
 from __future__ import annotations
@@ -144,51 +149,36 @@ def _emit(args, doc, header, rows):
         sys.stdout.write(text)
 
 
-def _log_div(args):
-    return LN2 if getattr(args, "log_base", "e") == "2" else 1.0
-
-
-def _check_seed(args):
-    if args.seed < 0:
+def _check_flags(args):
+    # checks that name their flag, made before any file is read
+    if getattr(args, "trials", 1) < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.command == "bounds" and args.n_max < 2:
+        raise ValueError("need n_max >= 2")
 
 
-def _cmd_expand(args):
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
+def _cmd_expand(args, model, budget, div):
     result = entropy_rate_series(model, args.order, budget=budget,
-                                 workers=args.workers, settle_tol=args.settle_tol)
-    div = _log_div(args)
+                                 settle_tol=args.settle_tol)
     coeffs = [c / div for c in result.coefficients]
     residuals = [r / div for r in result.settle_residuals]
-    doc = {
-        "command": "expand",
-        "config": _config_dict(args, budget),
-        "log_base": args.log_base,
+    fields = {
         "order": result.order,
         "coefficients": coeffs,
         "thresholds": list(result.thresholds),
         "settle_residuals": residuals,
         "epsilon_max": result.epsilon_max,
     }
-    header = ("k", "coefficient", "threshold_N", "settle_residual")
-    rows = [(k, coeffs[k], result.thresholds[k], residuals[k])
-            for k in range(result.order + 1)]
-    _emit(args, doc, header, rows)
-    return 0
+    rows = list(zip(range(result.order + 1), coeffs, result.thresholds, residuals))
+    return fields, ("k", "coefficient", "threshold_N", "settle_residual"), rows, 0
 
 
-def _cmd_table(args):
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
-    table = settling_table(model, args.order, args.n_max, budget=budget,
-                           workers=args.workers)
-    div = _log_div(args)
+def _cmd_table(args, model, budget, div):
+    table = settling_table(model, args.order, args.n_max, budget=budget)
     cells = [(n, k, c / div, settled) for n, k, c, settled in table.rows()]
-    doc = {
-        "command": "table",
-        "config": _config_dict(args, budget),
-        "log_base": args.log_base,
+    fields = {
         "order": table.order,
         "n_values": list(table.n_values),
         "thresholds": list(table.thresholds),
@@ -198,40 +188,24 @@ def _cmd_table(args):
             for n, k, c, settled in cells
         ],
     }
-    _emit(args, doc, ("N", "k", "coefficient", "settled"), cells)
-    return 0
+    return fields, ("N", "k", "coefficient", "settled"), cells, 0
 
 
-def _cmd_entropy(args):
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
-    warn_workers(args.workers)
+def _cmd_entropy(args, model, budget, div):
     h = block_entropies(model, args.n, args.epsilon, budget=budget)
-    h_n = h[-1]
-    c_n = h[-1] - h[-2] if args.n >= 2 else None
-    div = _log_div(args)
-    doc = {
-        "command": "entropy",
-        "config": _config_dict(args, budget),
-        "log_base": args.log_base,
+    h_n = h[-1] / div
+    c_n = (h[-1] - h[-2]) / div if args.n >= 2 else None
+    fields = {
         "N": args.n,
         "epsilon": args.epsilon,
-        "block_entropy": h_n / div,
-        "conditional_entropy": None if c_n is None else c_n / div,
+        "block_entropy": h_n,
+        "conditional_entropy": c_n,
     }
-    header = ("N", "epsilon", "block_entropy", "conditional_entropy")
-    rows = [(args.n, args.epsilon, doc["block_entropy"],
-             "" if c_n is None else doc["conditional_entropy"])]
-    _emit(args, doc, header, rows)
-    return 0
+    rows = [(args.n, args.epsilon, h_n, "" if c_n is None else c_n)]
+    return fields, ("N", "epsilon", "block_entropy", "conditional_entropy"), rows, 0
 
 
-def _cmd_verify(args):
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    _check_seed(args)
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
+def _cmd_verify(args, model, budget, div):
     lemmas = (1, 2, 3) if args.lemma == "all" else (int(args.lemma),)
     reports = []
     for lemma in lemmas:
@@ -239,10 +213,7 @@ def _cmd_verify(args):
                                          tol=args.tolerance, model=model,
                                          budget=budget))
     failed = [r for r in reports if not r.passed]
-    doc = {
-        "command": "verify",
-        "config": _config_dict(args, budget),
-        "log_base": "e",
+    fields = {
         "trials_per_lemma": args.trials,
         "failures": len(failed),
         "max_residual": max(r.residual for r in reports),
@@ -255,8 +226,7 @@ def _cmd_verify(args):
     header = ("lemma", "instance", "residual", "tolerance", "passed")
     rows = [(r.lemma, r.instance.replace(",", ";"), r.residual, r.tolerance, r.passed)
             for r in reports]
-    _emit(args, doc, header, rows)
-    return 4 if failed else 0
+    return fields, header, rows, 4 if failed else 0
 
 
 _ROUNDING_ULPS = 4
@@ -275,21 +245,13 @@ def _sigma_distance(estimate, value, standard_error):
     return abs(estimate - value) / max(standard_error, floor)
 
 
-def _cmd_mc(args):
-    _check_seed(args)
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
+def _cmd_mc(args, model, budget, div):
     # Expand first, so a bad --order or budget fails before the costly MC run.
     series = (None if args.order is None else
-              entropy_rate_series(model, args.order, budget=budget,
-                                  workers=args.workers))
+              entropy_rate_series(model, args.order, budget=budget))
     est = mc_entropy_rate(model, args.epsilon, args.length, args.seed,
                           batches=args.batches)
-    div = _log_div(args)
-    doc = {
-        "command": "mc",
-        "config": _config_dict(args, budget),
-        "log_base": args.log_base,
+    fields = {
         "estimate": est.estimate / div,
         "standard_error": est.standard_error / div,
         "batches": est.batches,
@@ -297,39 +259,28 @@ def _cmd_mc(args):
         "generator": est.generator,
     }
     header = ["epsilon", "length", "seed", "estimate", "standard_error"]
-    row = [args.epsilon, args.length, args.seed, doc["estimate"],
-           doc["standard_error"]]
+    row = [args.epsilon, args.length, args.seed, fields["estimate"],
+           fields["standard_error"]]
     if series is not None:
         value = evaluate_series(series, args.epsilon).value / div
-        diff = abs(doc["estimate"] - value)
-        doc["series_value"] = value
-        doc["abs_difference"] = diff
-        doc["sigma_distance"] = _sigma_distance(doc["estimate"], value,
-                                                doc["standard_error"])
+        diff = abs(fields["estimate"] - value)
+        fields["series_value"] = value
+        fields["abs_difference"] = diff
+        fields["sigma_distance"] = _sigma_distance(fields["estimate"], value,
+                                                   fields["standard_error"])
         header += ["series_value", "abs_difference", "sigma_distance"]
-        row += [value, diff, doc["sigma_distance"]]
-    _emit(args, doc, tuple(header), [tuple(row)])
-    return 0
+        row += [value, diff, fields["sigma_distance"]]
+    return fields, header, [row], 0
 
 
-def _cmd_bounds(args):
-    if args.n_max < 2:
-        raise ValueError("need n_max >= 2")
-    budget = _resolved_budget(args)
-    model = load_model(args.model)
-    div = _log_div(args)
-    warn_workers(args.workers)
+def _cmd_bounds(args, model, budget, div):
     rows = [(n, upper / div, lower / div) for n, upper, lower
             in bounds_by_n(model, args.epsilon, args.n_max, budget=budget)]
-    doc = {
-        "command": "bounds",
-        "config": _config_dict(args, budget),
-        "log_base": args.log_base,
+    fields = {
         "epsilon": args.epsilon,
         "bounds": [{"N": n, "upper": u, "lower": lo} for n, u, lo in rows],
     }
-    _emit(args, doc, ("N", "upper", "lower"), rows)
-    return 0
+    return fields, ("N", "upper", "lower"), rows, 0
 
 
 _HANDLERS = {
@@ -342,10 +293,24 @@ _HANDLERS = {
 }
 
 
+def _run(args):
+    _check_flags(args)
+    warn_workers(args.workers)
+    budget = _resolved_budget(args)
+    model = load_model(args.model)
+    log_base = getattr(args, "log_base", "e")  # verify reports in nats
+    fields, header, rows, code = _HANDLERS[args.command](
+        args, model, budget, LN2 if log_base == "2" else 1.0)
+    doc = {"command": args.command, "config": _config_dict(args, budget),
+           "log_base": log_base, **fields}
+    _emit(args, doc, header, rows)
+    return code
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -46,11 +46,11 @@ underflow names the true sequence.
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
 Within a block numpy sums each coefficient's p*log(p) terms pairwise; a
-level keeps its block sums and is their math.fsum, the correctly rounded
-sum, so H_n does not depend on the order the walk visits the blocks in.
-Blocks and their row order depend only on the level and the start, so on
-one machine and numpy build a given H_n is the same bits whichever call
-computes it.  Everything runs serially in the calling process; the
+level appends its block sums to one float buffer and is their math.fsum,
+the correctly rounded sum, so H_n does not depend on the order the walk
+visits the blocks in.  Blocks and their row order depend only on the level
+and the start, so on one machine and numpy build a given H_n is the same
+bits whichever call computes it.  Everything runs serially in the calling process; the
 ``workers`` argument is deprecated, ignored, and warns when not 1.
 """
 
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -101,14 +102,14 @@ def check_budget(s, n, budget=None):
     The budget bounds time, and through it memory.  Per level the
     depth-first trellis walk holds one block of at most _CHUNK = 512
     prefixes, s*(K+1) floats and one index each, about s * 512 * (K+1) * 8
-    bytes: 0.1 MB at s = 2, K = 11.  Each summed level also keeps one
-    w-float vector of block sums per block until the walk ends (w = K+1
-    for an order-K UniJet), at most about s**n / _CHUNK vectors at level n,
-    so that it can add them exactly.  block_entropy at s = 2, K = 11 peaks
-    at 0.76 MiB (tracemalloc) for n = 12, 1.16 MiB for n = 16 and 1.76 MiB
-    for n = 20.  block_entropies on the binary symmetric chain at n = 24,
-    the largest order the default budget admits, peaks at 9.4 MiB for
-    K = 11 and 25 MiB for K = 45.  A budget that is not a whole number
+    bytes: 0.1 MB at s = 2, K = 11.  Each summed level also appends w
+    floats of block sums per block to one buffer that lives until the walk
+    ends (w = K+1 for an order-K UniJet), at most about s**n / _CHUNK
+    blocks at level n, so that it can add them exactly.  block_entropy at
+    s = 2, K = 11 peaks at 0.76 MiB (tracemalloc) for n = 12, 1.16 MiB for
+    n = 16 and 1.64 MiB for n = 20.  block_entropies on the binary
+    symmetric chain at n = 24, the largest order the default budget admits,
+    peaks at 5.7 MiB for K = 11 and 21 MiB for K = 45.  A budget that is not a whole number
     raises ValueError.
 
     The Monte Carlo estimate has no sequence budget; its memory grows with
@@ -332,7 +333,8 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     check_budget(s, depth, budget)
     r, space, jet = _sites(model, profile[:depth])
     mt = model.transition.matrix.T
-    sums = {n: [] for n in levels}  # each level's block sums, in walk order
+    # each level's block sums, w floats per block in walk order
+    sums = {n: array("d") for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
     symbols = np.arange(s)[:, None]
@@ -343,8 +345,8 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
         # sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            sums[n].append(weight * _xlogx_sum(p, index, n, s, jet is not None, space,
-                                               corner))
+            block = weight * _xlogx_sum(p, index, n, s, jet is not None, space, corner)
+            sums[n].frombytes(block.tobytes())
         if n < depth:
             for lo in range(0, index.size, width):
                 parents = slice(lo, lo + width)
@@ -355,10 +357,11 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     for a, count, weight in _runs(g):
         visit(_step(root, r[0][:, :, a:a + count], space), np.arange(a, a + count),
               1, weight)
-    jet = None if corner else jet
+    jet, w = (None, 1) if corner else (jet, space.size)
     # each coefficient of H_n is the correctly rounded sum of its block sums
-    return {n: _value(jet, -np.array([math.fsum(c) for c in zip(*blocks)]))
-            for n, blocks in sums.items()}
+    return {n: _value(jet, -np.array([math.fsum(c) for c in
+                                      np.frombuffer(buf).reshape(-1, w).T]))
+            for n, buf in sums.items()}
 
 
 # --- public entropy surface -----------------------------------------------

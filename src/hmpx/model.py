@@ -16,6 +16,7 @@ immutable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,10 @@ def validate_transition(raw) -> StochasticMatrix:
 
     Requires a square matrix of size >= 2 whose rows sum to 1 within 1e-9
     and whose entries are all strictly positive.  Rows are renormalized
-    internally so downstream arithmetic sees machine-exact row sums.
+    internally so downstream arithmetic sees machine-exact row sums.  Each
+    row is divided by its math.fsum, which is correctly rounded whatever the
+    entries' order, so rows that are permutations of one another stay
+    permutations bit for bit and the model keeps its exact symmetries.
     """
     m = _as_square(raw, "transition matrix")
     row_sums = m.sum(axis=1)
@@ -134,7 +138,7 @@ def validate_transition(raw) -> StochasticMatrix:
     if np.any(m <= 0.0):
         i, j = np.argwhere(m <= 0.0)[0]
         raise NonPositiveEntry(f"transition entry ({i},{j}) = {m[i, j]!r} must be > 0")
-    m = m / row_sums[:, None]
+    m = m / np.array([math.fsum(row) for row in m])[:, None]
     pi = _stationary_distribution(m)
     return StochasticMatrix(matrix=_frozen(m), stationary=_frozen(pi))
 

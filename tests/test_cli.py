@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -377,3 +378,67 @@ class TestOutputFile:
         assert rc == 0
         for a, b in zip(doc["coefficients"], doc1["coefficients"]):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+# argv after the command's --model, JSON keys in order, CSV header row
+PIPELINE = {
+    "expand": (["--order", "2"],
+               ["order", "coefficients", "thresholds", "settle_residuals",
+                "epsilon_max"],
+               "k,coefficient,threshold_N,settle_residual"),
+    "table": (["--order", "2", "--n-max", "3"],
+              ["order", "n_values", "thresholds", "column_disagreement", "cells"],
+              "N,k,coefficient,settled"),
+    "entropy": (["--n", "3", "--epsilon", "0.05"],
+                ["N", "epsilon", "block_entropy", "conditional_entropy"],
+                "N,epsilon,block_entropy,conditional_entropy"),
+    "verify": (["--trials", "1"],
+               ["trials_per_lemma", "failures", "max_residual", "reports"],
+               "lemma,instance,residual,tolerance,passed"),
+    "mc": (["--epsilon", "0.05", "--length", "10000"],
+           ["estimate", "standard_error", "batches", "batch_size", "generator"],
+           "epsilon,length,seed,estimate,standard_error"),
+    "mc-order": (["--epsilon", "0.05", "--length", "10000", "--order", "3"],
+                 ["estimate", "standard_error", "batches", "batch_size", "generator",
+                  "series_value", "abs_difference", "sigma_distance"],
+                 "epsilon,length,seed,estimate,standard_error,"
+                 "series_value,abs_difference,sigma_distance"),
+    "bounds": (["--epsilon", "0.05", "--n-max", "3"],
+               ["epsilon", "bounds"],
+               "N,upper,lower"),
+}
+
+
+class TestPipeline:
+    """Every command runs through one pipeline: same head, its own fields."""
+
+    @staticmethod
+    def _argv(name, path, *extra):
+        tail = PIPELINE[name][0]
+        return [name.split("-")[0], "--model", path] + tail + list(extra)
+
+    @pytest.mark.parametrize("name", PIPELINE)
+    def test_json_keys_in_order(self, capsys, model_file, name):
+        rc, doc = run_json(capsys, self._argv(name, model_file(BS_DOC)))
+        assert rc == 0
+        assert list(doc) == ["command", "config", "log_base"] + PIPELINE[name][1]
+        assert doc["command"] == name.split("-")[0]
+        assert doc["log_base"] == "e"
+
+    @pytest.mark.parametrize("name", PIPELINE)
+    def test_csv_header(self, capsys, model_file, name):
+        rc = main(self._argv(name, model_file(BS_DOC), "--format", "csv"))
+        lines = capsys.readouterr().out.split("\n")
+        assert rc == 0
+        assert lines[0].startswith("# config: ")
+        assert lines[1] == PIPELINE[name][2]
+
+    @pytest.mark.parametrize("name", PIPELINE)
+    def test_workers_warns_exactly_once(self, capsys, model_file, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(self._argv(name, model_file(BS_DOC), "--workers", "2"))
+        assert rc == 0
+        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert len(deprecations) == 1
+        assert "workers is deprecated" in str(deprecations[0].message)

@@ -730,3 +730,22 @@ def test_trellis_memory_is_bounded_in_depth(bs):
     # the summed level also keeps one 12-float block sum per block, 2**19 /
     # 512 of them at N = 20: measured 1.76 MiB against 0.76 MiB at N = 12
     assert peak(20) <= 3 * peak(12)
+
+
+def test_block_sums_cost_their_floats_alone(bs, monkeypatch):
+    # with 4-row blocks the summed level N holds 2**(N-3) block sums of
+    # w = 12 floats each; from N = 12 to N = 14 that is 1536 more, and each
+    # may add its 96 bytes plus half again for the buffer's growth, not an
+    # array object of its own
+    monkeypatch.setattr(hmpx.engine, "_CHUNK", 4)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            block_entropy(bs, n, UniJet.variable(11))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra_blocks = 2 ** 11 - 2 ** 9
+    assert peak(14) - peak(12) <= extra_blocks * 1.5 * 12 * 8

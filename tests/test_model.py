@@ -19,6 +19,7 @@ from hmpx import (
     validate_noise,
     validate_transition,
 )
+from hmpx.engine import _runs, _symmetric_start
 from oracles import stationary_2x2
 
 
@@ -57,6 +58,27 @@ class TestValidateTransition:
         m = [[0.7, 0.3 + 5e-10], [0.3, 0.7]]
         sm = validate_transition(m)
         np.testing.assert_allclose(sm.matrix.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_permuted_rows_stay_permuted_bit_for_bit(self):
+        # numpy's row sum depends on the order of the entries, so dividing
+        # by it gave rows 0-2 of this chain 0.7000000000000001 and
+        # 0.10000000000000002 and row 3 0.7 and 0.1
+        s = 4
+        sm = validate_transition([[0.7 if i == j else 0.1 for j in range(s)]
+                                  for i in range(s)])
+        rows = np.sort(sm.matrix, axis=1)
+        assert rows.tobytes() == np.tile(rows[0], (s, 1)).tobytes()
+        model = make_model(sm.matrix, [[-3 if i == j else 1 for j in range(s)]
+                                       for i in range(s)])
+        _, g = _symmetric_start(model, None)
+        assert len(g) == 24
+        assert _runs(g) == [[0, 1, 4]]  # one first symbol stands for all four
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            row = rng.dirichlet(np.ones(6))
+            m = np.array([rng.permutation(row) for _ in range(6)])
+            rows = np.sort(validate_transition(m).matrix, axis=1)
+            assert rows.tobytes() == np.tile(rows[0], (6, 1)).tobytes()
 
     def test_balance_residual_tiny(self):
         sm = validate_transition([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.25, 0.25, 0.5]])

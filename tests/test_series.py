@@ -7,10 +7,12 @@ from hmpx import (
     EpsilonOutOfRange,
     HypothesisNotMet,
     SettlingViolation,
+    UniJet,
     conditional_entropy,
     entropy_rate_series,
     evaluate_series,
     make_model,
+    random_model,
     run_lemma_battery,
     settling_table,
     settling_threshold,
@@ -18,6 +20,7 @@ from hmpx import (
     verify_lemma_no_hole,
     verify_lemma_zero_prepend,
 )
+from hmpx.engine import block_entropies
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -87,6 +90,24 @@ class TestEntropyRateSeries:
     def test_settle_tol_must_be_finite_and_nonnegative(self, bs, tol):
         with pytest.raises(ValueError, match="settle_tol"):
             entropy_rate_series(bs, 4, settle_tol=tol)
+
+
+@pytest.mark.parametrize("name, order, n_max", [("bs", 15, 9), ("random", 11, 6)])
+def test_both_birch_bounds_settle_sharply(bs, name, order, n_max):
+    # as jets in eps, the upper bound C_N has the rate's coefficients for
+    # k <= 2N-3 and the lower bound (noiseless first site) for k <= 2N-4;
+    # each differs at the next order
+    model = {"bs": bs, "random": random_model(np.random.default_rng(1), 3)}[name]
+    x = UniJet.variable(order)
+    rate = np.array(entropy_rate_series(model, order).coefficients)
+    upper = block_entropies(model, n_max, x)
+    lower = block_entropies(model, n_max, [0.0] + [x] * (n_max - 1))
+    for n in range(3, n_max + 1):
+        for h, last in ((upper, 2 * n - 3), (lower, 2 * n - 4)):
+            gap = np.abs((h[n - 1] - h[n - 2]).coeffs - rate)
+            agree = gap <= 1e-9 * np.maximum(1.0, np.abs(rate))
+            assert agree[:last + 1].all()
+            assert not agree[last + 1:last + 2].any()
 
 
 class TestSettlingTable:
