@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from functools import lru_cache
 
 from . import __version__
@@ -310,7 +311,12 @@ def _run(args):
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return _run(args)
+        with warnings.catch_warnings():
+            # the default filters hide a DeprecationWarning raised outside
+            # __main__; show the --workers notice, and only that one
+            warnings.filterwarnings("default", message="workers is deprecated",
+                                    category=DeprecationWarning)
+            return _run(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

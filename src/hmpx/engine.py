@@ -114,11 +114,11 @@ def check_budget(s, n, budget=None):
 
     The Monte Carlo estimate has no sequence budget; its memory grows with
     the path length L: about 1 byte per symbol for each uint8 path (hidden,
-    observed), the likelihood's word buffers (about 1.8 bytes per symbol at
+    observed), the likelihood's word buffers (about 1.4 bytes per symbol at
     s = 2), and the fixed working set of one 2**16-symbol sampler segment
     (under 2 MiB at s = 2).  mc_entropy_rate on the binary symmetric chain
     (p = 0.3, eps = 0.05) peaks at 3.0 MiB of numpy allocations
-    (tracemalloc) for L = 1e6 and 27 MiB for L = 1e7; sample_paths adds its
+    (tracemalloc) for L = 1e6 and 24 MiB for L = 1e7; sample_paths adds its
     two int64 copies, 16 bytes per symbol.
     """
     budget = _budget_or_default(budget)
@@ -399,17 +399,12 @@ def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None
 
 
 def multi_site_F(model, profile, *, budget=None, workers=1):
-    """Per-site-noise conditional entropy H(Z_1..Z_n) - H(Z_1..Z_{n-1}).
-
-    With every profile entry equal this reduces to conditional_entropy.
-    """
+    """Per-site-noise conditional entropy H(Z_1..Z_n) - H(Z_1..Z_{n-1}):
+    conditional_entropy on the per-site profile, n = len(profile) >= 2."""
     warn_workers(workers)
     if not isinstance(profile, (list, tuple)) or len(profile) < 2:
         raise ProfileLengthMismatch("profile must list at least two sites")
-    n = len(profile)
-    profile = resolve_profile(model, profile, n)
-    h = _entropies(model, profile, (n - 1, n), budget=budget)
-    return h[n] - h[n - 1]
+    return conditional_entropy(model, len(profile), profile, budget=budget)
 
 
 def mixed_partial_F(model, kvec, *, budget=None, workers=1):

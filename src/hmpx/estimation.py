@@ -293,6 +293,7 @@ def _row_log_likelihoods(model, eps, symbols, width):
     count = -(-codes.size // size)
     words = np.full(count * size, identity, dtype=codes.dtype)
     words[: codes.size] = codes.ravel()
+    del codes  # only the chunk-major copy is read from here on
     words = words.reshape(count, size).T.copy()  # words[j, c]: word j of chunk c
     with np.errstate(invalid="ignore", divide="ignore"):
         table, lt = _word_table(a, k)
@@ -317,7 +318,7 @@ def _row_log_likelihoods(model, eps, symbols, width):
             np.log(total, out=value)
             value += lt.take(code)
             value[code == identity] = 0.0
-        values = values.reshape(-1)[: codes.size].reshape(rows, per_row).sum(axis=1)
+        values = values.reshape(-1)[: rows * per_row].reshape(rows, per_row).sum(axis=1)
         values[0] += np.log(head)
     _check_reachable(values)
     return values

@@ -253,25 +253,25 @@ def load_model(path) -> HmpModel:
 
 # --- random instances (verification batteries, tests) ---
 
-def random_transition(rng, s, mix=0.5) -> StochasticMatrix:
+def random_transition(rng, s) -> StochasticMatrix:
     """Random strictly positive transition matrix.
 
-    Rows are a mix of a Dirichlet draw and the uniform distribution, which
-    floors every entry at mix/s and keeps the chain well conditioned.
+    Rows are an even mix of a Dirichlet draw and the uniform distribution,
+    which floors every entry at 1/(2s) and keeps the chain well conditioned.
     """
-    rows = (1.0 - mix) * rng.dirichlet(np.ones(s), size=s) + mix / s
+    rows = 0.5 * rng.dirichlet(np.ones(s), size=s) + 0.5 / s
     return validate_transition(rows)
 
 
-def random_noise(rng, s, scale=1.0) -> NoiseGenerator:
-    """Random noise generator, scaled so epsilon_max == scale."""
+def random_noise(rng, s) -> NoiseGenerator:
+    """Random noise generator, scaled so epsilon_max == 1."""
     t = rng.uniform(0.1, 1.0, size=(s, s))
     np.fill_diagonal(t, 0.0)
     t[np.arange(s), np.arange(s)] = -t.sum(axis=1)
-    t *= scale / np.max(np.abs(np.diag(t)))
+    t *= 1.0 / np.max(np.abs(np.diag(t)))
     return validate_noise(t)
 
 
-def random_model(rng, s, mix=0.5) -> HmpModel:
-    return HmpModel(transition=random_transition(rng, s, mix=mix),
+def random_model(rng, s) -> HmpModel:
+    return HmpModel(transition=random_transition(rng, s),
                     noise=random_noise(rng, s))

@@ -2,10 +2,11 @@
 
 The k-th expansion coefficient (in the noise level) of the conditional
 entropy H(Y_N | Y_1..Y_{N-1}) is the same for every N >= ceil((k+3)/2)
-and equals the entropy rate's coefficient.  So a single finite system of
-length N* = ceil((K+3)/2) yields the exact series through order K; the
-run at N*+1 exists purely as a numerical cross-check, and any settled
-disagreement is an error, not a warning.
+and equals the entropy rate's coefficient.  settling_table lists the
+coefficients of C_N = H_N - H_{N-1} for N = 2..n_max from one trellis
+pass, and the expansion through order K is its settled row N* =
+ceil((K+3)/2).  Rows N*+1 and ceil((k+3)/2) exist purely as numerical
+cross-checks, and any settled disagreement is an error, not a warning.
 
 The module also hosts numerical verifiers for the three identities the
 settling rests on: blocking at a zero-noise site, invariance under
@@ -97,19 +98,13 @@ class LemmaReport:
         return bool(self.residual <= self.tolerance)
 
 
-def _conditional_jets(model, n_hi, order, *, budget=None):
-    """C_N jets for N = 2..n_hi, all from one trellis pass to n_hi."""
-    h = block_entropies(model, n_hi, UniJet.variable(order), budget=budget)
-    return {n: h[n - 1] - h[n - 2] for n in range(2, n_hi + 1)}
-
-
 def entropy_rate_series(model, order, *, budget=None, workers=1,
                         settle_tol=DEFAULT_SETTLE_TOL) -> SeriesResult:
     """Entropy-rate Taylor coefficients through the given order.
 
-    Coefficient k is read off the system of length N* = ceil((order+3)/2);
-    the residual for k compares it against the N*+1 run and, where N*
-    exceeds k's own threshold, against the smallest valid length too.
+    Coefficient k is read off row N* = ceil((order+3)/2) of the settling
+    table to N*+1; the residual for k compares it against row N*+1 and,
+    where N* exceeds k's own threshold, against that threshold's row too.
     Any residual above settle_tol * max(1, |coefficient|) raises
     SettlingViolation: under the settling guarantee the values are equal,
     so disagreement means numerical trouble or an invalid model.  A
@@ -120,15 +115,14 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
         raise ValueError("order must be >= 0")
     _check_tolerance("settle_tol", settle_tol)
     n_star = settling_threshold(order)
-    jets = _conditional_jets(model, n_star + 1, order, budget=budget)
-    coeffs = jets[n_star].coeffs
-    check = jets[n_star + 1].coeffs
+    table = settling_table(model, order, n_star + 1, budget=budget)
+    coeffs = table.coefficients[n_star - 2]  # row i holds N = i + 2
+    check = table.coefficients[n_star - 1]
     residuals = []
-    for k in range(order + 1):
+    for k, n_k in enumerate(table.thresholds):
         r = abs(coeffs[k] - check[k])
-        n_k = settling_threshold(k)
         if n_k < n_star:
-            r = max(r, abs(coeffs[k] - jets[n_k].coeffs[k]))
+            r = max(r, abs(coeffs[k] - table.coefficients[n_k - 2, k]))
         residuals.append(r)
         if r > settle_tol * max(1.0, abs(coeffs[k])):
             raise SettlingViolation(
@@ -138,7 +132,7 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
     return SeriesResult(
         order=order,
         coefficients=tuple(float(c) for c in coeffs),
-        thresholds=tuple(settling_threshold(k) for k in range(order + 1)),
+        thresholds=table.thresholds,
         settle_residuals=tuple(float(r) for r in residuals),
         epsilon_max=model.epsilon_max,
     )
@@ -151,13 +145,11 @@ def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTa
     warn_workers(workers)
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    jets = _conditional_jets(model, n_max, order, budget=budget)
+    h = block_entropies(model, n_max, UniJet.variable(order), budget=budget)
     n_values = tuple(range(2, n_max + 1))
-    coef = np.array([jets[n].coeffs for n in n_values])
+    coef = np.array([(h[n - 1] - h[n - 2]).coeffs for n in n_values])
     thresholds = tuple(settling_threshold(k) for k in range(order + 1))
-    settled = np.array(
-        [[n >= thresholds[k] for k in range(order + 1)] for n in n_values]
-    )
+    settled = np.greater_equal.outer(n_values, thresholds)
     disagreement = []
     for k in range(order + 1):
         vals = coef[settled[:, k], k]
@@ -179,12 +171,10 @@ def evaluate_series(result: SeriesResult, eps) -> SeriesEvaluation:
     eps = float(eps)
     if not (0.0 <= eps <= result.epsilon_max):
         raise EpsilonOutOfRange(f"eps = {eps!r} outside [0, {result.epsilon_max!r}]")
-    acc = 0.0
-    for c in reversed(result.coefficients):
-        acc = acc * eps + c
     tail = abs(result.coefficients[-1])
     hint = tail * eps ** (result.order + 1) / (1.0 - eps) if eps < 1.0 else math.inf
-    return SeriesEvaluation(value=acc, remainder_hint=hint)
+    return SeriesEvaluation(value=float(UniJet(result.coefficients)(eps)),
+                            remainder_hint=hint)
 
 
 # --- identity verifiers -----------------------------------------------------

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +382,23 @@ class TestOutputFile:
         assert rc == 0
         for a, b in zip(doc["coefficients"], doc1["coefficients"]):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_workers_notice_shows_on_stderr_by_default(model_file):
+    # a fresh interpreter with Python's default warning filters: no -W flag,
+    # no PYTHONWARNINGS
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["expand", "--model", model_file(BS_DOC), "--order", "2"]
+    stderr = []
+    for extra in (["--workers", "2"], []):
+        code = f"import sys; from hmpx.cli import main; sys.exit(main({argv + extra!r}))"
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        stderr.append(run.stderr)
+    assert "workers is deprecated" in stderr[0]
+    assert stderr[1] == ""
 
 
 # argv after the command's --model, JSON keys in order, CSV header row

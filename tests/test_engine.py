@@ -236,6 +236,21 @@ class TestMultiSiteF:
         with pytest.raises(ProfileLengthMismatch):
             multi_site_F(bs, [0.05])
 
+    @pytest.mark.parametrize("kind", ["float", "unijet", "multijet"])
+    def test_is_conditional_entropy_on_the_profile(self, t3, kind):
+        profile = {
+            "float": [0.03, 0.0, 0.01, 0.04],
+            "unijet": [UniJet.variable(5)] * 4,
+            "multijet": [MultiJet.variable(i, 4, 5) for i in range(4)],
+        }[kind]
+        got = multi_site_F(t3, profile)
+        expected = conditional_entropy(t3, len(profile), profile)
+        if kind == "float":
+            assert got == expected
+        else:
+            assert type(got) is type(expected)
+            assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+
 
 class TestMixedPartialF:
     def test_zeroth_derivative_is_markov_rate(self, bs):

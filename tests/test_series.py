@@ -110,6 +110,26 @@ def test_both_birch_bounds_settle_sharply(bs, name, order, n_max):
             assert not agree[last + 1:last + 2].any()
 
 
+@pytest.mark.parametrize("name, order", [("bs", 0), ("bs", 1), ("bs", 11),
+                                         ("bs", 19), ("random", 11)])
+def test_series_is_the_settled_row_of_the_table(bs, name, order):
+    # the expansion is row N* of the settling table to N* + 1, bit for bit;
+    # each residual compares it with row N* + 1 and, where N* exceeds k's
+    # own threshold n_k, with row n_k
+    model = {"bs": bs, "random": random_model(np.random.default_rng(1), 3)}[name]
+    res = entropy_rate_series(model, order)
+    n_star = settling_threshold(order)
+    table = settling_table(model, order, n_star + 1)
+    row = dict(zip(table.n_values, table.coefficients.tolist()))
+    assert res.coefficients == tuple(row[n_star])
+    assert res.thresholds == table.thresholds
+    for k, n_k in enumerate(table.thresholds):
+        expected = abs(row[n_star][k] - row[n_star + 1][k])
+        if n_k < n_star:
+            expected = max(expected, abs(row[n_star][k] - row[n_k][k]))
+        assert res.settle_residuals[k] == expected
+
+
 class TestSettlingTable:
     def test_settled_column_agreement(self, bs):
         table = settling_table(bs, 3, 5)
@@ -166,6 +186,16 @@ class TestEvaluateSeries:
             evaluate_series(res, 1.5)
         with pytest.raises(EpsilonOutOfRange):
             evaluate_series(res, -0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 0.01, 0.05, 0.1])
+    def test_value_is_the_horner_float(self, bs, eps):
+        res = entropy_rate_series(bs, 11)
+        acc = 0.0
+        for c in reversed(res.coefficients):
+            acc = acc * eps + c
+        value = evaluate_series(res, eps).value
+        assert type(value) is float
+        assert value == acc
 
     def test_remainder_hint_positive(self, bs):
         res = entropy_rate_series(bs, 5)
