@@ -156,7 +156,7 @@ def _check_flags(args):
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "bounds" and args.n_max < 2:
+    if args.command in ("bounds", "table") and args.n_max < 2:
         raise ValueError("need n_max >= 2")
 
 

@@ -15,6 +15,14 @@ tensor R(eps) = I + eps*T: a truncated jet product, a shift-and-add over
 the nonzero coefficients of the site's jet since R has degree 1 in eps.
 sequence_probability takes the same steps along one path.
 
+One vanishing rule serves every number type: a sequence whose
+probability is exactly zero, every coefficient, is structurally
+unreachable and adds nothing; any other constant term below 1e-300
+raises UnreachableSequence.  No constant term is negative, not even by
+rounding: eps, or a noise jet's constant term, is at most epsilon_max =
+fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
+>= 0; M > 0, and the start law is >= 0.
+
 Mixed partials need one coefficient, x**kvec, the top corner of the box
 {e <= kvec}.  The total-degree cap sum(kvec) never binds there, so the
 box is full and flat C order pairs each exponent e at index i with
@@ -132,6 +140,7 @@ def check_budget(s, n, budget=None):
 
 def enumerate_sequences(s, n, budget=None):
     """All length-n observation sequences over [0, s), lexicographically."""
+    s, n = check_whole("s", s), check_whole("n", n)
     if s < 2 or n < 1:
         raise ValueError("need s >= 2 and N >= 1")
     check_budget(s, n, budget)
@@ -143,8 +152,10 @@ def enumerate_sequences(s, n, budget=None):
 def resolve_profile(model, noise, n):
     """Expand a shared noise value or per-site profile to one value per site.
 
-    Scalars are range-checked against epsilon_max.  Jet entries must agree
-    on their configuration; univariate and multivariate jets cannot mix.
+    Scalars, and the constant terms of jets, are range-checked against
+    epsilon_max; a jet with a non-finite coefficient raises ValueError.
+    Jet entries must agree on their configuration; univariate and
+    multivariate jets cannot mix.
     """
     if isinstance(noise, (list, tuple)):
         values = list(noise)
@@ -157,6 +168,9 @@ def resolve_profile(model, noise, n):
     for v in values:
         if isinstance(v, Jet):
             first.setdefault(type(v), v)._coerce(v)
+            if not np.isfinite(v.coeffs).all():
+                raise ValueError(f"noise jet has a non-finite coefficient: {v!r}")
+            check_epsilon(model.noise, v.coeffs[0])
             out.append(v)
         else:
             out.append(check_epsilon(model.noise, v))
@@ -288,7 +302,7 @@ def _runs(g):
 
 # --- prefix trellis -------------------------------------------------------
 
-def _xlogx_sum(p, index, n, s, jet, space, corner=False):
+def _xlogx_sum(p, index, n, s, space, corner=False):
     """Per-coefficient sum of p*log(p) over the rows of p (w, R), shape (w,).
 
     Row i is the probability of the level-n prefix whose lexicographic
@@ -297,17 +311,13 @@ def _xlogx_sum(p, index, n, s, jet, space, corner=False):
     """
     low = p[0] < _P_FLOOR
     if low.any():
-        # A probability of exactly zero is a structurally unreachable
-        # sequence (point-mass start, or a hard zero in the emission
-        # pattern); its p*log(p) term is zero.  Tiny-but-nonzero constant
-        # terms cannot occur for strictly positive M and mean the sum is
-        # corrupt.  Plain-number emission entries may carry -1e-15 of
-        # rounding at the eps boundary, so a vanishing probability can land
-        # just below 0.
-        if jet:
-            vanished = ~p.any(axis=0)
-        else:
-            vanished = (p[0] >= -1e-15) & (p[0] <= 0.0)
+        # A row that is exactly zero is a structurally unreachable sequence
+        # (point-mass start, or a hard zero in the emission pattern); its
+        # p*log(p) term is zero.  No constant term is negative, since
+        # R(eps) >= 0 at every admissible eps (see the module docstring).
+        # Tiny-but-nonzero constant terms cannot occur for strictly
+        # positive M and mean the sum is corrupt.
+        vanished = ~p.any(axis=0)
         bad = np.flatnonzero(low & ~vanished)
         if bad.size:
             seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
@@ -345,7 +355,7 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
         # sequences its orbit maps it to
         if n in sums:
             p = alpha.sum(axis=1)
-            block = weight * _xlogx_sum(p, index, n, s, jet is not None, space, corner)
+            block = weight * _xlogx_sum(p, index, n, s, space, corner)
             sums[n].frombytes(block.tobytes())
         if n < depth:
             for lo in range(0, index.size, width):
@@ -373,6 +383,7 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     optionally replaces the stationary start distribution.
     """
     warn_workers(workers)
+    n = check_whole("n", n)
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
@@ -381,6 +392,7 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
 
 def block_entropies(model, n, noise, *, budget=None):
     """H_1..H_n from one pass from the stationary start; see block_entropy."""
+    n = check_whole("n", n)
     if n < 1:
         raise ValueError("need N >= 1")
     profile = resolve_profile(model, noise, n)
@@ -391,6 +403,7 @@ def block_entropies(model, n, noise, *, budget=None):
 def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     """H(Y_n | Y_1..Y_{n-1}) = H_n - H_{n-1}, both terms from one pass."""
     warn_workers(workers)
+    n = check_whole("n", n)
     if n < 2:
         raise ValueError("need N >= 2")
     profile = resolve_profile(model, noise, n)

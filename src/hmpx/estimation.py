@@ -402,12 +402,14 @@ def conditional_bounds(model, eps, n, *, budget=None, workers=1):
     grows.
     """
     warn_workers(workers)
-    return bounds_by_n(model, eps, n, budget=budget)[-1][1:]
+    return bounds_by_n(model, eps, check_whole("n", n), budget=budget)[-1][1:]
 
 
 def bounds_by_n(model, eps, n_max, *, budget=None):
     """[(n, upper, lower)] of conditional_bounds for n = 2..n_max, from two
-    passes; the budget is checked at n_max before the first."""
+    passes; the budget is checked at n_max before the first.  n_max must be
+    a whole number, else ValueError."""
+    n_max = check_whole("n_max", n_max)
     if n_max < 2:
         raise ValueError("need N >= 2")
     columns = []

@@ -52,6 +52,7 @@ from .errors import (
     NonPositiveConstantTerm,
     OrderMismatch,
 )
+from .model import check_whole
 
 # Refusal caps for the multivariate layer; lemma checks only need tiny
 # systems and anything larger would thrash.
@@ -74,15 +75,20 @@ def _set_size(bounds, cap):
     return sum(ways)
 
 
+def _exponent(exponents, nvars):
+    """exponents as a tuple of ints; ValueError unless it has nvars whole
+    entries >= 0."""
+    e = tuple(check_whole("exponent entry", k) for k in exponents)
+    if len(e) != nvars or any(k < 0 for k in e):
+        raise ValueError(f"bad exponent vector {e} for nvars={nvars}")
+    return e
+
+
 def _as_index(idx):
-    """A slice where idx runs through consecutive indices, else idx itself."""
-    if idx.size == 0:
-        return slice(0, 0)
-    step = 1 if idx.size == 1 or idx[1] > idx[0] else -1
-    if not np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
-        return idx
-    stop = int(idx[-1]) + step
-    return slice(int(idx[0]), None if stop < 0 else stop, step)
+    """A non-empty ascending index run as a slice when its indices are
+    consecutive, else idx itself."""
+    start, stop = int(idx[0]), int(idx[-1]) + 1
+    return slice(start, stop) if stop - start == idx.size else idx
 
 
 class ExponentSet:
@@ -93,7 +99,13 @@ class ExponentSet:
     Arrays of jets keep the coefficients on axis 0, of length ``size``, and
     the jets on the trailing axes, so each coefficient is one contiguous
     slab.  The one table, ``shifts``, says where each coefficient lands
-    when multiplied by x**e_j; ``mul`` and ``log`` both read it.  Use
+    when multiplied by x**e_j; ``mul`` and ``log`` both read it.
+    shifts[j] = (src, dst) lists the exponents e with e + e_j in the set
+    and the flat indices of those sums.  Both are non-empty (e = 0 is
+    always there) and ascending, and each is kept as a slice where its
+    indices are consecutive.  dst is found from the mixed-radix codes of
+    the bounding box: no digit carries, so code(e + e_j) = code(e) +
+    code(e_j).  Use
     ``exponent_set`` to get one: it caches the table and refuses oversized
     sets.
 
@@ -124,9 +136,8 @@ class ExponentSet:
         # shifts[j] = (src, dst): times x**e_j, coefficient src lands in dst
         self.shifts = []
         for j in range(self.size):
-            t = e + e[j]
-            src = np.flatnonzero((t <= top).all(axis=1) & (deg + deg[j] <= cap))
-            dst = np.searchsorted(codes, t[src] @ strides)
+            src = np.flatnonzero((e <= top - e[j]).all(axis=1) & (deg <= cap - deg[j]))
+            dst = np.searchsorted(codes, codes[src] + codes[j])
             self.shifts.append((_as_index(src), _as_index(dst)))
 
     def mul(self, a, b):
@@ -256,7 +267,7 @@ class Jet:
     def log(self):
         """Taylor coefficients of log(self), natural log."""
         a0 = self.coeffs[0]
-        if a0 <= 0.0:
+        if not a0 > 0.0:  # a comparison that NaN fails
             raise NonPositiveConstantTerm(
                 f"log of {type(self).__name__} with constant term {float(a0)!r}")
         return self._like(self.space.log(self.coeffs))
@@ -277,6 +288,7 @@ class UniJet(Jet):
 
     @classmethod
     def constant(cls, value, order):
+        order = check_whole("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
         c = np.zeros(order + 1)
@@ -285,6 +297,7 @@ class UniJet(Jet):
 
     @classmethod
     def variable(cls, order):
+        order = check_whole("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
         c = np.zeros(order + 1)
@@ -317,10 +330,14 @@ class UniJet(Jet):
 
 
 def _check_config(nvars, cap):
+    """(nvars, cap) as ints; ValueError unless whole, DegreeExceedsCap
+    outside the refusal caps."""
+    nvars, cap = check_whole("nvars", nvars), check_whole("cap", cap)
     if not (1 <= nvars <= MULTIJET_MAX_VARS):
         raise DegreeExceedsCap(f"nvars = {nvars} outside [1, {MULTIJET_MAX_VARS}]")
     if not (0 <= cap <= MULTIJET_MAX_DEGREE):
         raise DegreeExceedsCap(f"cap = {cap} outside [0, {MULTIJET_MAX_DEGREE}]")
+    return nvars, cap
 
 
 class MultiJet(Jet):
@@ -342,20 +359,19 @@ class MultiJet(Jet):
     mismatch = ConfigMismatch
 
     def __init__(self, nvars, cap, terms, bounds=None):
-        _check_config(nvars, cap)
+        nvars, cap = _check_config(nvars, cap)
         if bounds is not None:
-            bounds = tuple(int(b) for b in bounds)
+            bounds = tuple(check_whole("bounds entry", b) for b in bounds)
             if len(bounds) != nvars or any(b < 0 for b in bounds):
                 raise ValueError(f"bad bounds {bounds} for nvars={nvars}")
         box = (cap,) * nvars if bounds is None else tuple(min(b, cap) for b in bounds)
         space = exponent_set(box, cap)
         c = np.zeros(space.size)
         for e, v in terms.items():
-            if len(e) != nvars or any(k < 0 for k in e):
-                raise ValueError(f"bad exponent tuple {e} for nvars={nvars}")
+            e = _exponent(e, nvars)
             if sum(e) > cap:
                 raise DegreeExceedsCap(f"exponent {e} exceeds total-degree cap {cap}")
-            i = space.index.get(tuple(e))
+            i = space.index.get(e)
             if i is not None:
                 c[i] = float(v)
         super().__init__((nvars, cap, bounds), space, c)
@@ -366,11 +382,13 @@ class MultiJet(Jet):
 
     @classmethod
     def constant(cls, value, nvars, cap, bounds=None):
+        nvars = check_whole("nvars", nvars)
         return cls(nvars, cap, {(0,) * nvars: float(value)}, bounds)
 
     @classmethod
     def variable(cls, index, nvars, cap, bounds=None):
         """Jet for the index-th variable (0-based)."""
+        nvars, index = check_whole("nvars", nvars), check_whole("index", index)
         if not (0 <= index < nvars):
             raise ValueError(f"variable index {index} outside [0, {nvars})")
         e = [0] * nvars
@@ -386,9 +404,7 @@ class MultiJet(Jet):
 
     def coefficient(self, exponents):
         """Coefficient of x**exponents; DegreeExceedsCap outside the exponent set."""
-        e = tuple(int(k) for k in exponents)
-        if len(e) != self.nvars or any(k < 0 for k in e):
-            raise ValueError(f"bad exponent vector {exponents}")
+        e = _exponent(exponents, self.nvars)
         i = self.space.index.get(e)
         if i is None:
             raise DegreeExceedsCap(f"exponent {e} is outside the jet's set "
@@ -405,7 +421,7 @@ class MultiJet(Jet):
         The stored value is a Taylor coefficient; the derivative multiplies
         back the product of factorials.  DegreeExceedsCap outside the set.
         """
-        e = tuple(int(k) for k in exponents)
+        e = _exponent(exponents, self.nvars)
         return self.coefficient(e) * math.prod(math.factorial(k) for k in e)
 
     def specialize_to_univariate(self):
@@ -418,4 +434,5 @@ class MultiJet(Jet):
 
     def __repr__(self):
         body = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
-        return f"MultiJet(nvars={self.nvars}, cap={self.cap}, {{{body}}})"
+        bounds = "" if self.bounds is None else f", bounds={self.bounds}"
+        return f"MultiJet(nvars={self.nvars}, cap={self.cap}, {{{body}}}{bounds})"

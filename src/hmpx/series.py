@@ -43,10 +43,12 @@ def _check_tolerance(name, tol):
 
 
 def settling_threshold(k):
-    """Smallest system length whose k-th coefficient already equals the rate's."""
+    """Smallest system length whose k-th coefficient already equals the
+    rate's; k must be a whole number >= 0, else ValueError."""
+    k = check_whole("k", k)
     if k < 0:
         raise ValueError("k must be >= 0")
-    return (int(k) + 4) // 2  # == ceil((k+3)/2)
+    return (k + 4) // 2  # == ceil((k+3)/2)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,7 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
     settle_tol that is not finite and >= 0 raises ValueError.
     """
     warn_workers(workers)
+    order = check_whole("order", order)
     if order < 0:
         raise ValueError("order must be >= 0")
     _check_tolerance("settle_tol", settle_tol)
@@ -141,8 +144,10 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
 def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTable:
     """Coefficients of H_N - H_{N-1} for N = 2..n_max, settled cells flagged.
 
-    Cells below threshold are reported as computed, never extrapolated."""
+    Cells below threshold are reported as computed, never extrapolated.
+    order and n_max must be whole numbers, else ValueError."""
     warn_workers(workers)
+    order, n_max = check_whole("order", order), check_whole("n_max", n_max)
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     h = block_entropies(model, n_max, UniJet.variable(order), budget=budget)

@@ -317,6 +317,15 @@ class TestBoundsCommand:
         assert walks == []
 
 
+@pytest.mark.parametrize("argv", [["table", "--order", "3", "--n-max", "1"],
+                                  ["bounds", "--epsilon", "0.05", "--n-max", "1"]])
+def test_n_max_is_checked_before_the_model_is_read(capsys, tmp_path, argv):
+    # exit 2 naming n_max, not exit 5 for the missing file
+    missing = str(tmp_path / "missing.json")
+    assert main([argv[0], "--model", missing, *argv[1:]]) == 2
+    assert "n_max >= 2" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_budget_exceeded(self, capsys, model_file):
         path = model_file(T3_DOC)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hmpx import (
     BudgetExceeded,
     EpsilonOutOfRange,
+    HmpModel,
     MultiJet,
     ProfileLengthMismatch,
     UniJet,
@@ -22,11 +23,13 @@ from hmpx import (
     mixed_partial_F,
     multi_site_F,
     random_model,
+    random_transition,
     sequence_probability,
     settling_table,
+    validate_noise,
 )
 import hmpx.engine
-from hmpx.engine import _symmetric_start, block_entropies
+from hmpx.engine import _sites, _symmetric_start, block_entropies
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -764,3 +767,94 @@ def test_block_sums_cost_their_floats_alone(bs, monkeypatch):
 
     extra_blocks = 2 ** 11 - 2 ** 9
     assert peak(14) - peak(12) <= extra_blocks * 1.5 * 12 * 8
+
+
+class TestSizeArguments:
+    def test_enumeration_needs_two_symbols_and_one_site(self):
+        for s, n in ((1, 3), (2, 0)):
+            with pytest.raises(ValueError, match="need s >= 2 and N >= 1"):
+                enumerate_sequences(s, n)
+
+    def test_enumeration_alphabet_follows_the_whole_number_rule(self):
+        assert list(enumerate_sequences(2.0, 2)) == list(enumerate_sequences(2, 2))
+        with pytest.raises(ValueError, match="s must be a whole number"):
+            enumerate_sequences(2.5, 2)
+
+    @pytest.mark.parametrize("entropies", [block_entropy, block_entropies])
+    def test_block_entropy_needs_one_site(self, bs, entropies):
+        with pytest.raises(ValueError, match="need N >= 1"):
+            entropies(bs, 0, 0.05)
+
+    @pytest.mark.parametrize("call", [
+        lambda bs, n: list(enumerate_sequences(2, n)),
+        lambda bs, n: block_entropy(bs, n, 0.05),
+        lambda bs, n: block_entropies(bs, n, UniJet.variable(3)),
+        lambda bs, n: conditional_entropy(bs, n, 0.05),
+        lambda bs, n: conditional_bounds(bs, 0.05, n),
+    ], ids=["enumerate_sequences", "block_entropy", "block_entropies",
+            "conditional_entropy", "conditional_bounds"])
+    def test_n_follows_the_whole_number_rule(self, bs, call):
+        # 3.0 gives the bits of 3; 3.5 and nan are refused, not truncated
+        assert repr(call(bs, 3.0)) == repr(call(bs, 3))
+        for n in (3.5, math.nan):
+            with pytest.raises(ValueError, match="n must be a whole number"):
+                call(bs, n)
+
+
+class TestNoiseJets:
+    # a noise jet's constant term is the expansion point, so it is
+    # range-checked like a float noise level
+    @pytest.mark.parametrize("call", [
+        lambda m, v: block_entropy(m, 3, v),
+        lambda m, v: block_entropy(m, 3, [0.05, v, 0.05]),
+        lambda m, v: sequence_probability(m, (0, 1, 0), v),
+    ], ids=["block_entropy", "profile", "sequence_probability"])
+    @pytest.mark.parametrize("jet, error", [
+        (UniJet([5.0, 1.0, 0.0]), EpsilonOutOfRange),
+        (UniJet([-0.5, 1.0, 0.0]), EpsilonOutOfRange),
+        (MultiJet(2, 2, {(0, 0): 5.0, (1, 0): 1.0}), EpsilonOutOfRange),
+        (MultiJet(2, 2, {(0, 0): -0.5, (0, 1): 1.0}), EpsilonOutOfRange),
+        (UniJet([0.05, math.nan, 0.0]), ValueError),
+        (UniJet([0.05, math.inf, 0.0]), ValueError),
+        (UniJet([math.nan, 1.0, 0.0]), ValueError),
+        (MultiJet(2, 2, {(0, 0): 0.05, (1, 1): -math.inf}), ValueError),
+    ], ids=["uni-above", "uni-below", "multi-above", "multi-below", "uni-nan",
+            "uni-inf", "uni-nan-point", "multi-inf"])
+    def test_bad_noise_jets_are_refused(self, bs, call, jet, error):
+        with pytest.raises(error):
+            call(bs, jet)
+
+    def test_the_admissible_range_is_closed(self, bs):
+        for eps in (0.0, bs.epsilon_max):
+            jet = block_entropy(bs, 3, UniJet([eps, 1.0, 0.0]))
+            assert jet[0] == block_entropy(bs, 3, eps)
+
+
+def _wide_model(rng, s):
+    # off-diagonal noise rates from 1e-6 to 1e6, some of them zero, and a
+    # row-sum residual of up to 5e-10 for validate_noise to fold into the
+    # diagonal
+    t = 10.0 ** rng.uniform(-6, 6, (s, s))
+    t[rng.random((s, s)) < 0.25] = 0.0
+    np.fill_diagonal(t, 0.0)
+    t[np.arange(s), (np.arange(s) + 1) % s] += 10.0 ** rng.uniform(-6, 6, s)
+    t[np.arange(s), np.arange(s)] = -t.sum(axis=1) + rng.uniform(-5e-10, 5e-10, s)
+    return HmpModel(transition=random_transition(rng, s), noise=validate_noise(t))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+def test_site_tensors_are_nonnegative_at_every_admissible_eps(s):
+    # the trellis counts only all-zero rows as vanished, which is sound only
+    # if no probability is negative: eps <= epsilon_max = fl(1/|t_ii|) and
+    # fl(x * fl(1/x)) <= 1, so R(eps) = I + eps*T is >= 0 entrywise.  eps is
+    # taken from the model under test, whose epsilon_max may differ by an
+    # ulp from that of a re-validated generator.
+    rng = np.random.default_rng(s)
+    for _ in range(200):
+        model = _wide_model(rng, s)
+        top = model.epsilon_max
+        for eps in (0.0, top, np.nextafter(top, 0.0), rng.uniform(0.0, top)):
+            (plain,), _, _ = _sites(model, [eps])
+            (jet,), _, _ = _sites(model, [UniJet([eps, 1.0, -0.5])])
+            assert plain.shape[0] == 1 and np.all(plain >= 0.0)
+            assert np.all(jet[0] >= 0.0)  # the constant term; the rest is T

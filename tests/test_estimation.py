@@ -18,7 +18,7 @@ from hmpx import (
     sample_paths,
     sequence_probability,
 )
-from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _chunks,
+from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _chunks, bounds_by_n,
                               _row_log_likelihoods, _row_words, _scan_shape,
                               _word_length, _word_table, path_log_likelihood)
 from conftest import binary_symmetric
@@ -466,3 +466,10 @@ class TestConditionalBounds:
                                                      initial=np.eye(model.size)[x])
                         for x, weight in enumerate(pi))
                     assert abs(lower - point_mass) <= 1e-14
+
+
+def test_bounds_n_max_follows_the_whole_number_rule(bs):
+    assert bounds_by_n(bs, 0.05, 3.0) == bounds_by_n(bs, 0.05, 3)
+    for n_max in (3.5, math.nan):
+        with pytest.raises(ValueError, match="n_max must be a whole number"):
+            bounds_by_n(bs, 0.05, n_max)

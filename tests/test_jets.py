@@ -423,3 +423,137 @@ def test_corner_refuses_a_capped_set():
     a = np.ones((space.size, 1))
     with pytest.raises(ValueError, match="full box"):
         space.corner(a, a)
+
+
+def _positions(idx, size):
+    # a shift half (slice or index array) as the array of flat indices it reads
+    return np.arange(size)[idx]
+
+
+@pytest.mark.parametrize("sets", [
+    [((k,), k) for k in range(46)],
+    [((4, 4, 4), 4), ((3, 3, 3), 5), ((12,) * 3, 12), ((2, 1, 3), 4), ((6,) * 5, 6)],
+    # full boxes, up to the 2304-member box
+    [((1, 2), 3), ((2, 1, 3), 6), ((3, 0, 2, 1), 6), ((3, 3, 3, 3, 2, 2), 16)],
+], ids=["unijet-0-45", "capped", "boxed"])
+def test_shifts_are_nonempty_ascending_runs_of_exponent_sums(sets):
+    # shifts[j] = (src, dst) lists every e with e + e_j in the set, in flat
+    # order, and the flat index of each e + e_j
+    for bounds, cap in sets:
+        space = exponent_set(bounds, cap)
+        e = np.array(space.exponents, dtype=np.int64).reshape(space.size, len(bounds))
+        top = np.array([min(b, cap) for b in bounds], dtype=np.int64)
+        flat = np.full(tuple(top + 1), -1)  # flat index of each member, -1 outside
+        flat[tuple(e.T)] = np.arange(space.size)
+        for j in range(space.size):
+            src, dst = (_positions(idx, space.size) for idx in space.shifts[j])
+            t = e + e[j]
+            fits = (t <= top).all(axis=1)
+            inside = np.flatnonzero(fits)[flat[tuple(t[fits].T)] >= 0]
+            assert src.size and np.all(np.diff(src) > 0) and np.all(np.diff(dst) > 0)
+            np.testing.assert_array_equal(src, inside)
+            np.testing.assert_array_equal(dst, flat[tuple(t[src].T)])
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 0.5]]], ids=["empty", "2d"])
+    def test_unijet_needs_a_nonempty_vector(self, coeffs):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            UniJet(coeffs)
+
+    @pytest.mark.parametrize("make", [lambda k: UniJet.constant(1.0, k),
+                                      UniJet.variable], ids=["constant", "variable"])
+    def test_unijet_order_is_a_whole_number_at_least_zero(self, make):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            make(-1)
+        with pytest.raises(ValueError, match="order must be a whole number"):
+            make(2.5)
+        assert make(2.0).coeffs.tobytes() == make(2).coeffs.tobytes()
+        assert make(2.0).order == 2
+
+    @pytest.mark.parametrize("bounds", [(1,), (1, -1), (1, 1, 1)])
+    def test_bad_bounds(self, bounds):
+        with pytest.raises(ValueError, match="bad bounds"):
+            MultiJet(2, 2, {}, bounds=bounds)
+
+    @pytest.mark.parametrize("e", [(1,), (1, -1), (0, 0, 0)])
+    def test_bad_exponent_tuple(self, e):
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiJet(2, 2, {e: 1.0})
+        with pytest.raises(ValueError, match="bad exponent"):
+            MultiJet.constant(1.0, 2, 2).coefficient(e)
+
+    def test_exponent_over_the_cap(self):
+        with pytest.raises(DegreeExceedsCap, match="total-degree cap"):
+            MultiJet(2, 2, {(2, 1): 1.0})
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_variable_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="variable index"):
+            MultiJet.variable(index, 2, 2)
+
+    def test_log_refuses_a_nan_constant_term(self):
+        for jet in (UniJet([math.nan, 1.0, 0.5]),
+                    MultiJet(2, 2, {(0, 0): math.nan, (1, 0): 1.0})):
+            with pytest.raises(NonPositiveConstantTerm):
+                jet.log()
+
+
+class TestWholeNumbers:
+    # whole floats give the same bits as ints; anything else is ValueError
+    def test_multijet_config(self):
+        whole = MultiJet(2.0, 3.0, {(1.0, 0): 2.0, (0, 2): 1.0}, bounds=(2.0, 2))
+        ref = MultiJet(2, 3, {(1, 0): 2.0, (0, 2): 1.0}, bounds=(2, 2))
+        assert (whole.nvars, whole.cap, whole.bounds) == (2, 3, (2, 2))
+        assert whole.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert repr(whole) == repr(ref)
+
+    @pytest.mark.parametrize("call", [
+        lambda: MultiJet(2.5, 3, {}),
+        lambda: MultiJet(2, 3.5, {}),
+        lambda: MultiJet(2, 3, {}, bounds=(1.5, 1)),
+        lambda: MultiJet(2, 3, {(1.5, 0): 2.0}),
+        lambda: MultiJet(2, 3, {(math.nan, 0): 2.0}),
+        lambda: MultiJet.constant(1.0, 2.5, 2),
+        lambda: MultiJet.variable(0, 2.5, 2),
+        lambda: MultiJet.variable(0.5, 2, 2),
+        lambda: MultiJet.variable(0, 2, 2).coefficient((1.5, 0)),
+        lambda: MultiJet.variable(0, 2, 2).mixed_partial((0.5, 0)),
+    ], ids=["nvars", "cap", "bounds", "term", "term-nan", "constant-nvars",
+            "variable-nvars", "variable-index", "coefficient", "mixed-partial"])
+    def test_non_whole_is_refused(self, call):
+        with pytest.raises(ValueError, match="whole number"):
+            call()
+
+    def test_constructors_take_whole_floats(self):
+        for whole, ref in [(MultiJet.constant(1.5, 2.0, 2.0), MultiJet.constant(1.5, 2, 2)),
+                           (MultiJet.variable(1.0, 2.0, 2.0, bounds=(1.0, 1)),
+                            MultiJet.variable(1, 2, 2, bounds=(1, 1)))]:
+            assert whole.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert whole._config == ref._config
+        x = MultiJet(2, 2, {(1, 1): 0.5})
+        assert x.coefficient((1.0, 1.0)) == x.coefficient((1, 1)) == 0.5
+        assert x.mixed_partial((1.0, 1)) == 0.5
+
+
+class TestAccessors:
+    def test_negation_length_and_constant_term(self):
+        u = UniJet([0.5, -1.0, 0.25])
+        assert (-u).coeffs.tolist() == [-0.5, 1.0, -0.25]
+        assert len(u) == 3
+        m = MultiJet(2, 2, {(0, 0): 1.5, (0, 1): -2.0})
+        assert (-m).terms == {(0, 0): -1.5, (0, 1): 2.0}
+        assert m.constant_term == 1.5
+
+    def test_reprs(self):
+        assert repr(UniJet([0.5, -1.0])) == "UniJet([0.5, -1.0])"
+        assert repr(MultiJet(2, 3, {(1, 0): 2.0, (0, 0): 0.5})) == \
+            "MultiJet(nvars=2, cap=3, {(0, 0): 0.5, (1, 0): 2.0})"
+
+    def test_repr_shows_bounds(self):
+        # these two do not combine, so they must not print alike
+        boxed, free = MultiJet.variable(0, 2, 4, bounds=(1, 1)), MultiJet.variable(0, 2, 4)
+        with pytest.raises(ConfigMismatch):
+            boxed + free
+        assert repr(boxed) == "MultiJet(nvars=2, cap=4, {(1, 0): 1.0}, bounds=(1, 1))"
+        assert repr(free) == "MultiJet(nvars=2, cap=4, {(1, 0): 1.0})"

@@ -215,3 +215,19 @@ def test_model_make_convenience():
     model = make_model([[0.7, 0.3], [0.3, 0.7]], [[-1, 1], [1, -1]])
     assert model.size == 2
     assert model.epsilon_max == 1.0
+
+
+@pytest.mark.parametrize("validate, raw", [
+    (validate_transition, [[0.5, math.nan], [0.5, 0.5]]),
+    (validate_noise, [[-math.inf, math.inf], [1, -1]]),
+], ids=["transition-nan", "noise-inf"])
+def test_non_finite_entries_are_refused(validate, raw):
+    with pytest.raises(ValueError, match="non-finite"):
+        validate(raw)
+
+
+def test_residual_repair_cannot_zero_a_diagonal_entry():
+    # row 0 sums to -1e-10, within tolerance; folding it into t_00 = -1e-10
+    # leaves 0, which is not a generator
+    with pytest.raises(SignViolation, match="residual repair"):
+        validate_noise([[-1e-10, 0], [1, -1]])

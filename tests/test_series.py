@@ -354,3 +354,42 @@ def test_series_result_is_plain_data(bs):
     assert all(isinstance(c, float) for c in res.coefficients)
     assert res.epsilon_max == 1.0
     assert "nat" in res.log_note
+
+
+class TestSizeArguments:
+    # sizes follow the whole-number rule: 2.0 gives the bits of 2, 2.5 and
+    # nan are refused rather than truncated
+    def test_threshold_k(self):
+        assert settling_threshold(3.0) == settling_threshold(3) == 3
+        for k in (2.5, math.nan):
+            with pytest.raises(ValueError, match="k must be a whole number"):
+                settling_threshold(k)
+
+    def test_series_order(self, bs):
+        whole = entropy_rate_series(bs, 2.0)
+        assert whole == entropy_rate_series(bs, 2)
+        assert type(whole.order) is int
+        with pytest.raises(ValueError, match="order must be a whole number"):
+            entropy_rate_series(bs, 2.5)
+
+    def test_table_order_and_n_max(self, bs):
+        whole, ref = settling_table(bs, 2.0, 4.0), settling_table(bs, 2, 4)
+        assert whole.coefficients.tobytes() == ref.coefficients.tobytes()
+        assert (whole.order, whole.n_values) == (ref.order, ref.n_values)
+        with pytest.raises(ValueError, match="order must be a whole number"):
+            settling_table(bs, 2.5, 4)
+        with pytest.raises(ValueError, match="n_max must be a whole number"):
+            settling_table(bs, 2, 4.5)
+
+    def test_table_needs_two_rows(self, bs):
+        with pytest.raises(ValueError, match="need n_max >= 2"):
+            settling_table(bs, 2, 1)
+
+
+def test_lemma_argument_guards(bs):
+    with pytest.raises(HypothesisNotMet, match="profile has 3 sites, expected 4"):
+        verify_lemma_blocking(bs, 4, 2, [0.01, 0.0, 0.02])
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        verify_lemma_zero_prepend(bs, (1, 1), 0)
+    with pytest.raises(ValueError, match="lemma must be 1, 2, or 3"):
+        run_lemma_battery(4, 1, seed=0)
