@@ -53,13 +53,20 @@ underflow names the true sequence.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding.
-Within a block numpy sums each coefficient's p*log(p) terms pairwise; a
-level appends its block sums to one float buffer and is their math.fsum,
-the correctly rounded sum, so H_n does not depend on the order the walk
-visits the blocks in.  Blocks and their row order depend only on the level
-and the start, so on one machine and numpy build a given H_n is the same
-bits whichever call computes it.  Everything runs serially in the calling process; the
-``workers`` argument is deprecated, ignored, and warns when not 1.
+The p*log(p) terms are taken in batches.  Each summed block is checked
+for underflow as the walk meets it, so the same sequence is named at the
+same point; its live rows then wait, tagged with their level and orbit
+weight, until at least _CHUNK rows of any levels are pending or the walk
+ends; then one jet log and one jet product (or corner) serve them all.
+Both act row by row, so a row's terms have the same bits in any batch.
+Numpy sums each block's own slice of the terms pairwise, per coefficient,
+as if the block were alone; a level appends its block sums to one float
+buffer and is their math.fsum, the correctly rounded sum, so H_n does not
+depend on the order the walk visits the blocks in.  Blocks and their row
+order depend only on the level and the start, so on one machine and numpy
+build a given H_n is the same bits whichever call computes it.  Everything
+runs serially in the calling process; the ``workers`` argument is
+deprecated, ignored, and warns when not 1.
 """
 
 from __future__ import annotations
@@ -113,12 +120,14 @@ def check_budget(s, n, budget=None):
     bytes: 0.1 MB at s = 2, K = 11.  Each summed level also appends w
     floats of block sums per block to one buffer that lives until the walk
     ends (w = K+1 for an order-K UniJet), at most about s**n / _CHUNK
-    blocks at level n, so that it can add them exactly.  block_entropy at
+    blocks at level n, so that it can add them exactly.  The p*log(p)
+    batch holds fewer than 2 * _CHUNK rows of w floats, and its log and
+    product a few arrays of that size while they run.  block_entropy at
     s = 2, K = 11 peaks at 0.76 MiB (tracemalloc) for n = 12, 1.16 MiB for
     n = 16 and 1.64 MiB for n = 20.  block_entropies on the binary
     symmetric chain at n = 24, the largest order the default budget admits,
-    peaks at 5.7 MiB for K = 11 and 21 MiB for K = 45.  A budget that is not a whole number
-    raises ValueError.
+    peaks at 5.7 MiB for K = 11 and 21 MiB for K = 45.  A budget that is
+    not a whole number raises ValueError.
 
     The Monte Carlo estimate has no sequence budget; its memory grows with
     the path length L: about 1 byte per symbol for each uint8 path (hidden,
@@ -302,31 +311,28 @@ def _runs(g):
 
 # --- prefix trellis -------------------------------------------------------
 
-def _xlogx_sum(p, index, n, s, space, corner=False):
-    """Per-coefficient sum of p*log(p) over the rows of p (w, R), shape (w,).
+def _live(p, index, n, s):
+    """The rows of p (w, R) whose probability is not exactly zero.
 
     Row i is the probability of the level-n prefix whose lexicographic
-    index is index[i].  With ``corner`` only the top coefficient of a full
-    box is summed (ExponentSet.corner), and the result has shape (1,).
+    index is index[i]; any other row whose constant term underflows raises
+    UnreachableSequence naming that prefix.
     """
     low = p[0] < _P_FLOOR
-    if low.any():
-        # A row that is exactly zero is a structurally unreachable sequence
-        # (point-mass start, or a hard zero in the emission pattern); its
-        # p*log(p) term is zero.  No constant term is negative, since
-        # R(eps) >= 0 at every admissible eps (see the module docstring).
-        # Tiny-but-nonzero constant terms cannot occur for strictly
-        # positive M and mean the sum is corrupt.
-        vanished = ~p.any(axis=0)
-        bad = np.flatnonzero(low & ~vanished)
-        if bad.size:
-            seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
-            raise UnreachableSequence(f"P{seq} = {p[:, bad[0]].tolist()} underflowed")
-        p = p[:, ~low]
-    if corner:
-        return space.corner(space.log(p), p).sum(keepdims=True)
-    # each coefficient's rows are contiguous, so numpy sums them pairwise
-    return space.mul(space.log(p), p).sum(axis=1)
+    if not low.any():
+        return p
+    # A row that is exactly zero is a structurally unreachable sequence
+    # (point-mass start, or a hard zero in the emission pattern); its
+    # p*log(p) term is zero.  No constant term is negative, since R(eps) >= 0
+    # at every admissible eps (see the module docstring).  Tiny-but-nonzero
+    # constant terms cannot occur for strictly positive M and mean the sum
+    # is corrupt.
+    vanished = ~p.any(axis=0)
+    bad = np.flatnonzero(low & ~vanished)
+    if bad.size:
+        seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
+        raise UnreachableSequence(f"P{seq} = {p[:, bad[0]].tolist()} underflowed")
+    return p[:, ~low]
 
 
 def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
@@ -348,15 +354,38 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
     symbols = np.arange(s)[:, None]
+    # (level, weight, live rows) of the blocks whose p*log(p) is not yet
+    # taken, and how many rows they hold
+    pending = []
+    held = 0
+
+    def flush():
+        nonlocal held
+        # log and product act row by row, so one call over the pending rows
+        # of many blocks gives each row the bits it would get alone, and
+        # numpy sums each block's own slice pairwise as if it were alone
+        p = np.concatenate([rows for _, _, rows in pending], axis=1)
+        logp = space.log(p)
+        terms = space.corner(logp, p)[None] if corner else space.mul(logp, p)
+        lo = 0
+        for n, weight, rows in pending:
+            hi = lo + rows.shape[1]
+            sums[n].frombytes((weight * terms[:, lo:hi].sum(axis=1)).tobytes())
+            lo = hi
+        pending.clear()
+        held = 0
 
     def visit(alpha, index, n, weight):
         # alpha (w, s, R): state mass of the level-n prefixes with
         # lexicographic indices index, each standing for the `weight`
         # sequences its orbit maps it to
+        nonlocal held
         if n in sums:
-            p = alpha.sum(axis=1)
-            block = weight * _xlogx_sum(p, index, n, s, space, corner)
-            sums[n].frombytes(block.tobytes())
+            rows = _live(alpha.sum(axis=1), index, n, s)
+            pending.append((n, weight, rows))
+            held += rows.shape[1]
+            if held >= _CHUNK:
+                flush()
         if n < depth:
             for lo in range(0, index.size, width):
                 parents = slice(lo, lo + width)
@@ -367,6 +396,8 @@ def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
     for a, count, weight in _runs(g):
         visit(_step(root, r[0][:, :, a:a + count], space), np.arange(a, a + count),
               1, weight)
+    if pending:
+        flush()
     jet, w = (None, 1) if corner else (jet, space.size)
     # each coefficient of H_n is the correctly rounded sum of its block sums
     return {n: _value(jet, -np.array([math.fsum(c) for c in

@@ -78,6 +78,8 @@ def _set_size(bounds, cap):
 def _exponent(exponents, nvars):
     """exponents as a tuple of ints; ValueError unless it has nvars whole
     entries >= 0."""
+    if not np.iterable(exponents):
+        raise ValueError(f"bad exponent vector {exponents!r} for nvars={nvars}")
     e = tuple(check_whole("exponent entry", k) for k in exponents)
     if len(e) != nvars or any(k < 0 for k in e):
         raise ValueError(f"bad exponent vector {e} for nvars={nvars}")

@@ -30,6 +30,7 @@ from hmpx import (
 )
 import hmpx.engine
 from hmpx.engine import _sites, _symmetric_start, block_entropies
+from hmpx.jets import ExponentSet
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -594,14 +595,40 @@ def test_mixed_partials_sum_to_shared_noise_coefficients(bs, t3, n):
             assert total == pytest.approx(c_n[k], rel=1e-12, abs=1e-12)
 
 
-def test_one_pass_is_bit_identical_to_separate_calls(bs):
-    # N = 10 spans several trellis blocks at the deepest levels; the blocks
-    # of a level do not depend on how deep the pass goes
-    for noise in (0.05, UniJet.variable(8)):
-        one_pass = block_entropies(bs, 10, noise)
-        for n in range(1, 11):
-            alone = block_entropy(bs, n, noise)
-            assert _coeffs(one_pass[n - 1]).tobytes() == _coeffs(alone).tobytes()
+def test_one_pass_is_bit_identical_to_separate_calls(bs, t3):
+    # bs at N = 10 spans several trellis blocks at the deepest levels; the
+    # blocks of a level do not depend on how deep the pass goes.  t3's
+    # 510-row blocks never fill a p*log(p) batch alone, so its batches mix
+    # blocks of different levels, and differ between the one pass and the
+    # separate calls
+    for model, n_max, noises in ((bs, 10, (0.05, UniJet.variable(8))),
+                                 (t3, 8, (0.05, UniJet.variable(11)))):
+        for noise in noises:
+            one_pass = block_entropies(model, n_max, noise)
+            for n in range(1, n_max + 1):
+                alone = block_entropy(model, n, noise)
+                assert _coeffs(one_pass[n - 1]).tobytes() == _coeffs(alone).tobytes()
+
+
+@pytest.mark.parametrize("name, order, calls", [("bs", 19, 7), ("t3", 11, 4),
+                                                ("random", 11, 11)])
+def test_p_log_p_runs_in_full_batches(bs, t3, monkeypatch, name, order, calls):
+    # the walk takes the p*log(p) of the pending blocks, of any levels, once
+    # they hold _CHUNK rows, and of the rest at its end: every log but the
+    # last sees at least _CHUNK rows (one call per block would be 16, 13, 25)
+    rows = []
+    log = ExponentSet.log
+
+    def counted(self, a):
+        rows.append(a[0].size)
+        return log(self, a)
+
+    monkeypatch.setattr(ExponentSet, "log", counted)
+    model = {"bs": bs, "t3": t3,
+             "random": random_model(np.random.default_rng(1), 3)}[name]
+    entropy_rate_series(model, order)
+    assert len(rows) == calls
+    assert min(rows[:-1]) >= hmpx.engine._CHUNK
 
 
 class TestSmallBlocks:

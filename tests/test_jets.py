@@ -476,7 +476,8 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="bad bounds"):
             MultiJet(2, 2, {}, bounds=bounds)
 
-    @pytest.mark.parametrize("e", [(1,), (1, -1), (0, 0, 0)])
+    # a key that is not a vector at all, such as 1, is malformed the same way
+    @pytest.mark.parametrize("e", [(1,), (1, -1), (0, 0, 0), 1, 2.0, None])
     def test_bad_exponent_tuple(self, e):
         with pytest.raises(ValueError, match="bad exponent"):
             MultiJet(2, 2, {e: 1.0})

@@ -110,6 +110,23 @@ def test_both_birch_bounds_settle_sharply(bs, name, order, n_max):
             assert not agree[last + 1:last + 2].any()
 
 
+@pytest.mark.parametrize("name, order, n_max", [("bs", 15, 9), ("random", 11, 6)])
+def test_birch_bounds_carry_the_rate_coefficients(bs, name, order, n_max):
+    # the upper bound H(Y_N | Y_1..Y_{N-1}) has the rate's coefficients for
+    # k <= 2N-3, the lower bound (noiseless first site, so conditioned on
+    # X_1) for k <= 2N-4; each call is its own walk, and the two agree with
+    # the expansion to rounding (measured worst 1.8e-14 relative)
+    model = {"bs": bs, "random": random_model(np.random.default_rng(1), 3)}[name]
+    x = UniJet.variable(order)
+    rate = np.array(entropy_rate_series(model, order).coefficients)
+    tol = 1e-12 * np.maximum(1.0, np.abs(rate))
+    for n in range(3, n_max + 1):
+        upper = conditional_entropy(model, n, x).coeffs
+        lower = conditional_entropy(model, n, [0.0] + [x] * (n - 1)).coeffs
+        assert (np.abs(upper - rate)[:2 * n - 2] <= tol[:2 * n - 2]).all()
+        assert (np.abs(lower - rate)[:2 * n - 3] <= tol[:2 * n - 3]).all()
+
+
 @pytest.mark.parametrize("name, order", [("bs", 0), ("bs", 1), ("bs", 11),
                                          ("bs", 19), ("random", 11)])
 def test_series_is_the_settled_row_of_the_table(bs, name, order):
