@@ -8,8 +8,8 @@ header and rows, and the exit code; _emit writes them as JSON or CSV.
 Everything internal is in nats; an optional --log-base 2 divides the
 emitted entropies and coefficients by div = ln 2 exactly once, in the
 handler.  Every output document embeds the resolved run configuration.
-Exit codes: 0 success, 2 validation, 3 budget, 4 settling or lemma
-failure, 5 I/O.
+Exit codes: 0 success, 2 validation, 3 budget or a refused allocation,
+4 settling or lemma failure, 5 I/O.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def main(argv=None):
             warnings.filterwarnings("default", message="workers is deprecated",
                                     category=DeprecationWarning)
             return _run(args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SettlingViolation as exc:

@@ -52,9 +52,10 @@ free of copies; each row carries its prefix's lexicographic index, so an
 underflow names the true sequence.
 
 Enumeration cost is exponential and deliberately explicit: any request
-beyond the sequence budget (default 2**24) raises instead of grinding.
-The p*log(p) terms are taken in batches.  Each summed block is checked
-for underflow as the walk meets it, so the same sequence is named at the
+beyond the sequence budget (default 2**24) raises instead of grinding,
+before any profile or site tensor is built (see check_budget).  The
+p*log(p) terms are taken in batches.  Each summed block is checked for
+underflow as the walk meets it, so the same sequence is named at the
 same point; its live rows then wait, tagged with their level and orbit
 weight, until at least _CHUNK rows of any levels are pending or the walk
 ends; then one jet log and one jet product (or corner) serve them all.
@@ -105,14 +106,12 @@ def warn_workers(workers):
                       DeprecationWarning, stacklevel=3)
 
 
-def _budget_or_default(budget):
-    if budget is None:
-        return DEFAULT_BUDGET
-    return check_whole("budget", budget)
-
-
 def check_budget(s, n, budget=None):
     """Raise BudgetExceeded unless s**n sequences fit the budget.
+
+    The trellis checks it before it builds any profile or site tensor, at
+    a cost that does not grow with n: s >= 2, so n >= budget.bit_length()
+    already means s**n > budget.
 
     The budget bounds time, and through it memory.  Per level the
     depth-first trellis walk holds one block of at most _CHUNK = 512
@@ -128,23 +127,13 @@ def check_budget(s, n, budget=None):
     symmetric chain at n = 24, the largest order the default budget admits,
     peaks at 5.7 MiB for K = 11 and 21 MiB for K = 45.  A budget that is
     not a whole number raises ValueError.
-
-    The Monte Carlo estimate has no sequence budget; its memory grows with
-    the path length L: about 1 byte per symbol for each uint8 path (hidden,
-    observed), the likelihood's word buffers (about 1.4 bytes per symbol at
-    s = 2), and the fixed working set of one 2**16-symbol sampler segment
-    (under 2 MiB at s = 2).  mc_entropy_rate on the binary symmetric chain
-    (p = 0.3, eps = 0.05) peaks at 3.0 MiB of numpy allocations
-    (tracemalloc) for L = 1e6 and 24 MiB for L = 1e7; sample_paths adds its
-    two int64 copies, 16 bytes per symbol.
     """
-    budget = _budget_or_default(budget)
+    budget = DEFAULT_BUDGET if budget is None else check_whole("budget", budget)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if s ** n > budget:
+    if n >= budget.bit_length() or s ** n > budget:
         raise BudgetExceeded(
-            f"N = {n} needs {s}**{n} = {s ** n} sequences, over the budget of {budget}"
-        )
+            f"N = {n} needs {s}**{n} sequences, over the budget of {budget}")
 
 
 def enumerate_sequences(s, n, budget=None):
@@ -335,19 +324,20 @@ def _live(p, index, n, s):
     return p[:, ~low]
 
 
-def _entropies(model, profile, levels, initial=None, budget=None, corner=False):
+def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
     """{n: H_n} for each n in levels, from one depth-first walk rooted at
     the start law (see _symmetric_start) and reduced by its symmetries.
 
     With ``corner`` each H_n is a float: the top coefficient of its jet,
     whose exponent set must be a full box (see ExponentSet.corner).
-    The budget is checked at the deepest level before the walk begins.
+    levels ascend; the budget is checked at the last, the depth, before
+    ``noise``, a shared value or per-site profile, is resolved.
     """
     s = model.size
-    depth = max(levels)
+    depth = levels[-1]
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
-    r, space, jet = _sites(model, profile[:depth])
+    r, space, jet = _sites(model, resolve_profile(model, noise, depth))
     mt = model.transition.matrix.T
     # each level's block sums, w floats per block in walk order
     sums = {n: array("d") for n in levels}
@@ -417,8 +407,7 @@ def block_entropy(model, n, noise, *, budget=None, workers=1, initial=None):
     n = check_whole("n", n)
     if n < 1:
         raise ValueError("need N >= 1")
-    profile = resolve_profile(model, noise, n)
-    return _entropies(model, profile, (n,), initial, budget)[n]
+    return _entropies(model, noise, (n,), initial, budget)[n]
 
 
 def block_entropies(model, n, noise, *, budget=None):
@@ -426,8 +415,7 @@ def block_entropies(model, n, noise, *, budget=None):
     n = check_whole("n", n)
     if n < 1:
         raise ValueError("need N >= 1")
-    profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, range(1, n + 1), budget=budget)
+    h = _entropies(model, noise, range(1, n + 1), budget=budget)
     return [h[i] for i in range(1, n + 1)]
 
 
@@ -437,8 +425,7 @@ def conditional_entropy(model, n, noise, *, budget=None, workers=1, initial=None
     n = check_whole("n", n)
     if n < 2:
         raise ValueError("need N >= 2")
-    profile = resolve_profile(model, noise, n)
-    h = _entropies(model, profile, (n - 1, n), initial, budget)
+    h = _entropies(model, noise, (n - 1, n), initial, budget)
     return h[n] - h[n - 1]
 
 
@@ -477,9 +464,8 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     if any(k < 0 for k in kvec):
         raise ValueError("kvec entries must be >= 0")
     n = len(kvec)
-    profile = resolve_profile(
-        model, [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)], n)
+    noise = [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)]
     levels = (n,) if kvec[-1] else (n - 1, n)
-    h = _entropies(model, profile, levels, budget=budget, corner=True)
+    h = _entropies(model, noise, levels, budget=budget, corner=True)
     coefficient = h[n] - h.get(n - 1, 0.0)
     return coefficient * math.prod(math.factorial(k) for k in kvec)

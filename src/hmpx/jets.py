@@ -68,6 +68,8 @@ _SCALARS = (int, float, np.integer, np.floating)
 # --- exponent-set kernel ----------------------------------------------------
 
 def _set_size(bounds, cap):
+    if len(bounds) == 1:
+        return min(bounds[0], cap) + 1
     # ways[d] = exponent prefixes of total degree d
     ways = [1] + [0] * cap
     for b in bounds:
@@ -288,22 +290,25 @@ class UniJet(Jet):
         order = c.size - 1
         super().__init__(order, exponent_set((order,), order), c)
 
-    @classmethod
-    def constant(cls, value, order):
+    @staticmethod
+    def _zeros(order):
+        # order + 1 zero coefficients, the order refused before allocation
         order = check_whole("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
-        c = np.zeros(order + 1)
+        exponent_set((order,), order)
+        return np.zeros(order + 1)
+
+    @classmethod
+    def constant(cls, value, order):
+        c = cls._zeros(order)
         c[0] = value
         return cls(c)
 
     @classmethod
     def variable(cls, order):
-        order = check_whole("order", order)
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        c = np.zeros(order + 1)
-        if order >= 1:
+        c = cls._zeros(order)
+        if c.size > 1:
             c[1] = 1.0
         return cls(c)
 

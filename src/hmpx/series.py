@@ -127,7 +127,7 @@ def entropy_rate_series(model, order, *, budget=None, workers=1,
         if n_k < n_star:
             r = max(r, abs(coeffs[k] - table.coefficients[n_k - 2, k]))
         residuals.append(r)
-        if r > settle_tol * max(1.0, abs(coeffs[k])):
+        if not r <= settle_tol * max(1.0, abs(coeffs[k])):  # NaN fails too
             raise SettlingViolation(
                 f"coefficient k={k}: settled runs disagree by {r:.3e} "
                 f"(tolerance {settle_tol:.1e} relative)"

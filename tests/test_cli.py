@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hmpx.cli
@@ -334,6 +335,37 @@ class TestExitCodes:
         assert rc == 3
         assert "N = 18" in err and "3**18" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--n", "1000000", "--epsilon", "0.05"],
+        ["table", "--order", "3", "--n-max", "1000000"],
+        ["bounds", "--epsilon", "0.05", "--n-max", "1000000"],
+    ], ids=["entropy", "table", "bounds"])
+    def test_budget_exceeded_at_any_depth(self, capsys, model_file, argv):
+        rc = main([argv[0], "--model", model_file(BS_DOC), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "2**1000000 sequences, over the budget of 16777216" in err
+
+    def test_refused_allocation_is_exit_3(self, capsys, model_file):
+        # 10**18 uint8 symbols is 888 PiB, beyond any 64-bit address space
+        rc = main(["mc", "--model", model_file(BS_DOC), "--epsilon", "0.05",
+                   "--length", str(10 ** 18)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["expand", "--order", "19"],
+                                      ["mc", "--epsilon", "1e-9", "--length", "10000",
+                                       "--order", "19"]], ids=["expand", "mc"])
+    def test_non_finite_expansion_is_exit_4(self, capsys, model_file, argv):
+        p = 1e-8
+        path = model_file({**BS_DOC, "transition": [[1 - p, p], [p, 1 - p]]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([argv[0], "--model", path, *argv[1:]])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert "disagree by nan" in captured.err
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         rc = main(["expand", "--model", str(tmp_path / "nope.json"), "--order", "1"])
         assert rc == 5
@@ -391,6 +423,16 @@ class TestOutputFile:
         assert rc == 0
         for a, b in zip(doc["coefficients"], doc1["coefficients"]):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_huge_order_is_refused_at_once(model_file):
+    # the order is refused before a coefficient of it is allocated or counted
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-m", "hmpx.cli", "expand", "--model",
+                          model_file(BS_DOC), "--order", "1000000"],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2
+    assert "1000001 members, over the limit of 4096" in run.stderr
 
 
 def test_workers_notice_shows_on_stderr_by_default(model_file):

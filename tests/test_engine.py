@@ -29,7 +29,8 @@ from hmpx import (
     validate_noise,
 )
 import hmpx.engine
-from hmpx.engine import _sites, _symmetric_start, block_entropies
+from hmpx.engine import _sites, _symmetric_start, block_entropies, check_budget
+from hmpx.estimation import bounds_by_n
 from hmpx.jets import ExponentSet
 from conftest import binary_symmetric
 from oracles import (
@@ -81,6 +82,85 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="whole number"):
                 enumerate_sequences(2, 3, budget=budget)
         assert len(list(enumerate_sequences(2, 3, budget=8.0))) == 8
+
+
+# far over any budget; a profile of this many sites takes 8 MB to build
+_HUGE = 10 ** 6
+
+# every trellis entry, each asked for depth n
+_ENTRIES = {
+    "block_entropy": lambda m, n, **kw: block_entropy(m, n, 0.05, **kw),
+    "block_entropies": lambda m, n, **kw: block_entropies(m, n, 0.05, **kw),
+    "conditional_entropy": lambda m, n, **kw: conditional_entropy(m, n, 0.05, **kw),
+    "settling_table": lambda m, n, **kw: settling_table(m, 3, n, **kw),
+    "bounds_by_n": lambda m, n, **kw: bounds_by_n(m, 0.05, n, **kw),
+}
+
+
+class TestAdmission:
+    """The budget is checked before any noise profile or site tensor."""
+
+    @pytest.mark.parametrize("name", _ENTRIES)
+    def test_over_budget_builds_nothing(self, bs, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=rf"N = {_HUGE} needs 2\*\*{_HUGE} "):
+                _ENTRIES[name](bs, _HUGE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("name", _ENTRIES)
+    def test_check_comes_before_the_profile(self, bs, name, monkeypatch):
+        resolve = hmpx.engine.resolve_profile
+        calls = []
+
+        def spy(model, noise, n):
+            calls.append(n)
+            return resolve(model, noise, n)
+
+        monkeypatch.setattr(hmpx.engine, "resolve_profile", spy)
+        with pytest.raises(BudgetExceeded):
+            _ENTRIES[name](bs, 5, budget=16)
+        assert calls == []
+        _ENTRIES[name](bs, 4, budget=16)
+        assert calls and set(calls) == {4}
+
+    def test_mixed_partials_are_checked_before_the_profile(self, bs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an over-budget request resolved its profile")
+
+        monkeypatch.setattr(hmpx.engine, "resolve_profile", refuse)
+        with pytest.raises(BudgetExceeded):
+            mixed_partial_F(bs, [1, 0, 1, 1, 1], budget=16)
+        with pytest.raises(BudgetExceeded):
+            multi_site_F(bs, [0.1] * 5, budget=16)
+
+    def test_budget_comes_before_a_bad_profile(self, bs):
+        # an over-budget request is refused whatever its profile holds
+        with pytest.raises(BudgetExceeded):
+            conditional_entropy(bs, 40, [0.1] * 3)
+        with pytest.raises(BudgetExceeded):
+            block_entropies(bs, 40, [2.0] * 40)
+        with pytest.raises(ProfileLengthMismatch):
+            conditional_entropy(bs, 4, [0.1] * 3)
+        with pytest.raises(EpsilonOutOfRange):
+            block_entropies(bs, 4, [2.0] * 4)
+
+    def test_check_forms_no_huge_power(self):
+        # 2**3_000_000 has 903,090 decimal digits, more than Python prints
+        with pytest.raises(BudgetExceeded, match=r"2\*\*3000000 sequences"):
+            check_budget(2, 3_000_000)
+
+    def test_check_agrees_with_the_power(self):
+        cases = itertools.product((2, 3, 7), (1, 7, 8, 9, 2 ** 24), range(1, 30))
+        for s, budget, n in cases:
+            if s ** n > budget:
+                with pytest.raises(BudgetExceeded):
+                    check_budget(s, n, budget)
+            else:
+                check_budget(s, n, budget)
 
 
 class TestSequenceProbability:

@@ -335,6 +335,8 @@ def test_exponent_set_size_is_refused_before_tables():
     with pytest.raises(DegreeExceedsCap, match="646646"):
         MultiJet.variable(0, 10, 12)
     assert MultiJet.variable(0, 10, 12, bounds=(2,) * 2 + (1,) * 8).space.size == 2304
+    for bounds, cap, size in (((7,), 7, 8), ((7,), 3, 4), ((2, 3), 4, 11)):
+        assert exponent_set(bounds, cap).size == size
 
 
 def _assert_log_exact(jet, terms, nvars, cap, bounds=None):
@@ -470,6 +472,11 @@ class TestErrorPaths:
             make(2.5)
         assert make(2.0).coeffs.tobytes() == make(2).coeffs.tobytes()
         assert make(2.0).order == 2
+        # refused before allocation: 10**18 + 1 floats would be 8 EB
+        with pytest.raises(DegreeExceedsCap, match="1000000000000000001 members"):
+            make(10 ** 18)
+        with pytest.raises(DegreeExceedsCap, match="4097 members"):
+            make(4096)
 
     @pytest.mark.parametrize("bounds", [(1,), (1, -1), (1, 1, 1)])
     def test_bad_bounds(self, bounds):

@@ -82,6 +82,14 @@ class TestEntropyRateSeries:
         assert all(r <= 1e-8 * max(1.0, abs(c))
                    for r, c in zip(res.settle_residuals, res.coefficients))
 
+    @pytest.mark.parametrize("p, order", [(1e-8, 19), (1e-5, 31)])
+    def test_non_finite_coefficient_is_a_settling_violation(self, p, order):
+        # the top coefficient overflows to NaN, and so does its residual; a
+        # NaN residual is no pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SettlingViolation, match="disagree by nan"):
+                entropy_rate_series(binary_symmetric(p), order)
+
     def test_settling_violation_error_path(self, bs):
         with pytest.raises(SettlingViolation):
             entropy_rate_series(bs, 4, settle_tol=0.0)
