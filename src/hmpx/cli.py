@@ -8,6 +8,10 @@ header and rows, and the exit code; _emit writes them as JSON or CSV.
 Everything internal is in nats; an optional --log-base 2 divides the
 emitted entropies and coefficients by div = ln 2 exactly once, in the
 handler.  Every output document embeds the resolved run configuration.
+JSON is strict, with no NaN or Infinity: _emit writes every non-finite
+number as null in JSON and as an empty field in CSV, and table lists the
+cells whose coefficient is non-finite under non_finite (a null
+column_disagreement entry is the same overflow, and is not listed).
 Exit codes: 0 success, 2 validation, 3 budget or a refused allocation,
 4 settling or lemma failure, 5 I/O.
 """
@@ -128,6 +132,8 @@ def _config_dict(args, budget):
 
 
 def _fmt(value):
+    if value is None:
+        return ""
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, bool):
@@ -135,11 +141,25 @@ def _fmt(value):
     return str(value)
 
 
+def _strict(value):
+    # JSON has no NaN or Infinity: a non-finite number is written as null
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(args, doc, header, rows):
+    doc, rows = _strict(doc), _strict(rows)
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = ["# config: " + json.dumps(doc["config"], sort_keys=True)]
+        if "non_finite" in doc:
+            lines.append("# non-finite: " + json.dumps(doc["non_finite"]))
         lines.append(",".join(header))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
@@ -189,6 +209,9 @@ def _cmd_table(args, model, budget, div):
             for n, k, c, settled in cells
         ],
     }
+    non_finite = [{"N": n, "k": k} for n, k, c, _ in cells if not math.isfinite(c)]
+    if non_finite:
+        fields["non_finite"] = non_finite
     return fields, ("N", "k", "coefficient", "settled"), cells, 0
 
 
@@ -202,7 +225,7 @@ def _cmd_entropy(args, model, budget, div):
         "block_entropy": h_n,
         "conditional_entropy": c_n,
     }
-    rows = [(args.n, args.epsilon, h_n, "" if c_n is None else c_n)]
+    rows = [(args.n, args.epsilon, h_n, c_n)]
     return fields, ("N", "epsilon", "block_entropy", "conditional_entropy"), rows, 0
 
 

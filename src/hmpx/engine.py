@@ -13,7 +13,8 @@ H_1..H_N.  The walk's root is the start law (stationary, or
 ``initial``).  A step propagates through M and emits through the site
 tensor R(eps) = I + eps*T: a truncated jet product, a shift-and-add over
 the nonzero coefficients of the site's jet since R has degree 1 in eps.
-sequence_probability takes the same steps along one path.
+sequence_probability takes the same steps along one path.  _sites admits
+the noise once: a shared value's one site tensor serves every site.
 
 One vanishing rule serves every number type: a sequence whose
 probability is exactly zero, every coefficient, is structurally
@@ -87,7 +88,7 @@ from .errors import (
     UnreachableSequence,
 )
 from .jets import Jet, MultiJet, exponent_set
-from .model import check_epsilon, check_symbols, check_whole
+from .model import ROW_SUM_TOL, check_epsilon, check_symbols, check_whole, row_sum
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -145,50 +146,40 @@ def enumerate_sequences(s, n, budget=None):
     return product(range(s), repeat=n)
 
 
-# --- noise profiles -------------------------------------------------------
+# --- noise admission ------------------------------------------------------
 
-def resolve_profile(model, noise, n):
-    """Expand a shared noise value or per-site profile to one value per site.
-
-    Scalars, and the constant terms of jets, are range-checked against
-    epsilon_max; a jet with a non-finite coefficient raises ValueError.
-    Jet entries must agree on their configuration; univariate and
-    multivariate jets cannot mix.
+def _sites(model, noise, n):
+    """Admit ``noise``, a shared value or a list of n per-site values: site
+    tensors r[i][:, x, y, 0] = delta_xy + eps_i * t[x, y] as jets of its
+    exponent set, shape (w, s, s, 1); that set; and the result type (its
+    first jet, or None).  A shared value is checked once and its tensor
+    serves every site.  Checks, in order: the length; per value, a jet's
+    configuration, finiteness, and the range of a scalar or a jet's
+    constant term; then that univariate and multivariate jets do not mix.
     """
-    if isinstance(noise, (list, tuple)):
-        values = list(noise)
-        if len(values) != n:
-            raise ProfileLengthMismatch(f"profile has {len(values)} sites, expected {n}")
-    else:
-        values = [noise] * n
-    out = []
+    shared = not isinstance(noise, (list, tuple))
+    values = [noise] if shared else list(noise)
+    if not shared and len(values) != n:
+        raise ProfileLengthMismatch(f"profile has {len(values)} sites, expected {n}")
     first = {}  # first jet of each class, which later ones must match
-    for v in values:
+    for i, v in enumerate(values):
         if isinstance(v, Jet):
             first.setdefault(type(v), v)._coerce(v)
             if not np.isfinite(v.coeffs).all():
                 raise ValueError(f"noise jet has a non-finite coefficient: {v!r}")
-            check_epsilon(model.noise, v.coeffs[0])
-            out.append(v)
+            check_epsilon(model.epsilon_max, v.coeffs[0])
         else:
-            out.append(check_epsilon(model.noise, v))
+            values[i] = check_epsilon(model.epsilon_max, v)
     if len(first) > 1:
         raise ConfigMismatch("profile mixes univariate and multivariate jets")
-    return out
-
-
-def _sites(model, profile):
-    """Site tensors r[i][:, x, y, 0] = R(eps_i)[x, y] = delta_xy + eps_i * t[x, y]
-    as jets of the profile's exponent set, shape (w, s, s, 1); that set; and
-    the result type (the profile's first jet, or None for plain numbers)."""
-    jet = next((v for v in profile if isinstance(v, Jet)), None)
+    jet = next(iter(first.values()), None)
     space = exponent_set((), 0) if jet is None else jet.space
     unit = np.eye(space.size, 1)[:, :, None, None]
     eye = np.eye(model.size)[:, :, None]
     t = model.noise.matrix[:, :, None]
     r = [unit * eye + t * (eps.coeffs[:, None, None, None] if isinstance(eps, Jet)
-                           else eps * unit) for eps in profile]
-    return r, space, jet
+                           else eps * unit) for eps in values]
+    return r * n if shared else r, space, jet
 
 
 def _value(jet, coeffs):
@@ -213,17 +204,14 @@ def _root(start, space):
 def sequence_probability(model, symbols, noise):
     """Probability of one observation sequence under the given noise.
 
-    ``noise`` is a shared value (float or jet) or a per-site profile; the
-    result has the corresponding number type, also for the empty sequence,
-    whose probability is 1.  Shared-noise results are
+    ``noise`` is a shared value (float or jet) or a per-site profile,
+    admitted as in _sites, also for the empty sequence, whose probability
+    is 1; the result has the noise's number type.  Shared-noise results are
     polynomials of degree <= N in the noise variable.  ``symbols`` must be
     one-dimensional with integer entries in [0, s), else ValueError.
     """
     symbols = check_symbols(model.size, symbols).tolist()
-    profile = resolve_profile(model, noise, len(symbols))
-    if not profile and isinstance(noise, Jet):
-        profile = [noise]  # a shared jet sets the result type even with no site
-    r, space, jet = _sites(model, profile)
+    r, space, jet = _sites(model, noise, len(symbols))
     mt = model.transition.matrix.T
     alpha = _root(model.transition.stationary, space)
     for i, y in enumerate(symbols):
@@ -266,8 +254,8 @@ def _symmetric_start(model, initial):
     """The start law and the symmetries of M and T that fix it.
 
     The start is ``initial`` if it is a length-s probability vector (every
-    check is a comparison that NaN fails), and only the symmetries that fix
-    it bit for bit are kept.  Without ``initial`` every symmetry is kept and
+    check is a comparison that NaN fails) over its row_sum, like a transition
+    row, and only the symmetries that fix it bit for bit are kept.  Without ``initial`` every symmetry is kept and
     the start is the G-average of the stationary law: the exact law is
     G-invariant, the computed one only up to rounding.  Each average is an
     fsum over the orbit, correctly rounded whatever the order, so it is
@@ -279,8 +267,9 @@ def _symmetric_start(model, initial):
         return np.array([math.fsum(pi[orbit]) / len(g) for orbit in g.T]), g
     init = np.asarray(initial, dtype=float)
     if not (init.shape == (model.size,) and np.all(init >= 0)
-            and abs(init.sum() - 1.0) <= 1e-9):
+            and abs((total := row_sum(init)) - 1.0) <= ROW_SUM_TOL):
         raise ValueError("initial distribution must be a length-s probability vector")
+    init = init / total
     return init, g[(init[g] == init).all(axis=1)]
 
 
@@ -331,13 +320,13 @@ def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
     With ``corner`` each H_n is a float: the top coefficient of its jet,
     whose exponent set must be a full box (see ExponentSet.corner).
     levels ascend; the budget is checked at the last, the depth, before
-    ``noise``, a shared value or per-site profile, is resolved.
+    ``noise``, a shared value or per-site profile, is admitted (_sites).
     """
     s = model.size
     depth = levels[-1]
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
-    r, space, jet = _sites(model, resolve_profile(model, noise, depth))
+    r, space, jet = _sites(model, noise, depth)
     mt = model.transition.matrix.T
     # each level's block sums, w floats per block in walk order
     sums = {n: array("d") for n in levels}

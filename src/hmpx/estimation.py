@@ -334,7 +334,7 @@ def path_log_likelihood(model, eps, symbols):
     root of the smallest subnormal double: the chunk transfer products of
     the scan then underflow to zero.
     """
-    eps = check_epsilon(model.noise, eps)
+    eps = check_epsilon(model.epsilon_max, eps)
     symbols = check_symbols(model.size, symbols)
     if symbols.size == 0:
         return 0.0
@@ -349,7 +349,7 @@ def sample_paths(model, eps, length, seed) -> SampleRun:
     are read-only int64 arrays.  ``length`` and ``seed`` must be whole
     numbers.
     """
-    eps = check_epsilon(model.noise, eps)
+    eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)
     seed = check_whole("seed", seed)
     if length < 1:
@@ -379,7 +379,7 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
     L = 1e7; sample_paths adds two int64 copies, 16 bytes per symbol.  A
     path the machine cannot allocate raises MemoryError (CLI exit 3).
     """
-    eps = check_epsilon(model.noise, eps)
+    eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)
     seed = check_whole("seed", seed)
     batches = check_whole("batches", batches)

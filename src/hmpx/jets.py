@@ -183,11 +183,13 @@ class ExponentSet:
         acc = np.zeros_like(a)
         a0 = a[0]
         b[0] = np.log(a0)
-        for k in range(1, self.size):
-            d = self.degree[k]
-            b[k] = (a[k] - acc[k] / d) / a0
-            src, dst = self.shifts[k]
-            acc[dst] += a[src] * (d * b[k])
+        # a tiny a0 may overflow a coefficient; the caller sees inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, self.size):
+                d = self.degree[k]
+                b[k] = (a[k] - acc[k] / d) / a0
+                src, dst = self.shifts[k]
+                acc[dst] += a[src] * (d * b[k])
         return b
 
 

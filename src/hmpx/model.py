@@ -11,6 +11,10 @@ deforms the identity into the emission matrix
 which stays row-stochastic for 0 <= eps <= epsilon_max = min_i 1/|t_ii|.
 All validation happens at construction time; the resulting objects are
 immutable.
+
+Each row sum is one math.fsum (row_sum), correctly rounded in any order:
+the validators check and repair each row with it, so rows that permute
+one another stay permutations bit for bit and keep the exact symmetries.
 """
 
 from __future__ import annotations
@@ -119,26 +123,38 @@ def _stationary_distribution(m):
     return np.array([v / total for v in pi])
 
 
+def row_sum(row):
+    """math.fsum of one row; inf when a partial sum leaves the float range."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+def _check_rows(a, what, target):
+    """Each row's row_sum; RowSumViolation names the first row off target
+    by more than ROW_SUM_TOL."""
+    row_sums = np.array([row_sum(row) for row in a])
+    bad = np.abs(row_sums - target) > ROW_SUM_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RowSumViolation(f"{what} row {i} sums to {row_sums[i]!r}, expected {target}")
+    return row_sums
+
+
 def validate_transition(raw) -> StochasticMatrix:
     """Validate a raw transition matrix and compute its stationary distribution.
 
     Requires a square matrix of size >= 2 whose rows sum to 1 within 1e-9
-    and whose entries are all strictly positive.  Rows are renormalized
-    internally so downstream arithmetic sees machine-exact row sums.  Each
-    row is divided by its math.fsum, which is correctly rounded whatever the
-    entries' order, so rows that are permutations of one another stay
-    permutations bit for bit and the model keeps its exact symmetries.
+    and whose entries are all strictly positive.  Each row is divided by
+    its sum, so downstream arithmetic sees machine-exact row sums.
     """
     m = _as_square(raw, "transition matrix")
-    row_sums = m.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > ROW_SUM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RowSumViolation(f"transition row {i} sums to {row_sums[i]!r}, expected 1")
+    row_sums = _check_rows(m, "transition", 1)
     if np.any(m <= 0.0):
         i, j = np.argwhere(m <= 0.0)[0]
         raise NonPositiveEntry(f"transition entry ({i},{j}) = {m[i, j]!r} must be > 0")
-    m = m / np.array([math.fsum(row) for row in m])[:, None]
+    m = m / row_sums[:, None]
     pi = _stationary_distribution(m)
     return StochasticMatrix(matrix=_frozen(m), stationary=_frozen(pi))
 
@@ -152,11 +168,7 @@ def validate_noise(raw) -> NoiseGenerator:
     epsilon_max = inf).
     """
     t = _as_square(raw, "noise generator")
-    row_sums = t.sum(axis=1)
-    bad = np.abs(row_sums) > ROW_SUM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RowSumViolation(f"noise row {i} sums to {row_sums[i]!r}, expected 0")
+    row_sums = _check_rows(t, "noise", 0)
     if not t.any():
         return NoiseGenerator(matrix=_frozen(t), epsilon_max=float("inf"))
     off = t.copy()
@@ -174,16 +186,15 @@ def validate_noise(raw) -> NoiseGenerator:
 
 def emission_at(noise: NoiseGenerator, eps: float) -> np.ndarray:
     """Emission matrix R(eps) = I + eps*T; requires 0 <= eps <= epsilon_max."""
-    check_epsilon(noise, eps)
+    check_epsilon(noise.epsilon_max, eps)
     return _frozen(np.eye(noise.size) + eps * noise.matrix)
 
 
-def check_epsilon(noise, eps):
+def check_epsilon(epsilon_max, eps):
+    """eps as a float; EpsilonOutOfRange unless 0 <= eps <= epsilon_max."""
     eps = float(eps)
-    if not (0.0 <= eps <= noise.epsilon_max):
-        raise EpsilonOutOfRange(
-            f"eps = {eps!r} outside [0, {noise.epsilon_max!r}]"
-        )
+    if not (0.0 <= eps <= epsilon_max):
+        raise EpsilonOutOfRange(f"eps = {eps!r} outside [0, {epsilon_max!r}]")
     return eps
 
 

@@ -29,9 +29,9 @@ from .engine import (
     multi_site_F,
     warn_workers,
 )
-from .errors import EpsilonOutOfRange, HypothesisNotMet, SettlingViolation
+from .errors import HypothesisNotMet, SettlingViolation
 from .jets import UniJet
-from .model import check_whole, random_model
+from .model import check_epsilon, check_whole, random_model
 
 DEFAULT_SETTLE_TOL = 1e-8
 DEFAULT_LEMMA_TOL = 1e-9
@@ -152,7 +152,8 @@ def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTa
         raise ValueError("need n_max >= 2")
     h = block_entropies(model, n_max, UniJet.variable(order), budget=budget)
     n_values = tuple(range(2, n_max + 1))
-    coef = np.array([(h[n - 1] - h[n - 2]).coeffs for n in n_values])
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, reported as such
+        coef = np.array([(h[n - 1] - h[n - 2]).coeffs for n in n_values])
     thresholds = tuple(settling_threshold(k) for k in range(order + 1))
     settled = np.greater_equal.outer(n_values, thresholds)
     disagreement = []
@@ -173,9 +174,7 @@ def settling_table(model, order, n_max, *, budget=None, workers=1) -> SettlingTa
 
 def evaluate_series(result: SeriesResult, eps) -> SeriesEvaluation:
     """Horner evaluation of the truncated series at eps, plus a tail hint."""
-    eps = float(eps)
-    if not (0.0 <= eps <= result.epsilon_max):
-        raise EpsilonOutOfRange(f"eps = {eps!r} outside [0, {result.epsilon_max!r}]")
+    eps = check_epsilon(result.epsilon_max, eps)
     tail = abs(result.coefficients[-1])
     hint = tail * eps ** (result.order + 1) / (1.0 - eps) if eps < 1.0 else math.inf
     return SeriesEvaluation(value=float(UniJet(result.coefficients)(eps)),

@@ -17,18 +17,29 @@ from hmpx import (
     conditional_entropy,
     entropy_rate_series,
     load_model,
+    settling_table,
 )
 from hmpx.cli import main
 
 BS_DOC = {"transition": [[0.7, 0.3], [0.3, 0.7]], "noise": [[-1, 1], [1, -1]]}
+# p = 1e-8: the order-19 coefficient of every row of the table overflows
+P8_DOC = {**BS_DOC, "transition": [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]]}
 T3_DOC = {"transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
           "noise": [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
-    return rc, json.loads(out)
+    return rc, strict_json(out)
 
 
 def count_walks(monkeypatch):
@@ -64,8 +75,8 @@ class TestExpand:
         out = tmp_path / "series.json"
         rc = main(["expand", "--model", path, "--order", "7", "--out", str(out)])
         assert rc == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        rewritten = json.loads(json.dumps(doc))
+        doc = strict_json(out.read_text(encoding="utf-8"))
+        rewritten = strict_json(json.dumps(doc))
         assert rewritten["coefficients"] == doc["coefficients"]
         assert rewritten == doc
 
@@ -325,6 +336,70 @@ def test_n_max_is_checked_before_the_model_is_read(capsys, tmp_path, argv):
     missing = str(tmp_path / "missing.json")
     assert main([argv[0], "--model", missing, *argv[1:]]) == 2
     assert "n_max >= 2" in capsys.readouterr().err
+
+
+class TestNonFinite:
+    """No NaN or Infinity on the wire and no numpy warning on stderr."""
+
+    TABLE = ["table", "--order", "19", "--n-max", "12"]
+
+    def test_table_writes_null_where_a_coefficient_is_not_finite(self, capsys,
+                                                                 model_file):
+        path = model_file(P8_DOC)
+        rc, doc = run_json(capsys, [self.TABLE[0], "--model", path, *self.TABLE[1:]])
+        assert rc == 0
+        table = settling_table(load_model(path), 19, 12)
+        bad = ~np.isfinite(table.coefficients)
+        assert bad.any() and not bad.all()
+        assert [c["coefficient"] is None for c in doc["cells"]] == bad.ravel().tolist()
+        assert doc["non_finite"] == [{"N": table.n_values[i], "k": int(k)}
+                                     for i, k in zip(*np.nonzero(bad))]
+        assert [d is None for d in doc["column_disagreement"]] == [
+            not math.isfinite(d) for d in table.column_disagreement]
+
+    def test_csv_names_the_non_finite_cells(self, capsys, model_file):
+        path = model_file(P8_DOC)
+        _, doc = run_json(capsys, [self.TABLE[0], "--model", path, *self.TABLE[1:]])
+        assert main([self.TABLE[0], "--model", path, *self.TABLE[1:],
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].startswith("# config: ")
+        assert lines[1] == "# non-finite: " + json.dumps(doc["non_finite"])
+        assert lines[2] == "N,k,coefficient,settled"
+        empty = [line.split(",")[2] == "" for line in lines[3:]]
+        assert empty == [c["coefficient"] is None for c in doc["cells"]]
+
+    def test_zero_noise_writes_epsilon_max_as_null(self, capsys, model_file):
+        # T = 0 admits every eps, so epsilon_max is inf
+        doc = {"transition": [[0.7, 0.3], [0.3, 0.7]], "noise": [[0, 0], [0, 0]]}
+        path = model_file(doc)
+        assert load_model(path).epsilon_max == math.inf
+        rc, out = run_json(capsys, ["expand", "--model", path, "--order", "3"])
+        assert rc == 0
+        assert out["epsilon_max"] is None
+        res = entropy_rate_series(load_model(path), 3)
+        assert out["coefficients"] == list(res.coefficients)
+        assert main(["expand", "--model", path, "--order", "3",
+                     "--format", "csv"]) == 0
+        assert "inf" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["table", "--order", "19", "--n-max", "12"], 0),
+        (["expand", "--order", "19"], 4),
+        (["mc", "--epsilon", "1e-9", "--length", "10000", "--order", "19"], 4),
+        (["verify", "--trials", "3"], 4),
+        (["bounds", "--epsilon", "0.001", "--n-max", "8"], 0),
+        (["entropy", "--n", "8", "--epsilon", "0.001"], 0),
+    ], ids=["table", "expand", "mc", "verify", "bounds", "entropy"])
+    def test_no_runtime_warning(self, capsys, model_file, argv, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([argv[0], "--model", model_file(P8_DOC), *argv[1:]])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert "RuntimeWarning" not in captured.err
+        if code == 0:
+            strict_json(captured.out)
 
 
 class TestExitCodes:

@@ -113,14 +113,14 @@ class TestAdmission:
 
     @pytest.mark.parametrize("name", _ENTRIES)
     def test_check_comes_before_the_profile(self, bs, name, monkeypatch):
-        resolve = hmpx.engine.resolve_profile
+        admit = hmpx.engine._sites
         calls = []
 
         def spy(model, noise, n):
             calls.append(n)
-            return resolve(model, noise, n)
+            return admit(model, noise, n)
 
-        monkeypatch.setattr(hmpx.engine, "resolve_profile", spy)
+        monkeypatch.setattr(hmpx.engine, "_sites", spy)
         with pytest.raises(BudgetExceeded):
             _ENTRIES[name](bs, 5, budget=16)
         assert calls == []
@@ -131,11 +131,20 @@ class TestAdmission:
         def refuse(*args):
             raise AssertionError("an over-budget request resolved its profile")
 
-        monkeypatch.setattr(hmpx.engine, "resolve_profile", refuse)
+        monkeypatch.setattr(hmpx.engine, "_sites", refuse)
         with pytest.raises(BudgetExceeded):
             mixed_partial_F(bs, [1, 0, 1, 1, 1], budget=16)
         with pytest.raises(BudgetExceeded):
             multi_site_F(bs, [0.1] * 5, budget=16)
+
+    def test_shared_value_is_checked_once(self, bs, monkeypatch):
+        calls = []
+        check = hmpx.engine.check_epsilon
+        monkeypatch.setattr(hmpx.engine, "check_epsilon",
+                            lambda *args: calls.append(args) or check(*args))
+        block_entropies(bs, 6, 0.05)
+        sequence_probability(bs, [0, 1, 1, 0], UniJet.variable(3))
+        assert len(calls) == 2
 
     def test_budget_comes_before_a_bad_profile(self, bs):
         # an over-budget request is refused whatever its profile holds
@@ -208,6 +217,12 @@ class TestSequenceProbability:
         # an empty per-site profile names no number type
         assert sequence_probability(bs, [], []) == 1.0
         assert sequence_probability(bs, [], 0.1) == 1.0
+
+    def test_empty_sequence_admits_its_noise(self, bs):
+        with pytest.raises(EpsilonOutOfRange):
+            sequence_probability(bs, [], 5.0)
+        with pytest.raises(EpsilonOutOfRange):
+            sequence_probability(bs, [], UniJet([5.0, 1.0]))
 
     def test_scalar_matches_jet_evaluation(self, bs):
         jet = sequence_probability(bs, (0, 1, 1), UniJet.variable(3))
@@ -551,6 +566,18 @@ def _circulant(s):
                       [gen[-i:] + gen[:-i] for i in range(s)])
 
 
+def _cyclic(m_row, t_row):
+    # both matrices cycled from one row of two-decimal literals, whose sums
+    # numpy's order-dependent sum gets wrong by an ulp in some rotations
+    s = len(m_row)
+    return make_model([m_row[-i:] + m_row[:-i] for i in range(s)],
+                      [t_row[-i:] + t_row[:-i] for i in range(s)])
+
+
+CYCLIC3 = ([0.5, 0.3, 0.2], [-0.4, 0.1, 0.3])
+CYCLIC4 = ([0.6, 0.1, 0.1, 0.2], [-0.6, 0.1, 0.2, 0.3])
+
+
 def _swap01():
     # symbols 0 and 1 are exchangeable, 2 is fixed: orbits {0, 1} and {2}
     return make_model([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]],
@@ -570,6 +597,18 @@ class TestOrbitReduction:
         # uniform law keeps it
         assert len(_symmetric_start(bs, [1.0, 0.0])[1]) == 1
         assert len(_symmetric_start(bs, [0.5, 0.5])[1]) == 2
+
+    def test_cyclic_generators_keep_their_rotations(self):
+        assert len(_symmetric_start(_cyclic(*CYCLIC3), None)[1]) == 3
+        assert len(_symmetric_start(_cyclic(*CYCLIC4), None)[1]) == 4
+
+    def test_cyclic_expansion_matches_the_unreduced_walk(self, monkeypatch):
+        model = _cyclic(*CYCLIC3)
+        assert hmpx.engine._runs(_symmetric_start(model, None)[1]) == [[0, 1, 3]]
+        reduced = entropy_rate_series(model, 11).coefficients
+        monkeypatch.setattr(hmpx.engine, "_runs", lambda g: [[a, 1, 1] for a in range(3)])
+        full = entropy_rate_series(model, 11).coefficients
+        np.testing.assert_allclose(reduced, full, rtol=1e-13, atol=0)
 
     MODELS = ["bs", "bs-slow", "t3", "swap01"]
 
@@ -808,12 +847,18 @@ def test_settling_table_pass_matches_separate_calls(bs):
     [math.nan, 1.0],         # NaN fails every comparison
     [1.0, math.nan],
     [math.inf, -math.inf],
+    [1e308, 1e308],          # a sum past the float range
 ])
 def test_initial_must_be_a_probability_vector(bs, initial):
     with pytest.raises(ValueError, match="initial distribution"):
         block_entropy(bs, 3, 0.05, initial=initial)
     with pytest.raises(ValueError, match="initial distribution"):
         conditional_entropy(bs, 3, 0.05, initial=initial)
+
+
+def test_explicit_start_is_divided_by_its_sum(bs):
+    start = _symmetric_start(bs, [0.6, 0.4 + 5e-10])[0]
+    assert abs(math.fsum(start) - 1.0) <= math.ulp(1.0)
 
 
 class TestStructuralZeros:
@@ -961,7 +1006,7 @@ def test_site_tensors_are_nonnegative_at_every_admissible_eps(s):
         model = _wide_model(rng, s)
         top = model.epsilon_max
         for eps in (0.0, top, np.nextafter(top, 0.0), rng.uniform(0.0, top)):
-            (plain,), _, _ = _sites(model, [eps])
-            (jet,), _, _ = _sites(model, [UniJet([eps, 1.0, -0.5])])
+            (plain,), _, _ = _sites(model, [eps], 1)
+            (jet,), _, _ = _sites(model, [UniJet([eps, 1.0, -0.5])], 1)
             assert plain.shape[0] == 1 and np.all(plain >= 0.0)
             assert np.all(jet[0] >= 0.0)  # the constant term; the rest is T

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -134,6 +135,20 @@ class TestValidateNoise:
     def test_row_sum_violation(self):
         with pytest.raises(RowSumViolation):
             validate_noise([[-1, 0.5], [1, -1]])
+
+    def test_cyclic_rows_stay_rotations_bit_for_bit(self):
+        # numpy's sum of a rotation of [-0.4, 0.1, 0.3] can be an ulp off
+        # zero; folded into the diagonal, that broke the rotations
+        for i, j in itertools.product(range(5, 100, 5), repeat=2):
+            row = [-(i + j) / 100, i / 100, j / 100]
+            t = validate_noise([row[-k:] + row[:-k] for k in range(3)]).matrix
+            assert all(np.roll(t[0], k).tobytes() == t[k].tobytes() for k in range(3))
+
+    def test_row_sum_past_the_float_range(self):
+        with pytest.raises(RowSumViolation, match="row 0 sums to"):
+            validate_noise([[1e308, 1e308], [1, -1]])
+        with pytest.raises(RowSumViolation, match="row 1 sums to"):
+            validate_transition([[0.5, 0.5], [1e308, 1e308]])
 
     def test_sign_violations(self):
         with pytest.raises(SignViolation):

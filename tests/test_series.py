@@ -51,12 +51,18 @@ class TestEntropyRateSeries:
         assert res.coefficients[0] == pytest.approx(expected, abs=1e-12)
         assert res.thresholds == (2,)
 
-    @pytest.mark.parametrize("p", [0.1, 0.3])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
     def test_order_one_closed_form(self, p):
-        # c_1 = 2(1 - 2p) ln((1 - p)/p) for the binary symmetric chain
-        res = entropy_rate_series(binary_symmetric(p), 1)
-        expected = 2 * (1 - 2 * p) * math.log((1 - p) / p)
-        assert abs(res.coefficients[1] - expected) <= 1e-13 * max(1.0, abs(expected))
+        # for the binary symmetric chain, with L = ln((1 - p)/p):
+        #   c_1 = 2(1 - 2p) L
+        #   c_2 = -(1 - 2p)^2 / (2 p^2 (1 - p)^2) - 2(1 - 2p) L
+        # at p = 3/10, c_2 = -800/441 - (4/5) ln(7/3)
+        res = entropy_rate_series(binary_symmetric(p), 2)
+        log = math.log((1 - p) / p)
+        expected = [2 * (1 - 2 * p) * log,
+                    -(1 - 2 * p) ** 2 / (2 * p ** 2 * (1 - p) ** 2) - 2 * (1 - 2 * p) * log]
+        for c, e in zip(res.coefficients[1:], expected):
+            assert abs(c - e) <= 1e-13 * max(1.0, abs(e))
 
     def test_zero_noise_generator_is_constant_series(self, noiseless):
         res = entropy_rate_series(noiseless, 5)
