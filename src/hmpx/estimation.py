@@ -161,7 +161,7 @@ def _sample_arrays(model, eps, length, seed):
         u = rng.random(min(_SEGMENT, length - lo))
         states, out = hidden[lo:lo + len(u)], observed[lo:lo + len(u)]
         for edges in cum_r:  # edges[x]: one cumulative edge of row x
-            out += u >= edges[states]
+            out += u >= edges.take(states)
     return hidden, observed
 
 

@@ -138,7 +138,7 @@ def _check_rows(a, what, target):
     bad = np.abs(row_sums - target) > ROW_SUM_TOL
     if bad.any():
         i = int(np.argmax(bad))
-        raise RowSumViolation(f"{what} row {i} sums to {row_sums[i]!r}, expected {target}")
+        raise RowSumViolation(f"{what} row {i} sums to {float(row_sums[i])!r}, expected {target}")
     return row_sums
 
 
@@ -153,7 +153,7 @@ def validate_transition(raw) -> StochasticMatrix:
     row_sums = _check_rows(m, "transition", 1)
     if np.any(m <= 0.0):
         i, j = np.argwhere(m <= 0.0)[0]
-        raise NonPositiveEntry(f"transition entry ({i},{j}) = {m[i, j]!r} must be > 0")
+        raise NonPositiveEntry(f"transition entry ({i},{j}) = {float(m[i, j])!r} must be > 0")
     m = m / row_sums[:, None]
     pi = _stationary_distribution(m)
     return StochasticMatrix(matrix=_frozen(m), stationary=_frozen(pi))

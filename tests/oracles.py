@@ -10,7 +10,9 @@ plain Python over lists, one sequence at a time, on any number type with
 package's trellis code.  Slow and only usable at tiny sizes, which is the
 point.  The Monte Carlo sampler and likelihood have scalar references too:
 one hidden state and one symbol at a time, in the order the chunked
-versions in hmpx.estimation must reproduce.
+versions in hmpx.estimation must reproduce.  The jet kernel's product
+and log have their full shift loops here, every source of every shift,
+which the support-restricted kernel must reproduce bit for bit.
 """
 
 import math
@@ -254,3 +256,29 @@ def jet_log_exact(a, nvars, cap, bounds=None):
         for e, c in power.items():
             out[e] = out.get(e, Fraction(0)) + Fraction((-1) ** (j + 1), j) * c
     return out
+
+
+def shift_mul(space, a, b):
+    """ExponentSet.mul as the full shift loop: every source of every shift,
+    zero or not, in the kernel's order of operations."""
+    out = a * b[:1]
+    nonzero = np.flatnonzero(b.reshape(space.size, -1).any(axis=1))
+    for j in nonzero[nonzero > 0]:
+        src, dst = space.shifts[j]
+        out[dst] += b[j] * a[src]
+    return out
+
+
+def shift_log(space, a):
+    """ExponentSet.log as the full triangular solve over space.shifts."""
+    b = np.empty_like(a)
+    acc = np.zeros_like(a)
+    a0 = a[0]
+    b[0] = np.log(a0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, space.size):
+            d = space.degree[k]
+            b[k] = (a[k] - acc[k] / d) / a0
+            src, dst = space.shifts[k]
+            acc[dst] += a[src] * (d * b[k])
+    return b

@@ -454,6 +454,17 @@ class TestExitCodes:
         path = model_file(doc)
         assert main(["expand", "--model", path, "--order", "1"]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ({**BS_DOC, "transition": [[0.9, 0.2], [0.3, 0.7]]},
+         "error: transition row 0 sums to 1.1, expected 1\n"),
+        ({**BS_DOC, "transition": [[1.0, 0.0], [0.3, 0.7]]},
+         "error: transition entry (0,1) = 0.0 must be > 0\n"),
+    ])
+    def test_invalid_matrix_message_prints_plain_floats(self, capsys, model_file,
+                                                        doc, message):
+        assert main(["expand", "--model", model_file(doc), "--order", "1"]) == 2
+        assert capsys.readouterr().err == message
+
     def test_budget_env_override(self, capsys, model_file, monkeypatch):
         path = model_file(BS_DOC)
         monkeypatch.setenv("HMPX_BUDGET", "4")

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import pickle
@@ -15,13 +16,16 @@ from hmpx import (
     OrderMismatch,
     UniJet,
     block_entropy,
+    run_lemma_battery,
 )
-from hmpx.jets import exponent_set
+from hmpx.jets import ExponentSet, exponent_set
 from oracles import (
     jet_log_exact,
     multijet_log_naive,
     multijet_product_naive,
     richardson_central,
+    shift_log,
+    shift_mul,
 )
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -383,6 +387,29 @@ def test_exponent_set_tables_stay_small():
     assert peak < 5e6
 
 
+def test_exponent_set_cache_stays_bounded_after_the_lemma_batteries():
+    # the bound in exponent_set's docstring: patterns per set and the bytes
+    # the cache holds once the criterion-4 batteries are done
+    older = {id(o) for o in gc.get_objects() if isinstance(o, ExponentSet)}
+    exponent_set.cache_clear()
+    tracemalloc.start()
+    try:
+        for lemma in (1, 2, 3):
+            run_lemma_battery(lemma, 100, seed=1000 + lemma, tol=1e-9,
+                              sizes=(2, 3), n_max=6, weight_max=6)
+        gc.collect()
+        patterns = max(len(o._cut) for o in gc.get_objects()
+                       if isinstance(o, ExponentSet) and id(o) not in older)
+        held = tracemalloc.get_traced_memory()[0]
+        exponent_set.cache_clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert patterns <= 6
+    assert held < 4e6
+
+
 @pytest.mark.parametrize("bounds, cap", [((11,), 11), ((2, 1, 3), 4)],
                          ids=["unijet", "multijet-box"])
 def test_batched_kernel_is_one_jet_per_column(bounds, cap):
@@ -455,6 +482,73 @@ def test_shifts_are_nonempty_ascending_runs_of_exponent_sums(sets):
             assert src.size and np.all(np.diff(src) > 0) and np.all(np.diff(dst) > 0)
             np.testing.assert_array_equal(src, inside)
             np.testing.assert_array_equal(dst, flat[tuple(t[src].T)])
+
+
+@st.composite
+def supported_jets(draw, nonnegative=False, signed_zeros=True):
+    """(space, a, b): two jet arrays of 1 to 3 columns over a 1-D set or a
+    box (capped or full), each coefficient zero in every column with a
+    drawn probability, so the support need not be down-closed; a live
+    coefficient is zero in some columns too.  Zeros have random signs
+    unless signed_zeros is false; a[0] is in [0.5, 2] so a has a log."""
+    if draw(st.booleans()):
+        order = draw(st.integers(0, 12))
+        space = exponent_set((order,), order)
+    else:
+        bounds = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+        space = exponent_set(bounds, max(0, sum(bounds) - draw(st.integers(0, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = draw(st.integers(1, 3))
+    dead = draw(st.floats(0.0, 1.0))
+
+    def jet():
+        c = rng.uniform(0.0 if nonnegative else -1.0, 1.0, (space.size, cols))
+        zero = (rng.random((space.size, 1)) < dead) | (rng.random(c.shape) < 0.25)
+        sign = -1.0 if signed_zeros else 1.0
+        c[zero] = np.where(rng.random(c.shape) < 0.5, 0.0, sign * 0.0)[zero]
+        return c
+
+    a, b = jet(), jet()
+    a[0] = rng.uniform(0.5, 2.0, cols)
+    return space, a, b
+
+
+def _same_bits_up_to_zero_sign(x, y):
+    return np.all((x.view(np.uint64) == y.view(np.uint64)) | ((x == 0) & (y == 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(supported_jets())
+def test_support_cut_kernel_matches_the_full_shift_loop(jets):
+    # skipping a source that is zero in every column drops only terms
+    # b_j * (+-0): every nonzero output keeps its bits, a zero may flip sign
+    space, a, b = jets
+    assert _same_bits_up_to_zero_sign(space.mul(a, b), shift_mul(space, a, b))
+    assert _same_bits_up_to_zero_sign(space.log(a), shift_log(space, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(supported_jets(nonnegative=True, signed_zeros=False))
+def test_support_cut_kernel_is_bit_for_bit_without_negative_zeros(jets):
+    # with no -0 and no negative number among the inputs no term is -0, so
+    # the product keeps every bit; the log keeps them while a has no -0
+    space, a, b = jets
+    assert space.mul(a, b).tobytes() == shift_mul(space, a, b).tobytes()
+    assert space.log(a).tobytes() == shift_log(space, a).tobytes()
+    signed = np.where(a != 0, a - 0.5, a)
+    signed[0] = a[0]
+    assert space.log(signed).tobytes() == shift_log(space, signed).tobytes()
+
+
+@pytest.mark.parametrize("bounds, cap", [((), 0), ((0,), 0), ((0, 0), 3)])
+def test_width_one_set_gives_the_same_bits(bounds, cap):
+    space = exponent_set(bounds, cap)
+    assert space.size == 1
+    a = np.array([[0.75, -0.0, 0.0, 3e-300]])
+    b = np.array([[-0.0, 2.0, -1.5, 1e-10]])
+    p = np.array([[0.75, 1.0, 3e-300, 2.0]])
+    assert space.mul(a, b).tobytes() == shift_mul(space, a, b).tobytes()
+    assert space.log(p).tobytes() == shift_log(space, p).tobytes()
 
 
 class TestErrorPaths:
