@@ -14,9 +14,12 @@ The grid: ``entropy_rate_series`` (bs at K = 11, 19, 31; t3 at K = 11,
 15; a random 3-state model at K = 11), ``settling_table`` on a zero-noise
 model and on bs p = 1e-8 (whose order-19 cells overflow), ``bounds_by_n``,
 the residuals of three 30-trial lemma batteries, ``mixed_partial_F`` for
-9 kvecs on 4 models, a MultiJet ``multi_site_F`` and a UniJet
-``sequence_probability``.  An item that raises hashes its exception's
-type and message instead.
+9 kvecs on 4 models, a MultiJet ``multi_site_F``, a UniJet
+``sequence_probability``, the bytes of ``sample_paths`` across a sampler
+segment end (length 2 * ``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a
+random 9-symbol model, the estimate and standard error of
+``mc_entropy_rate`` on bs at L = 10**5, and ``path_log_likelihood`` on
+t3.  An item that raises hashes its exception's type and message instead.
 """
 
 import hashlib
@@ -30,7 +33,7 @@ import numpy as np  # noqa: E402
 
 import hmpx  # noqa: E402
 from hmpx import MultiJet, UniJet  # noqa: E402
-from hmpx.estimation import bounds_by_n  # noqa: E402
+from hmpx.estimation import _SEGMENT, bounds_by_n, path_log_likelihood  # noqa: E402
 
 KVECS = [(1, 1), (3, 2), (1, 0, 1), (2, 0, 2), (0, 3, 3), (1, 2, 1),
          (2, 1, 0, 1), (0, 0, 0, 3, 2), (2, 2, 1, 1, 0, 0)]
@@ -46,13 +49,15 @@ def _models():
         "t3": t3,
         "r2": hmpx.random_model(rng, 2),
         "r3": hmpx.random_model(rng, 3),
+        "r9": hmpx.random_model(rng, 9),
         "zero": hmpx.make_model([[0.7, 0.3], [0.3, 0.7]], [[0, 0], [0, 0]]),
         "p8": hmpx.make_model([[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]], [[-1, 1], [1, -1]]),
     }
 
 
 def _grid(m):
-    """(label, thunk) pairs; each thunk returns numbers, nested in sequences."""
+    """(label, thunk) pairs; each thunk returns numbers or bytes, nested in
+    sequences."""
     items = [(f"series {name} K={k}",
               lambda name=name, k=k: [
                   (r := hmpx.entropy_rate_series(m[name], k)).coefficients,
@@ -74,11 +79,23 @@ def _grid(m):
         m["t3"], [MultiJet.variable(i, 4, 4) for i in range(4)]).coeffs),
         ("sequence_probability t3", lambda: hmpx.sequence_probability(
             m["t3"], [0, 1, 2, 1, 0], UniJet.variable(8)).coeffs)]
+    items += [(f"sample_paths {name} seed={seed}", lambda name=name, seed=seed: [
+        (run := hmpx.sample_paths(m[name], 0.5 * m[name].epsilon_max,
+                                  2 * _SEGMENT + 1, seed)).hidden.tobytes(),
+        run.observed.tobytes(), run.loglik])
+        for name in ("bs", "t3", "r9") for seed in (1, 2, 3)]
+    items += [("mc bs", lambda: [
+        (e := hmpx.mc_entropy_rate(m["bs"], 0.05, 10**5, 3)).estimate,
+        e.standard_error]),
+        ("path_log_likelihood t3", lambda: path_log_likelihood(
+            m["t3"], 0.1, np.random.default_rng(7).integers(0, 3, 10_001)))]
     return items
 
 
 def _feed(h, value):
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, bytes):
+        h.update(value)
+    elif isinstance(value, (list, tuple, np.ndarray)):
         h.update(b"[")
         for v in value:
             _feed(h, v)

@@ -13,21 +13,22 @@ Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
 the path is cut into chunks that advance in lockstep, then are stitched
 together in order.  The sampler draws and uses its uniforms in segments
 of 2**16 symbols, the whole hidden path first and then the observations.
-It scans each segment in at most 256 chunks, from the last hidden state
-of the segment before, and composes maps of states, so its paths are bit
-for bit those of a one-state-at-a-time walk.  The likelihood cuts the
-path into about sqrt(L) chunks.  It scores the path in rows (one row for
-the whole path, one per batch for the estimate), each padded to whole
-k-symbol words, and composes products of non-negative matrices,
-normalized after every factor, from a table of the products of every
-k-symbol word.  Both the chunk transfer products and the forward pass
-that scores the words step one word at a time, and a row is the sum of
-its words' log-likelihoods; no per-symbol increment is formed.  Nothing
-cancels, each chunk's start differs from the sequential forward vector
-by rounding only, and the normalized pass contracts such differences
-instead of growing them, so each row agrees with the exact sum of the
-sequential pass's increments to a few ulps.  A path of probability zero
-raises ``UnreachableSequence``, from one check on the finished rows.
+It scans each segment in chunks of at most 64 steps, from the last
+hidden state of the segment before, and composes maps of states, so its
+paths are bit for bit those of a one-state-at-a-time walk.  The
+likelihood cuts the path into about sqrt(L) chunks.  It scores the path
+in rows (one row for the whole path, one per batch for the estimate),
+each padded to whole k-symbol words, and composes products of
+non-negative matrices, normalized after every factor, from a table of
+the products of every k-symbol word.  Both the chunk transfer products
+and the forward pass that scores the words step one word at a time, and
+a row is the sum of its words' log-likelihoods; no per-symbol increment
+is formed.  Nothing cancels, each chunk's start differs from the
+sequential forward vector by rounding only, and the normalized pass
+contracts such differences instead of growing them, so each row agrees
+with the exact sum of the sequential pass's increments to a few ulps.  A
+path of probability zero raises ``UnreachableSequence``, from one check
+on the finished rows.
 
 All randomness flows through numpy's seeded default generator (PCG64,
 inverse-CDF draws): L uniforms for the hidden path, then L for the
@@ -85,6 +86,22 @@ def _chunks(steps):
 
 
 _SEGMENT = 1 << 16  # uniforms drawn and used at a time by either sampler pass
+# B, the steps per chunk of the hidden walk.  Each lockstep step is one
+# numpy call over all C * s cells, and each chunk one Python iteration of
+# the stitch, so a segment pays about B calls and _SEGMENT / B iterations.
+# A call costs more than an iteration, so B sits below sqrt(_SEGMENT) =
+# 256; 32, 64 and 128 time within about 5% of each other.
+_WALK_STEPS = 64
+
+
+def _walk_shape(steps):
+    """(C, B): ``steps`` >= 1 walk steps as C chunks of B <= _WALK_STEPS steps.
+
+    C = ceil(steps / _WALK_STEPS) and C * B >= steps; the padded tail of
+    the last chunk is less than C steps.
+    """
+    count = -(-steps // _WALK_STEPS)
+    return count, -(-steps // count)
 
 
 def _walk(cum_m, u, x, out):
@@ -93,39 +110,46 @@ def _walk(cum_m, u, x, out):
     The step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the cumulative
     rows are non-decreasing, so this is the first k with u_i < cum_m[x, k],
     capped at s-1, and the path is bit for bit that of a one-state-at-a-time
-    inverse-CDF walk.  Maps compose, so every chunk advances all s possible
-    starts in lockstep with the other chunks.  A state is held as its cell
-    c*s + x in a flat row of all chunks' states, so one step is one gather
-    of the step's row.  A loop over the chunks then takes each chunk's true
-    start from the end state of the one before, and a flat gather reads the
-    path.  The padded tail of the last chunk maps every state to 0, so the
-    loop's final state is not the walk's.
+    inverse-CDF walk.  Maps compose, so every chunk of ``_walk_shape``
+    advances all s possible starts in lockstep with the other chunks.  A
+    state is held as its cell c*s + x in a flat row of all chunks' states,
+    so one step is one gather of the step's row.  The step table is filled
+    one start state at a time, each chunk's steps contiguous: from the
+    chunk's first cell, plus the edge counts.  A loop over the chunks then
+    takes each chunk's true start from the end state of the one before,
+    and a flat gather reads the path.  The padded tail of the last chunk
+    maps every state to 0, so the loop's final state is not the walk's.
     """
     steps, s = len(u), len(cum_m)
     if steps == 0:
         return
-    count, size = _chunks(steps)
+    count, size = _walk_shape(steps)
     cells = count * s
     dtype = np.min_scalar_type(cells - 1)
     step = np.empty((size, count, s), dtype=dtype)  # step j of chunk c, to a cell
-    moves = np.empty(count * size, dtype=dtype)
-    for state in range(s):
-        moves[:] = 0
-        for edge in cum_m[state, :-1]:
-            moves[:steps] += u >= edge
-        step[:, :, state] = moves.reshape(count, size).T
+    moves = np.empty((count, size), dtype=dtype)  # step j of chunk c, from one state
+    real = moves.reshape(-1)[:steps]
     base = np.arange(0, cells, s, dtype=dtype)  # the first cell of chunk c
-    step += base[:, None]
+    for state in range(s):
+        moves[:] = base[:, None]
+        for edge in cum_m[state, :-1]:
+            real += u >= edge
+        step[:, :, state] = moves.T
     step = step.reshape(size, cells)
     ends = np.empty((size, cells), dtype=dtype)  # cell after step j, from cell x
     cell = np.arange(cells, dtype=dtype)
     for j in range(size):
         # indices are in range; mode "raise" would buffer ``out`` on every step
         cell = step[j].take(cell, out=ends[j], mode="clip")
-    starts, last = [], ends[-1].tolist()
+    # states, not cells: Python shares the ints of small states, so these
+    # lists of C entries allocate no int objects; lists of cells, mostly
+    # above 256, left about 0.2 MB more memory resident
+    last = (ends[-1] - base.repeat(s)).tolist()  # last[c*s + x]: end state
+    firsts = []  # the true start state of each chunk
     for first in range(0, cells, s):  # first: the first cell of a chunk
-        starts.append(first + x)
-        x = last[first + x] - first
+        firsts.append(x)
+        x = last[first + x]
+    starts = base + np.array(firsts, dtype=dtype)
     out[:] = (ends[:, starts] - base).T.ravel()[:steps]
 
 
@@ -375,9 +399,10 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
     for each uint8 path (hidden, observed), about 1.4 for the likelihood's
     word buffers at s = 2, and under 2 MiB for one 2**16-symbol sampler
     segment.  On the binary symmetric chain (p = 0.3, eps = 0.05) numpy
-    allocations peak at 3.0 MiB (tracemalloc) for L = 1e6 and 24 MiB for
-    L = 1e7; sample_paths adds two int64 copies, 16 bytes per symbol.  A
-    path the machine cannot allocate raises MemoryError (CLI exit 3).
+    allocations peak at 4.1 MiB (tracemalloc, first call in a process;
+    3.4 MiB when repeated) for L = 1e6 and 24 MiB for L = 1e7;
+    sample_paths adds two int64 copies, 16 bytes per symbol.  A path the
+    machine cannot allocate raises MemoryError (CLI exit 3).
     """
     eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)

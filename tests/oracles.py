@@ -108,6 +108,16 @@ def _pick(cum_row, u):
     return len(cum_row) - 1
 
 
+def walk(cum_m, u, x):
+    """The hidden state after each step of ``u``, from state x, one
+    inverse-CDF pick per step; ``cum_m`` holds the cumulative rows."""
+    path = []
+    for v in u:
+        x = _pick(cum_m[x], v)
+        path.append(x)
+    return path
+
+
 def sample_arrays(model, eps, length, seed):
     """Hidden and observed paths, one inverse-CDF pick per hidden step.
 
@@ -121,11 +131,7 @@ def sample_arrays(model, eps, length, seed):
     cum_pi = np.cumsum(model.transition.stationary).tolist()
     cum_m = [row.tolist() for row in np.cumsum(model.transition.matrix, axis=1)]
     x = _pick(cum_pi, u_hidden[0])
-    hidden = [x]
-    for i in range(1, length):
-        x = _pick(cum_m[x], u_hidden[i])
-        hidden.append(x)
-    hidden = np.asarray(hidden, dtype=np.int64)
+    hidden = np.asarray([x] + walk(cum_m, u_hidden[1:], x), dtype=np.int64)
     observed = np.empty(length, dtype=np.int64)
     cum_r = np.cumsum(np.eye(s) + eps * model.noise.matrix, axis=1)
     for state in range(s):

@@ -18,11 +18,12 @@ from hmpx import (
     sample_paths,
     sequence_probability,
 )
-from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _chunks, bounds_by_n,
-                              _row_log_likelihoods, _row_words, _scan_shape,
-                              _word_length, _word_table, path_log_likelihood)
+from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _WALK_STEPS, _chunks,
+                              bounds_by_n, _row_log_likelihoods, _row_words,
+                              _scan_shape, _walk, _walk_shape, _word_length,
+                              _word_table, path_log_likelihood)
 from conftest import binary_symmetric
-from oracles import log_increments, markov_entropy_rate, sample_arrays
+from oracles import log_increments, markov_entropy_rate, sample_arrays, walk
 
 
 class TestSamplePaths:
@@ -130,6 +131,41 @@ class TestChunkedScan:
             assert count * size >= steps > (count - 1) * size
 
 
+class TestWalk:
+    """The hidden walk scans chunks of at most ``_WALK_STEPS`` steps in
+    lockstep; its path must be the one-state-at-a-time walk's."""
+
+    @pytest.mark.parametrize("s", [2, 3, 9])
+    @pytest.mark.parametrize("kind", ["random", "cyclic"])
+    def test_matches_scalar_walk_from_every_state(self, s, kind):
+        m = random_model(np.random.default_rng(s), s).transition.matrix
+        if kind == "cyclic":
+            # mostly x -> x+1: the chunk maps of a fast-mixing chain send
+            # every start to one state, these rarely do, so each chunk's
+            # true start matters
+            m = 0.98 * np.roll(np.eye(s), 1, axis=1) + 0.02 * m
+        cum_m = np.cumsum(m, axis=1)
+        rows = cum_m.tolist()
+        edge = 256 // s * _WALK_STEPS  # the most steps whose cells fit in uint8
+        assert [np.min_scalar_type(_walk_shape(steps)[0] * s - 1)
+                for steps in (edge, edge + 1)] == [np.uint8, np.uint16]
+        for steps in (1, 63, 64, 65, 127, 129, 4097, edge, edge + 1, _SEGMENT - 1):
+            u = np.random.default_rng(steps).random(steps)
+            out = np.empty(steps, dtype=np.uint8)
+            for x in range(s):
+                _walk(cum_m, u, x, out)
+                np.testing.assert_array_equal(out, walk(rows, u.tolist(), x),
+                                              err_msg=f"{steps} steps from {x}")
+
+    def test_walk_shape(self):
+        assert _walk_shape(_SEGMENT - 1) == (1024, 64)
+        for steps in (1, 2, 63, 64, 65, 127, 129, 4097, _SEGMENT - 1, _SEGMENT):
+            count, size = _walk_shape(steps)
+            assert count == math.ceil(steps / _WALK_STEPS)
+            assert size <= _WALK_STEPS
+            assert count * size >= steps > (count - 1) * size
+
+
 class TestSegments:
     """The sampler draws and uses its uniforms one segment at a time; the
     paths must not show where a segment ends."""
@@ -144,7 +180,7 @@ class TestSegments:
             # the first segment's walk has a padded last chunk, whose tail
             # maps every state to 0; a walk that carried that state into
             # the second segment, not the last real one, would step elsewhere
-            count, size = _chunks(_SEGMENT - 1)
+            count, size = _walk_shape(_SEGMENT - 1)
             assert count * size > _SEGMENT - 1
             u = np.random.default_rng(11).random(_SEGMENT + 1)[_SEGMENT]
             edges = np.cumsum(model.transition.matrix, axis=1)[:, :-1]
