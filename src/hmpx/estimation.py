@@ -1,13 +1,14 @@
 """Statistical cross-checks, deliberately far from the enumeration engine.
 
-A long sampled observation path gives a consistent entropy-rate estimate
--(1/L) log P(Y_1..Y_L) through the normalized linear-space forward pass,
-with batch-means standard errors (the log-likelihoods of consecutive
-batches are dependent, so i.i.d. formulas would lie).  Conditional
-entropies with and without knowledge of the first hidden state sandwich
-the entropy rate from above and below.  By the blocking identity the
-lower one is the conditional entropy of the process whose first site is
-noiseless, so each comes from one trellis pass from the stationary start.
+Independent sampled paths give a consistent entropy-rate estimate
+-(1/n) log P(Y_1..Y_n) through the normalized linear-space forward pass:
+the estimate runs ``batches`` replicas of n = L // batches symbols, each
+from the stationary law, so their log-likelihoods are i.i.d. and the
+standard error is that of their mean.  Conditional entropies with and
+without knowledge of the first hidden state sandwich the entropy rate
+from above and below.  By the blocking identity the lower one is the
+conditional entropy of the process whose first site is noiseless, so
+each comes from one trellis pass from the stationary start.
 
 Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
 the path is cut into chunks that advance in lockstep, then are stitched
@@ -15,25 +16,27 @@ together in order.  The sampler draws and uses its uniforms in segments
 of 2**16 symbols, the whole hidden path first and then the observations.
 It scans each segment in chunks of at most 64 steps, from the last
 hidden state of the segment before, and composes maps of states, so its
-paths are bit for bit those of a one-state-at-a-time walk.  The
-likelihood cuts the path into about sqrt(L) chunks.  It scores the path
-in rows (one row for the whole path, one per batch for the estimate),
-each padded to whole k-symbol words, and composes products of
-non-negative matrices, normalized after every factor, from a table of
-the products of every k-symbol word.  Both the chunk transfer products
-and the forward pass that scores the words step one word at a time, and
-a row is the sum of its words' log-likelihoods; no per-symbol increment
-is formed.  Nothing cancels, each chunk's start differs from the
-sequential forward vector by rounding only, and the normalized pass
-contracts such differences instead of growing them, so each row agrees
-with the exact sum of the sequential pass's increments to a few ulps.  A
-path of probability zero raises ``UnreachableSequence``, from one check
-on the finished rows.
+paths are bit for bit those of a one-state-at-a-time walk.  A replica
+starts with a restart, a step whose map sends every state to a draw from
+the stationary law, so the replicas are one walk.  The likelihood scores
+the path in rows (one row for a whole path, one per replica for the
+estimate), each row a path of its own cut into about sqrt(n) chunks of
+whole k-symbol words, and composes products of non-negative matrices,
+normalized after every factor, from a table of the products of every
+k-symbol word.  The chunks of all rows advance together.  Both the chunk
+transfer products and the forward pass that scores the words step one
+word at a time, and a row is the sum of its words' log-likelihoods; no
+per-symbol increment is formed.  Nothing cancels, each chunk's start
+differs from the sequential forward vector by rounding only, and the
+normalized pass contracts such differences instead of growing them, so
+each row agrees with the exact sum of the sequential pass's increments
+to a few ulps.  A path of probability zero raises
+``UnreachableSequence``, from one check on the finished rows.
 
 All randomness flows through numpy's seeded default generator (PCG64,
-inverse-CDF draws): L uniforms for the hidden path, then L for the
-observations, whatever the segment size.  A run is a pure function of
-(model, eps, L, seed).
+inverse-CDF draws): one uniform per hidden state, replica after replica,
+then one per observation, whatever the segment size.  A run is a pure
+function of (model, eps, L, seed).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from .engine import block_entropies, warn_workers
 from .errors import UnreachableSequence
 from .model import check_epsilon, check_symbols, check_whole, emission_at
 
-GENERATOR_NAME = "numpy default_rng (PCG64), inverse-CDF sampling"
+GENERATOR_NAME = ("numpy default_rng (PCG64), inverse-CDF sampling, "
+                  "stationary-start replicas")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,18 +108,21 @@ def _walk_shape(steps):
     return count, -(-steps // count)
 
 
-def _walk(cum_m, u, x, out):
+def _walk(cum_m, u, x, out, restarts=None):
     """out[i]: the hidden state after step i of the walk from state x.
 
     The step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the cumulative
     rows are non-decreasing, so this is the first k with u_i < cum_m[x, k],
     capped at s-1, and the path is bit for bit that of a one-state-at-a-time
-    inverse-CDF walk.  Maps compose, so every chunk of ``_walk_shape``
-    advances all s possible starts in lockstep with the other chunks.  A
-    state is held as its cell c*s + x in a flat row of all chunks' states,
-    so one step is one gather of the step's row.  The step table is filled
-    one start state at a time, each chunk's steps contiguous: from the
-    chunk's first cell, plus the edge counts.  A loop over the chunks then
+    inverse-CDF walk.  ``restarts``, a pair of a slice of the steps and
+    an array of states, marks restarts, steps whose map is constant: the
+    j-th step of the slice sends every state to the j-th state.  Maps
+    compose, so every chunk of ``_walk_shape`` advances all s possible
+    starts in lockstep with the other chunks.  A state is held as its cell
+    c*s + x in a flat row of all chunks' states, so one step is one gather
+    of the step's row.  The step table is filled one start state at a
+    time, each chunk's steps contiguous: from the chunk's first cell, plus
+    the edge counts, and each restart's cell.  A loop over the chunks then
     takes each chunk's true start from the end state of the one before,
     and a flat gather reads the path.  The padded tail of the last chunk
     maps every state to 0, so the loop's final state is not the walk's.
@@ -130,10 +137,15 @@ def _walk(cum_m, u, x, out):
     moves = np.empty((count, size), dtype=dtype)  # step j of chunk c, from one state
     real = moves.reshape(-1)[:steps]
     base = np.arange(0, cells, s, dtype=dtype)  # the first cell of chunk c
+    if restarts is not None:
+        at, to = restarts
+        marks = base[np.arange(*at.indices(steps)) // size] + to  # their cells
     for state in range(s):
         moves[:] = base[:, None]
         for edge in cum_m[state, :-1]:
             real += u >= edge
+        if restarts is not None:
+            real[at] = marks
         step[:, :, state] = moves.T
     step = step.reshape(size, cells)
     ends = np.empty((size, cells), dtype=dtype)  # cell after step j, from cell x
@@ -153,32 +165,37 @@ def _walk(cum_m, u, x, out):
     out[:] = (ends[:, starts] - base).T.ravel()[:steps]
 
 
-def _sample_arrays(model, eps, length, seed):
-    """Hidden and observed paths, in the smallest unsigned dtype holding s.
+def _sample_arrays(model, eps, length, seed, width=None):
+    """Hidden and observed paths of independent replicas of ``width``
+    symbols (one replica of ``length`` by default), in the smallest
+    unsigned dtype holding s; ``width`` divides ``length``.
 
     One generator makes two draws of ``length`` uniforms, the first for
-    the hidden path and the second for the observations, used in segments
-    of ``_SEGMENT`` symbols: random(a) then random(b) gives the draws of
-    random(a + b), so the segments change no draw.  Pass A walks the
-    hidden path (see ``_walk``) segment by segment, each from the last
-    hidden state of the segment before; u_0 picks the first state from the
-    stationary law.  Pass B then emits each segment's observations,
-    counting edges in the cumulative emission row of each hidden state.
-    Only one segment's uniforms and scan arrays are held at a time.
+    the hidden paths and the second for the observations, replica after
+    replica, used in segments of ``_SEGMENT`` symbols: random(a) then
+    random(b) gives the draws of random(a + b), so the segments change no
+    draw.  Pass A walks the hidden path (see ``_walk``) segment by segment,
+    each from the last hidden state of the segment before.  A replica's
+    first uniform picks its start from the stationary law: a restart, a
+    step whose map sends every state to that pick.  Pass B then emits each
+    segment's observations, counting edges in the cumulative emission row
+    of each hidden state.  Only one segment's uniforms and scan arrays are
+    held at a time.
     """
     rng = np.random.default_rng(seed)
     s = model.size
+    width = length if width is None else width
     dtype = np.min_scalar_type(s)
     hidden = np.empty(length, dtype=dtype)
     cum_m = np.cumsum(model.transition.matrix, axis=1)
     cum_pi = np.cumsum(model.transition.stationary)[:-1]
+    x = 0  # any state: step 0 is a restart
     for lo in range(0, length, _SEGMENT):
         u = rng.random(min(_SEGMENT, length - lo))
-        if lo == 0:
-            hidden[0] = np.count_nonzero(cum_pi <= u[0])
-        first = max(lo, 1)
-        _walk(cum_m, u[first - lo:], int(hidden[first - 1]),
-              hidden[first:lo + len(u)])
+        at = slice(-lo % width, None, width)  # this segment's restarts
+        out = hidden[lo:lo + len(u)]
+        _walk(cum_m, u, x, out, (at, cum_pi.searchsorted(u[at], side="right")))
+        x = int(out[-1])
     observed = np.zeros(length, dtype=dtype)
     cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)[:, :-1].T
     for lo in range(0, length, _SEGMENT):
@@ -230,33 +247,33 @@ def _word_table(a, k):
 
 def _scan_shape(s, length, width):
     """(k, size): the word length, and the words per chunk of the scan of
-    ``length`` symbols in rows of ``width``.
+    each row of ``width`` symbols of a ``length``-symbol path.
 
-    A chunk spans about sqrt(L) symbols: the B steps of ``_chunks``,
-    rounded up to whole words.  k is capped at both B and the row width.
+    A row of n = min(length, width) symbols is scanned in chunks of about
+    sqrt(n) symbols: the B steps of ``_chunks(n - 1)``, rounded up to
+    whole words; k is capped at B.  A shorter last row is scanned as a
+    path of its own.
     """
-    steps = _chunks(length - 1)[1]
-    k = _word_length(s, min(width, steps))
+    steps = _chunks(min(length, width) - 1)[1]
+    k = _word_length(s, steps)
     return k, -(-steps // k)
 
 
 def _row_words(symbols, s, width, k):
     """codes[i, j]: the base-(s+1) code of word j of row i.
 
-    Row i holds symbols [i*width, (i+1)*width), padded with the identity
-    symbol s to whole words of k symbols, so no word straddles a row end;
-    the shorter last row is padded to as many words as the others.  Symbol
-    0 is replaced by the identity, since the forward pass starts from its
-    distribution.  Words are encoded Horner-style, earliest digit first.
+    Row i holds symbols [i*width, (i+1)*width), and ``width`` divides the
+    length.  Each row is padded with the identity symbol s to whole words
+    of k symbols, so no word straddles a row end, and its symbol 0 is
+    replaced by the identity, since its forward pass starts from that
+    symbol's distribution.  Words are encoded Horner-style, earliest digit
+    first.
     """
-    length = len(symbols)
-    rows, tail = divmod(length, width)
-    padded = np.full((rows + (tail > 0), -(-width // k) * k), s,
-                     dtype=np.min_scalar_type(s))
-    padded[:rows, :width] = symbols[: rows * width].reshape(rows, width)
-    padded[rows:, :tail] = symbols[rows * width:]
-    padded[0, 0] = s
-    digits = padded.reshape(len(padded), -1, k).transpose(2, 0, 1)  # digits[d, i, j]
+    rows = len(symbols) // width
+    padded = np.full((rows, -(-width // k) * k), s, dtype=np.min_scalar_type(s))
+    padded[:, :width] = symbols.reshape(rows, width)
+    padded[:, 0] = s
+    digits = padded.reshape(rows, -1, k).transpose(2, 0, 1)  # digits[d, i, j]
     codes = digits[0].astype(np.min_scalar_type((s + 1) ** k - 1))
     for digit in digits[1:]:
         codes *= s + 1
@@ -277,74 +294,122 @@ def _chunk_products(table, words):
     return q
 
 
+# The most transfer-matrix entries (chunks times s * s) scanned in
+# lockstep.  Rows are scanned in groups of at most this many, so memory
+# stays bounded however many rows there are and however large s is; 30
+# rows of 10**6 / 30 symbols make 5490 chunks, 21 960 entries, on two
+# symbols.
+_GROUP_CELLS = 1 << 15
+
+
 def _row_log_likelihoods(model, eps, symbols, width):
-    """log P(row i | the rows before it), the path cut into rows of ``width``.
+    """log P(row i), the path cut into rows of ``width`` symbols, each row
+    an independent path from the stationary law.
 
     Row i holds symbols [i*width, (i+1)*width); the last row may be
-    shorter.  The rows sum to log P(y_1..y_L), and row b is batch b of the
-    batch-means estimate.  Step y takes a row vector v to v A_y with
-    A_y[x, x'] = m[x, x'] r[x', y]; the padding symbol s steps by the
-    identity.  Each row is cut into words of k steps (see ``_row_words``),
-    and the word sequence into chunks of about sqrt(L) symbols (see
-    ``_scan_shape``), the last chunk padded with identity words.  Pass 1
-    forms every chunk's transfer matrix Q_c, all chunks in lockstep, one
-    word at a time: it multiplies by the tabulated word products of
-    ``_word_table`` and normalizes Q_c by its sum after every word.  Pass
-    2 walks the chunks in order: start_{c+1} = normalize(start_c Q_c).
-    Pass 3 runs the normalized forward pass of all chunks in lockstep from
-    their true starts, one word at a time: the log of each norm plus the
-    word's lt is that word's log-likelihood.  A word of identity steps
-    scores exactly 0.  Each row is the pairwise numpy sum of its words,
-    and row 0 adds the log of the first symbol's probability.
+    shorter.  Step y takes a row vector v to v A_y with A_y[x, x'] =
+    m[x, x'] r[x', y]; the padding symbol s steps by the identity.  The
+    rows of ``width`` symbols are scanned in groups of at most
+    ``_GROUP_CELLS`` chunk-matrix entries, and a shorter last row on its
+    own, each row with the same words and chunks as if it were the whole
+    path (see ``_scan_shape``).  So a row has the bits
+    ``path_log_likelihood`` gives it alone, up to the summation order of a
+    few sums over s states (the same bits on two symbols).  See
+    ``_scan_rows`` for one group.
 
     Reachability is checked once, on the finished rows.  A word of
     probability zero gives a zero norm, so a log of -inf, and the division
-    by it 0/0 = NaN, which every later product carries along; the check
-    refuses both.  Pass 3 meets every word of the path itself, so a zero
-    inside the padded last chunk, whose Q_c pass 2 never reads, is caught
-    as well.
+    by it 0/0 = NaN, which every later product of its row carries along;
+    the check refuses both.  Pass 3 meets every word of the path itself,
+    so a zero inside a row's padded last chunk, whose Q_c pass 2 never
+    reads, is caught as well.
     """
     s = model.size
     r = emission_at(model.noise, eps)
     a = np.empty((s, s, s + 1))  # a[x, x', y] = A_y[x, x']
     a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
     a[:, :, s] = np.eye(s)
-    first = model.transition.stationary * r[:, symbols[0]]
-    k, size = _scan_shape(s, len(symbols), width)
+    length = len(symbols)
+    full = length - length % width  # the whole rows, then a shorter last row
+    values = np.empty(-(-length // width))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # first[y, x] = P(X_1 = x, Y_1 = y), C-ordered: a row's sum is then
+        # numpy's sum of that row alone
+        first = model.transition.stationary * r.T.copy()
+        head = first.sum(axis=1)
+        law, lhead = first / head[:, None], np.log(head)  # X_1 given y, log P(y)
+        for lo, hi, n in ((0, full, width), (full, length, length - full)):
+            if lo == hi:
+                continue
+            k, size = _scan_shape(s, n, n)
+            table, lt = _word_table(a, k)
+            chunks = -(-n // (k * size))  # per row
+            step = max(1, _GROUP_CELLS // (chunks * s * s)) * n
+            for i in range(lo, hi, step):
+                j = min(i + step, hi)
+                values[i // width:-(-j // width)] = _scan_rows(
+                    law, lhead, table, lt, symbols[i:j], n, k, size)
+    _check_reachable(values)
+    return values
+
+
+def _scan_rows(law, lhead, table, lt, symbols, width, k, size):
+    """log P of each row of ``width`` symbols, in lockstep.
+
+    A row whose first symbol is y starts from ``law[y]``, the hidden law
+    given Y_1 = y, and adds ``lhead[y]``, log P(Y_1 = y).  The word
+    ``table`` and its ``lt`` are of length k, and a chunk spans ``size``
+    words.  Each row is cut into words of k steps (see ``_row_words``),
+    and its words into chunks, the last chunk padded with identity words,
+    so no chunk straddles a row.  Pass 1 forms every chunk's transfer
+    matrix Q_c, all chunks in lockstep, one word at a time: it multiplies
+    by the tabulated word products of ``_word_table`` and normalizes Q_c
+    by its sum after every word.  Pass 2 walks each row's chunks in order,
+    all rows together: start_{c+1} = normalize(start_c Q_c).  Pass 3 runs
+    the normalized forward pass of all chunks in lockstep from their true
+    starts, one word at a time: the log of each norm plus the word's lt is
+    that word's log-likelihood.  A word of identity steps scores exactly
+    0.  Each row is the pairwise numpy sum of its own words plus the log
+    of its first symbol's probability.
+    """
+    heads = symbols[::width]  # each row's first symbol
+    rows, s = len(heads), len(law)
     codes = _row_words(symbols, s, width, k)
-    rows, per_row = codes.shape
+    per_row = codes.shape[1]
+    chunks = -(-per_row // size)  # per row
+    count = rows * chunks
     identity = (s + 1) ** k - 1  # the code of k identity steps
-    count = -(-codes.size // size)
-    words = np.full(count * size, identity, dtype=codes.dtype)
-    words[: codes.size] = codes.ravel()
+    words = np.full((rows, chunks * size), identity, dtype=codes.dtype)
+    words[:, :per_row] = codes
     del codes  # only the chunk-major copy is read from here on
     words = words.reshape(count, size).T.copy()  # words[j, c]: word j of chunk c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        table, lt = _word_table(a, k)
-        q = _chunk_products(table, words)  # q[x, x', c]
-        head = first.sum()
-        alpha = np.empty((s, count))  # alpha[x, c]
-        alpha[:, 0] = first / head
-        for c in range(count - 1):
-            start = alpha[:, c] @ q[:, :, c]
-            alpha[:, c + 1] = start / start.sum()
-        # buffers reused by every step: fresh step-sized arrays on each step
-        # fragment the heap, and the next sampler call then peaks higher
-        step, after = np.empty((s, s, count)), np.empty_like(alpha)
-        total = np.empty(count)
-        values = np.empty((count, size))  # values[c, j]: word j of chunk c
-        for j, code in enumerate(words):
-            np.einsum("xc,xyc->yc", alpha, table.take(code, axis=2, out=step), out=after)
-            alpha, after = after, alpha
-            alpha.sum(axis=0, out=total)
-            alpha /= total
-            value = values[:, j]
-            np.log(total, out=value)
-            value += lt.take(code)
-            value[code == identity] = 0.0
-        values = values.reshape(-1)[: rows * per_row].reshape(rows, per_row).sum(axis=1)
-        values[0] += np.log(head)
-    _check_reachable(values)
+    q = _chunk_products(table, words)  # q[x, x', c], c = i * chunks + chunk
+    # q[c, i]: chunk c of row i, a strided view, so each vector-matrix
+    # product is numpy's plain loop, as for one row
+    q = q.reshape(s, s, rows, chunks).transpose(3, 2, 0, 1)
+    starts = np.empty((chunks, rows, 1, s))  # starts[c, i, 0]: chunk c of row i
+    law.take(heads, axis=0, out=starts[0, :, 0])
+    for start, after, q_c in zip(starts, starts[1:], q):
+        v = np.matmul(start, q_c)
+        np.divide(v, v.sum(axis=2, keepdims=True), out=after)
+    del q
+    alpha = np.ascontiguousarray(starts[:, :, 0].transpose(2, 1, 0)).reshape(s, count)
+    # buffers reused by every step: fresh step-sized arrays on each step
+    # fragment the heap, and the next sampler call then peaks higher
+    step, after = np.empty((s, s, count)), np.empty_like(alpha)
+    total = np.empty(count)
+    values = np.empty((count, size))  # values[c, j]: word j of chunk c
+    for j, code in enumerate(words):
+        np.einsum("xc,xyc->yc", alpha, table.take(code, axis=2, out=step), out=after)
+        alpha, after = after, alpha
+        alpha.sum(axis=0, out=total)
+        alpha /= total
+        value = values[:, j]
+        np.log(total, out=value)
+        value += lt.take(code)
+        value[code == identity] = 0.0
+    values = values.reshape(rows, -1)[:, :per_row].sum(axis=1)
+    values += lhead.take(heads)
     return values
 
 
@@ -389,20 +454,30 @@ def sample_paths(model, eps, length, seed) -> SampleRun:
 
 
 def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
-    """Entropy-rate estimate -(1/L) log P(observed path), with batch-means SE.
+    """Entropy-rate estimate from ``batches`` independent replicas, with
+    the i.i.d. standard error of their means.
 
-    The path is scored in rows of L // batches symbols; batch b is row b,
-    and the symbols after the last whole batch count only in the estimate.
+    Each replica is a path of n = L // batches symbols from the stationary
+    law (see ``_sample_arrays``); the L mod batches leftover symbols are
+    not drawn.  The estimate is -(sum of the replicas' log P) / (batches n),
+    the sum exact (fsum), and the standard error is the sample standard
+    deviation of the replica means -log P / n over sqrt(batches).  The
+    estimate's mean is H_n / n, so it is biased upward by about E / n, E =
+    lim (H_m - m h) the excess entropy: E is 0.054 nats on the binary
+    symmetric chain (p = 0.3, eps = 0.05), so 30 replicas of L = 1e6 carry
+    a bias of 1.6e-6 nats against a standard error of about 2.7e-4.
     ``length``, ``seed`` and ``batches`` must be whole numbers.
 
     No budget bounds the memory, which grows with L: 1 byte per symbol
-    for each uint8 path (hidden, observed), about 1.4 for the likelihood's
-    word buffers at s = 2, and under 2 MiB for one 2**16-symbol sampler
-    segment.  On the binary symmetric chain (p = 0.3, eps = 0.05) numpy
-    allocations peak at 4.1 MiB (tracemalloc, first call in a process;
-    3.4 MiB when repeated) for L = 1e6 and 24 MiB for L = 1e7;
-    sample_paths adds two int64 copies, 16 bytes per symbol.  A path the
-    machine cannot allocate raises MemoryError (CLI exit 3).
+    for each uint8 path (hidden, observed), 8 per replica for its row,
+    about 1.4 per symbol of the rows scored together for the likelihood's
+    word buffers at s = 2 (at most ``_GROUP_CELLS`` / s**2 chunks of about
+    sqrt(n) symbols), and under 2 MiB for one 2**16-symbol sampler segment.
+    On the binary symmetric chain numpy allocations peak at 4.1 MiB
+    (tracemalloc, first call in a process; 3.4 MiB when repeated) for L =
+    1e6 and 21 MiB for L = 1e7; sample_paths adds two int64 copies, 16
+    bytes per symbol.  A path the machine cannot allocate raises
+    MemoryError (CLI exit 3).
     """
     eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)
@@ -414,12 +489,13 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
         raise ValueError("need at least 30 batches")
     if batches > length:
         raise ValueError(f"need batches <= length, got {batches} > {length}")
-    observed = _sample_arrays(model, eps, length, seed)[1]  # drop the hidden path
     batch_size = length // batches
+    size = batches * batch_size  # the L mod batches leftover symbols are not drawn
+    observed = _sample_arrays(model, eps, size, seed, batch_size)[1]
     rows = _row_log_likelihoods(model, eps, observed, batch_size)
-    estimate = -math.fsum(rows) / length
-    means = -rows[:batches] / batch_size
-    se = float(means.std(ddof=1)) / math.sqrt(batches)
+    estimate = -math.fsum(rows) / size
+    rows /= -batch_size  # the replica means, i.i.d.
+    se = float(rows.std(ddof=1)) / math.sqrt(batches)
     return McEstimate(estimate=estimate, standard_error=se, batches=batches,
                       batch_size=batch_size, length=length, seed=seed,
                       epsilon=eps)

@@ -10,9 +10,11 @@ plain Python over lists, one sequence at a time, on any number type with
 package's trellis code.  Slow and only usable at tiny sizes, which is the
 point.  The Monte Carlo sampler and likelihood have scalar references too:
 one hidden state and one symbol at a time, in the order the chunked
-versions in hmpx.estimation must reproduce.  The jet kernel's product
-and log have their full shift loops here, every source of every shift,
-which the support-restricted kernel must reproduce bit for bit.
+versions in hmpx.estimation must reproduce; the likelihood of many
+independent rows advances every row by one symbol at a time.  The jet
+kernel's product and log have their full shift loops here, every source
+of every shift, which the support-restricted kernel must reproduce bit
+for bit.
 """
 
 import math
@@ -108,21 +110,25 @@ def _pick(cum_row, u):
     return len(cum_row) - 1
 
 
-def walk(cum_m, u, x):
+def walk(cum_m, u, x, restarts=(), cum_pi=()):
     """The hidden state after each step of ``u``, from state x, one
-    inverse-CDF pick per step; ``cum_m`` holds the cumulative rows."""
+    inverse-CDF pick per step; ``cum_m`` holds the cumulative rows.  A step
+    in ``restarts`` picks from ``cum_pi`` instead, whatever the state."""
     path = []
-    for v in u:
-        x = _pick(cum_m[x], v)
+    for i, v in enumerate(u):
+        x = _pick(cum_pi if i in restarts else cum_m[x], v)
         path.append(x)
     return path
 
 
-def sample_arrays(model, eps, length, seed):
+def sample_arrays(model, eps, length, seed, width=None):
     """Hidden and observed paths, one inverse-CDF pick per hidden step.
 
     The same two draws of numpy's default_rng(seed) as hmpx.estimation:
-    u_hidden drives the chain, u_obs the emissions.
+    u_hidden drives the chain, u_obs the emissions.  The path is a run of
+    independent replicas of ``width`` symbols (one replica by default):
+    each replica's first hidden uniform picks its state from the
+    stationary law.
     """
     rng = np.random.default_rng(seed)
     u_hidden = rng.random(length)
@@ -130,8 +136,8 @@ def sample_arrays(model, eps, length, seed):
     s = model.size
     cum_pi = np.cumsum(model.transition.stationary).tolist()
     cum_m = [row.tolist() for row in np.cumsum(model.transition.matrix, axis=1)]
-    x = _pick(cum_pi, u_hidden[0])
-    hidden = np.asarray([x] + walk(cum_m, u_hidden[1:], x), dtype=np.int64)
+    starts = range(0, length, width or length)
+    hidden = np.asarray(walk(cum_m, u_hidden.tolist(), 0, starts, cum_pi), dtype=np.int64)
     observed = np.empty(length, dtype=np.int64)
     cum_r = np.cumsum(np.eye(s) + eps * model.noise.matrix, axis=1)
     for state in range(s):
@@ -164,6 +170,33 @@ def log_increments(model, eps, symbols):
         increments.append(math.log(norm))
         alpha = [v / norm for v in new]
     return np.asarray(increments)
+
+
+def row_increments(model, eps, symbols, width):
+    """[increments of row i], the path cut into rows of ``width`` symbols
+    (the last may be shorter), each row a path of its own.
+
+    The whole rows take the normalized forward pass of ``log_increments``
+    one symbol at a time, all rows at once; a shorter last row is handed
+    to ``log_increments``.
+    """
+    s = model.size
+    r = np.eye(s) + eps * model.noise.matrix
+    m = model.transition.matrix
+    symbols = np.asarray(symbols)
+    rows = len(symbols) // width
+    y = symbols[: rows * width].reshape(rows, width)
+    increments = np.empty((rows, width))
+    alpha = np.broadcast_to(model.transition.stationary, (rows, s))
+    for j in range(width):
+        new = (alpha if j == 0 else alpha @ m) * r[:, y[:, j]].T
+        norm = new.sum(axis=1)
+        if not np.all(norm > 0.0):
+            raise UnreachableSequence("observation path has probability zero")
+        increments[:, j] = np.log(norm)
+        alpha = new / norm[:, None]
+    tail = symbols[rows * width:]
+    return list(increments) + ([log_increments(model, eps, tail)] if len(tail) else [])
 
 
 def block_entropy_bruteforce(model, n, eps):

@@ -18,12 +18,14 @@ from hmpx import (
     sample_paths,
     sequence_probability,
 )
+from hmpx import estimation
 from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _WALK_STEPS, _chunks,
                               bounds_by_n, _row_log_likelihoods, _row_words,
-                              _scan_shape, _walk, _walk_shape, _word_length,
-                              _word_table, path_log_likelihood)
+                              _sample_arrays, _scan_shape, _walk, _walk_shape,
+                              _word_length, _word_table, path_log_likelihood)
 from conftest import binary_symmetric
-from oracles import log_increments, markov_entropy_rate, sample_arrays, walk
+from oracles import (log_increments, markov_entropy_rate, row_increments,
+                     sample_arrays, walk)
 
 
 class TestSamplePaths:
@@ -71,33 +73,41 @@ class TestStreamPin:
     def test_paths_and_estimate_are_pinned(self, bs):
         # (model, eps, L, seed) fixes the run; the path hash was taken from
         # the one-state-at-a-time sampler, and the estimate is the scalar
-        # forward loop's increments summed exactly (fsum), over L
+        # forward loop's increments of its 30 replicas of 666 symbols,
+        # each replica a path of its own, summed exactly (fsum), over 19 980
         run = sample_paths(bs, 0.05, 10_000, seed=1)
         assert hashlib.sha256(run.observed.tobytes()).hexdigest() == (
             "f6f64efc2b044ad33551115413c3bdaf3821ca2b069ed4875c6008a4f1c8d9e3")
         est = mc_entropy_rate(bs, 0.05, 20_000, seed=1)
-        observed = sample_paths(bs, 0.05, 20_000, seed=1).observed
-        assert est.estimate == -math.fsum(log_increments(bs, 0.05, observed)) / 20_000
-        assert est.estimate.hex() == "0x1.4620415d9bf1dp-1"
-        assert GENERATOR_NAME == "numpy default_rng (PCG64), inverse-CDF sampling"
+        observed = sample_arrays(bs, 0.05, 19_980, seed=1, width=666)[1]
+        increments = [log_increments(bs, 0.05, observed[i:i + 666])
+                      for i in range(0, 19_980, 666)]
+        assert est.estimate == -math.fsum(np.concatenate(increments)) / 19_980
+        assert est.estimate.hex() == "0x1.46948ea876753p-1"
+        assert GENERATOR_NAME == ("numpy default_rng (PCG64), inverse-CDF sampling, "
+                                  "stationary-start replicas")
 
 
 def _assert_rows_match(model, eps, symbols, reference, k):
     """Each row's log-likelihood against the exact (fsum) sum of the scalar
-    loop's increments over the same symbols, at every width of the grid."""
+    loop's increments over the same symbols as a path of its own, at every
+    width of the grid; ``reference`` holds the whole path's increments."""
     length = len(symbols)
-    reference = reference.tolist()
     for width in {length, 1, k, k + 1, length // 30, length // 40} - {0}:
         rows = _row_log_likelihoods(model, eps, symbols, width)
-        expected = [math.fsum(reference[i:i + width]) for i in range(0, length, width)]
+        increments = ([reference] if width == length
+                      else row_increments(model, eps, symbols, width))
+        expected = [math.fsum(row) for row in increments]
         np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=0.0,
                                    err_msg=f"width {width}")
 
 
-def _batch_means(increments, batches=30):
-    size = len(increments) // batches
-    means = -increments[: batches * size].reshape(batches, size).mean(axis=1)
-    return -increments.sum() / len(increments), means.std(ddof=1) / math.sqrt(batches)
+def _replica_means(increments):
+    """The estimate and its standard error from the increments of each
+    replica: the i.i.d. standard error of the replica means."""
+    size = sum(len(row) for row in increments)
+    means = np.array([-row.mean() for row in increments])
+    return -np.concatenate(increments).sum() / size, means.std(ddof=1) / math.sqrt(len(means))
 
 
 class TestChunkedScan:
@@ -119,7 +129,9 @@ class TestChunkedScan:
         _assert_rows_match(model, eps, run.observed, reference, k)
         if length >= 10_000:
             est = mc_entropy_rate(model, eps, length, seed=11)
-            estimate, se = _batch_means(reference)
+            width = length // 30
+            replicas = sample_arrays(model, eps, 30 * width, seed=11, width=width)[1]
+            estimate, se = _replica_means(row_increments(model, eps, replicas, width))
             assert est.estimate == pytest.approx(estimate, rel=1e-12)
             assert est.standard_error == pytest.approx(se, rel=1e-12)
 
@@ -156,6 +168,31 @@ class TestWalk:
                 _walk(cum_m, u, x, out)
                 np.testing.assert_array_equal(out, walk(rows, u.tolist(), x),
                                               err_msg=f"{steps} steps from {x}")
+
+    @pytest.mark.parametrize("s", [2, 3, 9])
+    @pytest.mark.parametrize("kind", ["random", "cyclic"])
+    def test_restarts_match_scalar_walk_from_every_state(self, s, kind):
+        # a restart sends every state to its stationary pick: on every
+        # step, inside chunks, on a chunk's last step and on the last step
+        model = random_model(np.random.default_rng(s), s)
+        m = model.transition.matrix
+        if kind == "cyclic":
+            m = 0.98 * np.roll(np.eye(s), 1, axis=1) + 0.02 * m
+        cum_m = np.cumsum(m, axis=1)
+        cum_pi = np.cumsum(model.transition.stationary)
+        rows, law = cum_m.tolist(), cum_pi.tolist()
+        for steps, first, width in ((1, 0, 1), (200, 199, 50), (4097, 0, 1),
+                                    (4097, 5, 333), (4097, 63, 64),
+                                    (_SEGMENT, 100, 1000)):
+            u = np.random.default_rng(steps + width).random(steps)
+            at = slice(first, None, width)
+            to = cum_pi[:-1].searchsorted(u[at], side="right")
+            out = np.empty(steps, dtype=np.uint8)
+            for x in range(s):
+                _walk(cum_m, u, x, out, (at, to))
+                np.testing.assert_array_equal(
+                    out, walk(rows, u.tolist(), x, range(first, steps, width), law),
+                    err_msg=f"{steps} steps from {x}, restarts {first}::{width}")
 
     def test_walk_shape(self):
         assert _walk_shape(_SEGMENT - 1) == (1024, 64)
@@ -199,10 +236,24 @@ class TestSegments:
         model = random_model(np.random.default_rng(11), 9)
         self._check(model, 0.5 * model.epsilon_max, _SEGMENT + 2)
 
+    @pytest.mark.parametrize("s", [2, 3, 9])
+    @pytest.mark.parametrize("width, replicas", [(1, 300), (333, 30), (_SEGMENT // 2, 4),
+                                                 (_SEGMENT - 1, 3), (70_000, 2)])
+    def test_replicas_match_scalar_oracle(self, s, width, replicas):
+        # replicas start inside a segment, on a segment's first step, on
+        # its last step, and cross segment ends
+        model = random_model(np.random.default_rng(s), s)
+        eps = 0.5 * model.epsilon_max
+        hidden, observed = sample_arrays(model, eps, width * replicas, 11, width)
+        run = _sample_arrays(model, eps, width * replicas, 11, width)
+        np.testing.assert_array_equal(run[0], hidden)
+        np.testing.assert_array_equal(run[1], observed)
+
     def test_peak_memory_of_the_estimate(self, bs):
         # the two uniform draws are held one segment at a time: at L = 1e6
         # the estimate peaked at 31.5 MiB of numpy allocations with whole
-        # draws and at 3.0 MiB with segments
+        # draws and at 4.1 MiB with segments (first call in a process;
+        # 3.4 MiB when repeated)
         tracemalloc.start()
         try:
             mc_entropy_rate(bs, 0.05, 10**6, seed=1)
@@ -225,6 +276,22 @@ def test_peak_memory_of_the_likelihood(bs):
     finally:
         tracemalloc.stop()
     assert peak <= 6.5 * 2**20
+
+
+def test_peak_memory_of_one_symbol_replicas(bs):
+    # batches = L: every replica is one symbol.  Rows are scanned in groups
+    # of at most _GROUP_CELLS chunk-matrix entries, and the replica means
+    # overwrite the rows: at L = 2e5 the estimate peaked at 5.49 MiB of
+    # numpy allocations with one word per row held for the whole path, at
+    # 3.96 MiB in groups
+    length = 2 * 10**5
+    tracemalloc.start()
+    try:
+        mc_entropy_rate(bs, 0.05, length, seed=1, batches=length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 class TestWordBlockedScan:
@@ -277,6 +344,29 @@ class TestWordBlockedScan:
             _assert_rows_match(model, eps, symbols,
                                log_increments(model, eps, symbols), k)
 
+    @pytest.mark.parametrize("name", ["bs", "t3", "r9"])
+    @pytest.mark.parametrize("group", [None, 20])
+    def test_each_row_is_a_path_of_its_own(self, request, monkeypatch, name, group):
+        # every row scores as path_log_likelihood scores it alone: bit for
+        # bit on two symbols; on more, the lockstep sums over s states may
+        # add in another order than one path's.  A small group limit
+        # splits the rows into many groups
+        if group is not None:
+            monkeypatch.setattr(estimation, "_GROUP_CELLS", group)
+        model = (random_model(np.random.default_rng(9), 9) if name == "r9"
+                 else request.getfixturevalue(name))
+        eps = 0.3 * model.epsilon_max
+        symbols = np.random.default_rng(model.size).integers(0, model.size, 3001)
+        for width in (1, 2, 7, 8, 100, 1000, 3001):
+            rows = _row_log_likelihoods(model, eps, symbols, width)
+            alone = [path_log_likelihood(model, eps, symbols[i:i + width])
+                     for i in range(0, len(symbols), width)]
+            if model.size == 2:
+                assert rows.tolist() == alone, f"width {width}"
+            else:
+                np.testing.assert_allclose(rows, alone, rtol=1e-14, atol=0.0,
+                                           err_msg=f"width {width}")
+
     def test_identity_words_score_exactly_zero(self):
         # a one-symbol path is the start law and then one word of identity
         # steps, which must add nothing, not a rounding of log(1/s) + log(s)
@@ -289,26 +379,31 @@ class TestWordBlockedScan:
 
     @pytest.mark.parametrize("s", [2, 3, 9])
     def test_no_word_straddles_a_row_end(self, s):
-        # decoding every row's words gives back that row's symbols, then
-        # only identity padding; symbol 0 is the identity step
+        # each row is a path of its own: decoding its words gives back its
+        # symbols, then only identity padding, and its symbol 0 is the
+        # identity step; the whole rows are coded together, a shorter last
+        # row on its own
         rng = np.random.default_rng(s)
         for length in (1, 2, 9, 100, 1001):
             symbols = rng.integers(0, s, length)
-            steps = symbols.copy()
-            steps[0] = s
             for width in (length, 1, 2, 3, 7, 8, length // 30 + 1):
-                k, size = _scan_shape(s, length, width)
-                span = _chunks(length - 1)[1]  # a chunk spans whole words
-                assert k <= min(width, span) and (size - 1) * k < span <= size * k
-                codes = _row_words(symbols, s, width, k)
-                rows, per_row = codes.shape
-                assert rows == -(-length // width) and per_row == -(-width // k)
-                digits = np.stack(np.unravel_index(codes, (s + 1,) * k), axis=-1)
-                decoded = digits.reshape(rows, per_row * k)
-                for i in range(rows):
-                    row = steps[i * width:(i + 1) * width]
-                    np.testing.assert_array_equal(decoded[i, :len(row)], row)
-                    assert np.all(decoded[i, len(row):] == s)
+                full = length - length % width
+                for part, n in ((symbols[:full], width), (symbols[full:], length - full)):
+                    if len(part) == 0:
+                        continue
+                    k, size = _scan_shape(s, len(part), n)
+                    span = _chunks(n - 1)[1]  # a chunk spans whole words
+                    assert k <= min(n, span) and (size - 1) * k < span <= size * k
+                    codes = _row_words(part, s, n, k)
+                    rows, per_row = codes.shape
+                    assert rows == len(part) // n and per_row == -(-n // k)
+                    digits = np.stack(np.unravel_index(codes, (s + 1,) * k), axis=-1)
+                    decoded = digits.reshape(rows, per_row * k)
+                    for i in range(rows):
+                        row = part[i * n:(i + 1) * n].copy()
+                        row[0] = s
+                        np.testing.assert_array_equal(decoded[i, :n], row)
+                        assert np.all(decoded[i, n:] == s)
 
 
 class TestUnreachable:
