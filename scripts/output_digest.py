@@ -18,8 +18,9 @@ the residuals of three 30-trial lemma batteries, ``mixed_partial_F`` for
 ``sequence_probability``, the bytes of ``sample_paths`` across a sampler
 segment end (length 2 * ``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a
 random 9-symbol model, the estimate and standard error of
-``mc_entropy_rate`` at L = 10**5 on bs and on t3, and
-``path_log_likelihood`` on t3.  An item that raises hashes its
+``mc_entropy_rate`` at L = 10**5 on bs and on t3 and at L = 10 007 in
+replicas of w = 1, 2, 7 and 8 symbols (one-symbol rows, and words padded
+with identity steps), and ``path_log_likelihood`` on t3.  An item that raises hashes its
 exception's type and message instead.
 """
 
@@ -91,6 +92,11 @@ def _grid(m):
         ("mc t3", lambda: [
             (e := hmpx.mc_entropy_rate(m["t3"], 0.1, 10**5, 3)).estimate,
             e.standard_error]),
+        *((f"mc {name} rows of {w}", lambda name=name, eps=eps, w=w: [
+            (e := hmpx.mc_entropy_rate(m[name], eps, 10_007, 3,
+                                       batches=10_007 // w)).estimate,
+            e.standard_error])
+          for name, eps in (("bs", 0.05), ("t3", 0.1)) for w in (1, 2, 7, 8)),
         ("path_log_likelihood t3", lambda: path_log_likelihood(
             m["t3"], 0.1, np.random.default_rng(7).integers(0, 3, 10_001)))]
     return items

@@ -254,12 +254,13 @@ def _symmetric_start(model, initial):
     """The start law and the symmetries of M and T that fix it.
 
     The start is ``initial`` if it is a length-s probability vector (every
-    check is a comparison that NaN fails) over its row_sum, like a transition
-    row, and only the symmetries that fix it bit for bit are kept.  Without ``initial`` every symmetry is kept and
-    the start is the G-average of the stationary law: the exact law is
-    G-invariant, the computed one only up to rounding.  Each average is an
-    fsum over the orbit, correctly rounded whatever the order, so it is
-    G-invariant bit for bit.
+    check is a comparison that NaN fails) over its row_sum, like a
+    transition row, and only the symmetries that fix it bit for bit are
+    kept.  Without ``initial`` every symmetry is kept and the start is the
+    G-average of the stationary law: the exact law is G-invariant, the
+    computed one only up to rounding.  Each average is an fsum over the
+    orbit, correctly rounded whatever the order, so it is G-invariant bit
+    for bit.
     """
     g = _symmetries(model)
     if initial is None:

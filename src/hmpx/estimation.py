@@ -21,16 +21,19 @@ starts with a restart, a step whose map sends every state to a draw from
 the stationary law, so the replicas are one walk.  The likelihood scores
 the path in rows (one row for a whole path, one per replica for the
 estimate), each row a path of its own cut into about sqrt(n) chunks of
-whole k-symbol words, and composes products of non-negative matrices,
-normalized after every factor, from a table of the products of every
-k-symbol word.  The chunks of all rows advance together.  Both the chunk
-transfer products and the forward pass that scores the words step one
-word at a time, and a row is the sum of its words' log-likelihoods; no
-per-symbol increment is formed.  Nothing cancels, each chunk's start
-differs from the sequential forward vector by rounding only, and the
-normalized pass contracts such differences instead of growing them, so
-each row agrees with the exact sum of the sequential pass's increments
-to a few ulps.  A path of probability zero raises
+whole k-symbol words, from a table of the products of every k-symbol
+word, in two passes.  Pass 1 forms each chunk's transfer product, all
+chunks in lockstep one word at a time, normalized after every word; the
+logs of the divided-out norms add up, in a compensated sum, to the
+chunk's scale.  Pass 2 walks each row's chunks in order from the joint
+law of the first hidden state and symbol, all rows together, normalizing
+after each chunk; a row is the sum over its chunks of the log of that
+norm plus the chunk's scale, and no per-word or per-symbol increment is
+formed.  Nothing cancels, every log is of a positive norm, each chunk's
+start differs from the sequential forward vector by rounding only, and
+the normalized pass contracts such differences instead of growing them,
+so each row agrees with the exact sum of the sequential pass's
+increments to a few ulps.  A path of probability zero raises
 ``UnreachableSequence``, from one check on the finished rows.
 
 All randomness flows through numpy's seeded default generator (PCG64,
@@ -281,17 +284,29 @@ def _row_words(symbols, s, width, k):
     return codes
 
 
-def _chunk_products(table, words):
-    """Pass 1: q[x, x', c], the transfer matrix of chunk c normalized by its sum.
+def _chunk_products(table, lt, words):
+    """Pass 1: (q, scale): q[x, x', c], the transfer matrix of chunk c
+    normalized by its sum, and scale[c], so the matrix is q * exp(scale).
 
     ``words[j, c]`` is the code of word j of chunk c; all chunks advance
-    in lockstep by one word of the table per step.
+    in lockstep by one word of the table per step.  scale[c] sums, over
+    the chunk's words, the word's ``lt`` and the log of the norm divided
+    out after it.  The sum is compensated (Kahan 1965): its terms are
+    often alike, so the roundings of a plain running sum add up, to 13
+    ulps on a 3e5-symbol path with i.i.d. fair symbols.
     """
     q = table.take(words[0], axis=2)
+    scale = lt.take(words[0])
+    lost = np.zeros_like(scale)  # what rounding dropped from scale
     for code in words[1:]:
         q = np.einsum("abc,bdc->adc", q, table.take(code, axis=2))
-        q /= q.sum(axis=(0, 1))
-    return q
+        norm = q.sum(axis=(0, 1))
+        q /= norm
+        term = np.log(norm) + lt.take(code) - lost
+        total = scale + term
+        lost = (total - scale) - term
+        scale = total
+    return q, scale
 
 
 # The most transfer-matrix entries (chunks times s * s) scanned in
@@ -308,109 +323,88 @@ def _row_log_likelihoods(model, eps, symbols, width):
 
     Row i holds symbols [i*width, (i+1)*width); the last row may be
     shorter.  Step y takes a row vector v to v A_y with A_y[x, x'] =
-    m[x, x'] r[x', y]; the padding symbol s steps by the identity.  The
-    rows of ``width`` symbols are scanned in groups of at most
-    ``_GROUP_CELLS`` chunk-matrix entries, and a shorter last row on its
-    own, each row with the same words and chunks as if it were the whole
-    path (see ``_scan_shape``).  So a row has the bits
-    ``path_log_likelihood`` gives it alone, up to the summation order of a
-    few sums over s states (the same bits on two symbols).  See
-    ``_scan_rows`` for one group.
+    m[x, x'] r[x', y]; the padding symbol s steps by the identity, and
+    the word of k padding symbols is tabled as exactly I with scale 0, so
+    a one-symbol row is exactly log P(Y_1 = y).  The rows of ``width``
+    symbols are scanned in groups of at most ``_GROUP_CELLS`` chunk-matrix
+    entries, and a shorter last row on its own, each row with the same
+    words and chunks as if it were the whole path (see ``_scan_shape``).
+    So a row has the bits ``path_log_likelihood`` gives it alone, up to
+    the summation order of a few sums over s states (the same bits on two
+    symbols).  See ``_scan_rows`` for one group.
 
     Reachability is checked once, on the finished rows.  A word of
     probability zero gives a zero norm, so a log of -inf, and the division
     by it 0/0 = NaN, which every later product of its row carries along;
-    the check refuses both.  Pass 3 meets every word of the path itself,
-    so a zero inside a row's padded last chunk, whose Q_c pass 2 never
-    reads, is caught as well.
+    the check refuses both.  Pass 1 meets every word of the path and
+    pass 2 reads every chunk's product, the padded last one too, so no
+    zero escapes.
     """
     s = model.size
     r = emission_at(model.noise, eps)
     a = np.empty((s, s, s + 1))  # a[x, x', y] = A_y[x, x']
     a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
     a[:, :, s] = np.eye(s)
+    first = model.transition.stationary * r.T  # first[y, x] = P(X_1 = x, Y_1 = y)
     length = len(symbols)
     full = length - length % width  # the whole rows, then a shorter last row
     values = np.empty(-(-length // width))
     with np.errstate(invalid="ignore", divide="ignore"):
-        # first[y, x] = P(X_1 = x, Y_1 = y), C-ordered: a row's sum is then
-        # numpy's sum of that row alone
-        first = model.transition.stationary * r.T.copy()
-        head = first.sum(axis=1)
-        law, lhead = first / head[:, None], np.log(head)  # X_1 given y, log P(y)
         for lo, hi, n in ((0, full, width), (full, length, length - full)):
             if lo == hi:
                 continue
             k, size = _scan_shape(s, n, n)
             table, lt = _word_table(a, k)
+            table[:, :, -1], lt[-1] = np.eye(s), 0.0  # the identity word
             chunks = -(-n // (k * size))  # per row
             step = max(1, _GROUP_CELLS // (chunks * s * s)) * n
             for i in range(lo, hi, step):
                 j = min(i + step, hi)
                 values[i // width:-(-j // width)] = _scan_rows(
-                    law, lhead, table, lt, symbols[i:j], n, k, size)
+                    first, table, lt, symbols[i:j], n, k, size)
     _check_reachable(values)
     return values
 
 
-def _scan_rows(law, lhead, table, lt, symbols, width, k, size):
+def _scan_rows(first, table, lt, symbols, width, k, size):
     """log P of each row of ``width`` symbols, in lockstep.
 
-    A row whose first symbol is y starts from ``law[y]``, the hidden law
-    given Y_1 = y, and adds ``lhead[y]``, log P(Y_1 = y).  The word
-    ``table`` and its ``lt`` are of length k, and a chunk spans ``size``
-    words.  Each row is cut into words of k steps (see ``_row_words``),
-    and its words into chunks, the last chunk padded with identity words,
-    so no chunk straddles a row.  Pass 1 forms every chunk's transfer
-    matrix Q_c, all chunks in lockstep, one word at a time: it multiplies
-    by the tabulated word products of ``_word_table`` and normalizes Q_c
-    by its sum after every word.  Pass 2 walks each row's chunks in order,
-    all rows together: start_{c+1} = normalize(start_c Q_c).  Pass 3 runs
-    the normalized forward pass of all chunks in lockstep from their true
-    starts, one word at a time: the log of each norm plus the word's lt is
-    that word's log-likelihood.  A word of identity steps scores exactly
-    0.  Each row is the pairwise numpy sum of its own words plus the log
-    of its first symbol's probability.
+    A row whose first symbol is y starts from ``first[y]``, the joint law
+    P(X_1 = x, Y_1 = y).  The word ``table`` and its ``lt`` are of length
+    k, and a chunk spans ``size`` words.  Each row is cut into words of k
+    steps (see ``_row_words``), and its words into chunks, the last chunk
+    padded with identity words, so no chunk straddles a row.  Pass 1
+    forms every chunk's transfer matrix q_c exp(scale_c), all chunks in
+    lockstep, one word at a time (see ``_chunk_products``).  Pass 2 walks
+    each row's chunks in order, all rows together: v = start q_c, norm_c
+    = sum(v), and the next start is v / norm_c.  A row is the pairwise
+    numpy sum over its chunks of log norm_c + scale_c, so its first norm
+    carries log P(Y_1 = y).
     """
     heads = symbols[::width]  # each row's first symbol
-    rows, s = len(heads), len(law)
+    rows, s = len(heads), len(first)
     codes = _row_words(symbols, s, width, k)
     per_row = codes.shape[1]
     chunks = -(-per_row // size)  # per row
-    count = rows * chunks
     identity = (s + 1) ** k - 1  # the code of k identity steps
     words = np.full((rows, chunks * size), identity, dtype=codes.dtype)
     words[:, :per_row] = codes
     del codes  # only the chunk-major copy is read from here on
-    words = words.reshape(count, size).T.copy()  # words[j, c]: word j of chunk c
-    q = _chunk_products(table, words)  # q[x, x', c], c = i * chunks + chunk
+    words = words.reshape(rows * chunks, size).T.copy()  # words[j, c]: word j of chunk c
+    q, scale = _chunk_products(table, lt, words)  # c = i * chunks + chunk
     # q[c, i]: chunk c of row i, a strided view, so each vector-matrix
     # product is numpy's plain loop, as for one row
     q = q.reshape(s, s, rows, chunks).transpose(3, 2, 0, 1)
-    starts = np.empty((chunks, rows, 1, s))  # starts[c, i, 0]: chunk c of row i
-    law.take(heads, axis=0, out=starts[0, :, 0])
-    for start, after, q_c in zip(starts, starts[1:], q):
+    values = np.empty((rows, chunks))  # values[i, c]: norm_c of row i
+    start = first.take(heads, axis=0)[:, None, :]  # start[i, 0]: row i
+    for c, q_c in enumerate(q):
         v = np.matmul(start, q_c)
-        np.divide(v, v.sum(axis=2, keepdims=True), out=after)
-    del q
-    alpha = np.ascontiguousarray(starts[:, :, 0].transpose(2, 1, 0)).reshape(s, count)
-    # buffers reused by every step: fresh step-sized arrays on each step
-    # fragment the heap, and the next sampler call then peaks higher
-    step, after = np.empty((s, s, count)), np.empty_like(alpha)
-    total = np.empty(count)
-    values = np.empty((count, size))  # values[c, j]: word j of chunk c
-    for j, code in enumerate(words):
-        np.einsum("xc,xyc->yc", alpha, table.take(code, axis=2, out=step), out=after)
-        alpha, after = after, alpha
-        alpha.sum(axis=0, out=total)
-        alpha /= total
-        value = values[:, j]
-        np.log(total, out=value)
-        value += lt.take(code)
-        value[code == identity] = 0.0
-    values = values.reshape(rows, -1)[:, :per_row].sum(axis=1)
-    values += lhead.take(heads)
-    return values
+        norm = v.sum(axis=2, keepdims=True)
+        values[:, c] = norm[:, 0, 0]
+        start = v / norm
+    np.log(values, out=values)
+    values += scale.reshape(rows, chunks)
+    return values.sum(axis=1)
 
 
 def path_log_likelihood(model, eps, symbols):
@@ -418,10 +412,13 @@ def path_log_likelihood(model, eps, symbols):
     sequence probabilities up to float rounding.  The empty path has log
     probability 0.  Symbols are checked as in sequence_probability.
 
-    A reachable path can still raise ``UnreachableSequence`` at eps = 0
-    when a transition entry is at or below about 1.6e-162, near the square
-    root of the smallest subnormal double: the chunk transfer products of
-    the scan then underflow to zero.
+    At eps = 0 a tiny transition entry t costs accuracy, and from about
+    1.6e-162, near the square root of the smallest subnormal double, a
+    reachable path raises ``UnreachableSequence``: the products of the
+    scan lose their small entries to underflow.  On the two-state chain
+    with off-diagonal t and 20 011 symbols the relative error is at most
+    6e-16 through t = 1e-156, then 1.3e-14 at 1e-157, 6e-12 at 1e-158 and
+    4.3e-6 at 1e-161, and t = 1e-162 raises.
     """
     eps = check_epsilon(model.epsilon_max, eps)
     symbols = check_symbols(model.size, symbols)
@@ -470,14 +467,16 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
 
     No budget bounds the memory, which grows with L: 1 byte per symbol
     for each uint8 path (hidden, observed), 8 per replica for its row,
-    about 1.4 per symbol of the rows scored together for the likelihood's
-    word buffers at s = 2 (at most ``_GROUP_CELLS`` / s**2 chunks of about
+    about 1.3 per symbol of the rows scored together for the likelihood's
+    word codes at s = 2 (at most ``_GROUP_CELLS`` / s**2 chunks of about
     sqrt(n) symbols), and under 2 MiB for one 2**16-symbol sampler segment.
     On the binary symmetric chain numpy allocations peak at 4.1 MiB
     (tracemalloc, first call in a process; 3.4 MiB when repeated) for L =
-    1e6 and 21 MiB for L = 1e7; sample_paths adds two int64 copies, 16
-    bytes per symbol.  A path the machine cannot allocate raises
-    MemoryError (CLI exit 3).
+    1e6 and 20.6 MiB for L = 1e7, while both paths are held during
+    sampling; the likelihood alone peaks at 5.8 MiB for L = 1e7 on top of
+    the observed path.  sample_paths adds two int64 copies, 16 bytes per
+    symbol.  A path the machine cannot allocate raises MemoryError (CLI
+    exit 3).
     """
     eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)

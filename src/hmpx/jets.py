@@ -120,15 +120,14 @@ class ExponentSet:
     the jets on the trailing axes, so each coefficient is one contiguous
     slab.  The one table, ``shifts``, says where each coefficient lands
     when multiplied by x**e_j; ``mul`` and ``log`` both read it, cut to
-the support of the operand they sweep (``shifts_on``, below).
+    the support of the operand they sweep (``shifts_on``, below).
     shifts[j] = (src, dst) lists the exponents e with e + e_j in the set
     and the flat indices of those sums.  Both are non-empty (e = 0 is
     always there) and ascending, and each is kept as a slice where its
     indices are consecutive.  dst is found from the mixed-radix codes of
     the bounding box: no digit carries, so code(e + e_j) = code(e) +
-    code(e_j).  Use
-    ``exponent_set`` to get one: it caches the table and refuses oversized
-    sets.
+    code(e_j).  Use ``exponent_set`` to get one: it caches the table and
+    refuses oversized sets.
 
     ``full`` says the cap never binds, so the set is the whole box
     {e <= top}, top = min(bounds, cap).  Then flat C order is the box's
@@ -139,9 +138,10 @@ the support of the operand they sweep (``shifts_on``, below).
     ``shifts_on(a)`` is ``shifts`` with every src cut to the coefficients
     where the jet array a is nonzero (and dst to match), which ``mul`` and
     ``log`` read instead; see the module docstring for why every nonzero
-    coefficient keeps its bits.  The cut tables are kept on the set, one per support pattern and
-    at most MAX_SUPPORTS of them, each row cut when it is first read.  A
-    width-1 set needs no table: its product and log are elementwise.
+    coefficient keeps its bits.  The cut tables are kept on the set, one
+    per support pattern and at most MAX_SUPPORTS of them, each row cut
+    when it is first read.  A width-1 set needs no table: its product and
+    log are elementwise.
     """
 
     def __init__(self, bounds, cap):

@@ -264,9 +264,10 @@ class TestSegments:
 
 
 def test_peak_memory_of_the_likelihood(bs):
-    # once the chunk-major copy of the word codes is built, the row-major
-    # codes are freed: at L = 4e6 in rows of L // 30 the likelihood peaked
-    # at 7.13 MiB with both copies held and at 6.00 MiB with one
+    # rows are summed from the chunk norms of the stitch, with no buffer
+    # of one log per word: at L = 4e6 in rows of L // 30 the likelihood
+    # peaked at 5.30 MiB with that buffer and at 3.70 MiB without it,
+    # most of it the padded copy of the symbols that ``_row_words`` codes
     length = 4 * 10**6
     observed = np.random.default_rng(0).integers(0, 2, length).astype(np.uint8)
     tracemalloc.start()
@@ -275,7 +276,7 @@ def test_peak_memory_of_the_likelihood(bs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
+    assert peak <= 4.5 * 2**20
 
 
 def test_peak_memory_of_one_symbol_replicas(bs):
@@ -501,6 +502,24 @@ class TestLogSpaceForward:
         for symbols in ([[0, 1]], np.zeros((2, 3), dtype=int), 1):
             with pytest.raises(ValueError, match="one-dimensional"):
                 path_log_likelihood(bs, 0.05, symbols)
+
+    @pytest.mark.parametrize("t", [1e-100, 1e-150])
+    def test_tiny_transition_entries_keep_full_accuracy(self, t):
+        # every switch of state costs a factor t, so the products of the
+        # scan hold entries near t and t**2 beside entries near 1: the
+        # worst-scaled paths below the underflow of t**2 near 1.6e-162
+        model = binary_symmetric(t)
+        symbols = np.random.default_rng(0).integers(0, 2, 20_011)
+        assert path_log_likelihood(model, 0.0, symbols) == pytest.approx(
+            math.fsum(log_increments(model, 0.0, symbols)), rel=1e-14, abs=0.0)
+
+    def test_long_path_of_alike_words_keeps_full_accuracy(self, bs):
+        # at eps = 0.5 every symbol has probability 1/2 whatever came
+        # before, so the words of every chunk add the same logs to its
+        # scale: a plain running sum was 13 ulps off here, 3 allowed
+        symbols = np.random.default_rng(0).integers(0, 2, 300_000)
+        assert path_log_likelihood(bs, 0.5, symbols) == pytest.approx(
+            300_000 * math.log(0.5), rel=4e-16, abs=0.0)
 
     def test_empty_path_has_log_probability_zero(self, bs):
         assert path_log_likelihood(bs, 0.05, []) == 0.0
