@@ -2,6 +2,7 @@
 
     python3 scripts/output_digest.py            # the digest
     python3 scripts/output_digest.py --items    # one digest per grid item too
+    python3 scripts/output_digest.py --values   # one JSON line of values per item too
 
 Run it from the root of a checkout: the package is imported from that
 checkout's ``src``.  Two trees whose digests agree computed every value of
@@ -22,9 +23,17 @@ random 9-symbol model, the estimate and standard error of
 replicas of w = 1, 2, 7 and 8 symbols (one-symbol rows, and words padded
 with identity steps), and ``path_log_likelihood`` on t3.  An item that raises hashes its
 exception's type and message instead.
+
+``--values`` prints each item as one JSON object, {"item": label,
+"values": ...}, the values nested as the item returns them: every float
+as its repr, which reads back to the same bits, bytes as "sha256:" and
+their SHA-256, and a raised exception as its type and message.  A change
+meant to move bits can then report, item by item, the largest
+|new - old| / max(1, |old|) against its parent.
 """
 
 import hashlib
+import json
 import struct
 import sys
 from pathlib import Path
@@ -114,17 +123,32 @@ def _feed(h, value):
         h.update(struct.pack("<d", float(value)))
 
 
+def _plain(value):
+    """value for --values: floats as their repr, bytes as their SHA-256."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bytes):
+        return "sha256:" + hashlib.sha256(value).hexdigest()
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    return repr(float(value))
+
+
 def main(argv):
     total = hashlib.sha256()
     for label, thunk in _grid(_models()):
         h = hashlib.sha256(label.encode())
         try:
-            _feed(h, thunk())
+            value = thunk()
+            _feed(h, value)
         except Exception as exc:  # the refusal is part of the output
-            h.update(f"{type(exc).__name__}: {exc}".encode())
+            value = f"{type(exc).__name__}: {exc}"
+            h.update(value.encode())
         total.update(h.digest())
         if "--items" in argv:
             print(h.hexdigest(), label)
+        if "--values" in argv:
+            print(json.dumps({"item": label, "values": _plain(value)}))
     print(total.hexdigest())
 
 

@@ -25,13 +25,20 @@ fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
 >= 0; M > 0, and the start law is >= 0.
 
 Mixed partials need one coefficient, x**kvec, the top corner of the box
-{e <= kvec}.  The total-degree cap sum(kvec) never binds there, so the
-box is full and flat C order pairs each exponent e at index i with
-kvec - e at index w-1-i: the top coefficient of log(p) * p is
-sum_i log(p)[i] * p[w-1-i], one dot product per sequence
-(ExponentSet.corner) instead of a whole jet product.  And H_{N-1} has no
-x_N term, since site N's variable enters no level below N, so when
-kvec[-1] > 0 only level N is summed.
+{e <= kvec}, and take it through one derivative along a noisy site i
+(_Slope).  Site i's emission I + x_i T has degree 1 in x_i and no other
+factor of a sequence probability holds x_i, so p = p0 + x_i p_i with p0
+and p_i free of x_i, and d/dx_i (p log p) = p_i (log p + 1).  So
+[x**kvec] p log p = [x**(kvec - e_i)] p_i (log p' + 1) / k_i, p' = p mod
+x_i**k_i, and the 1 adds nothing to a level's sum, whose probabilities
+sum to 1 at any noise: one jet log on the box with k_i lowered by one
+(half the box when k_i = 1) and one dot product per sequence
+(ExponentSet.corner).
+When kvec[-1] > 0, i is the last site: H_{N-1} has no x_N term and adds
+exactly 0, and the walk stops at level N-1, reading p0 = (M^T alpha)[y]
+and p_N = (T^T M^T alpha)[y] off each prefix's predicted state mass, so
+x_N never enters the trellis box.  The budget still counts s**N
+sequences, and is checked before any exponent set or jet is built.
 
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
@@ -59,7 +66,8 @@ p*log(p) terms are taken in batches.  Each summed block is checked for
 underflow as the walk meets it, so the same sequence is named at the
 same point; its live rows then wait, tagged with their level and orbit
 weight, until at least _CHUNK rows of any levels are pending or the walk
-ends; then one jet log and one jet product (or corner) serve them all.
+ends; then one jet log and one jet product (or the slope's log and
+corner) serve them all.
 Both act row by row, so a row's terms have the same bits in any batch.
 Numpy sums each block's own slice of the terms pairwise, per coefficient,
 as if the block were alone; a level appends its block sums to one float
@@ -314,20 +322,22 @@ def _live(p, index, n, s):
     return p[:, ~low]
 
 
-def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
+def _entropies(model, noise, levels, initial=None, budget=None, slope=None):
     """{n: H_n} for each n in levels, from one depth-first walk rooted at
     the start law (see _symmetric_start) and reduced by its symmetries.
 
-    With ``corner`` each H_n is a float: the top coefficient of its jet,
-    whose exponent set must be a full box (see ExponentSet.corner).
     levels ascend; the budget is checked at the last, the depth, before
     ``noise``, a shared value or per-site profile, is admitted (_sites).
+    With ``slope``, a _Slope, each H_n is the float coefficient the slope
+    takes of it, and ``noise`` profiles only the sites the walk steps
+    through: all but the last when the slope is along the last site, whose
+    probabilities the walk reads off instead (_Slope.read_off).
     """
     s = model.size
     depth = levels[-1]
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
-    r, space, jet = _sites(model, noise, depth)
+    r, space, jet = _sites(model, noise, depth if slope is None else len(noise))
     mt = model.transition.matrix.T
     # each level's block sums, w floats per block in walk order
     sums = {n: array("d") for n in levels}
@@ -345,8 +355,7 @@ def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
         # of many blocks gives each row the bits it would get alone, and
         # numpy sums each block's own slice pairwise as if it were alone
         p = np.concatenate([rows for _, _, rows in pending], axis=1)
-        logp = space.log(p)
-        terms = space.corner(logp, p)[None] if corner else space.mul(logp, p)
+        terms = space.mul(space.log(p), p) if slope is None else slope(p)[None]
         lo = 0
         for n, weight, rows in pending:
             hi = lo + rows.shape[1]
@@ -355,22 +364,33 @@ def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
         pending.clear()
         held = 0
 
-    def visit(alpha, index, n, weight):
-        # alpha (w, s, R): state mass of the level-n prefixes with
-        # lexicographic indices index, each standing for the `weight`
-        # sequences its orbit maps it to
+    def take(p, index, n, weight):
+        # p (w, R): probabilities of the level-n sequences with lexicographic
+        # indices index, each standing for the `weight` sequences its orbit
+        # maps it to
         nonlocal held
+        rows = _live(p, index, n, s)
+        pending.append((n, weight, rows))
+        held += rows.shape[1]
+        if held >= _CHUNK:
+            flush()
+
+    def visit(alpha, index, n, weight):
+        # alpha (w, s, R): state mass of the level-n prefixes
         if n in sums:
-            rows = _live(alpha.sum(axis=1), index, n, s)
-            pending.append((n, weight, rows))
-            held += rows.shape[1]
-            if held >= _CHUNK:
-                flush()
+            take(alpha.sum(axis=1), index, n, weight)
         if n < depth:
             for lo in range(0, index.size, width):
                 parents = slice(lo, lo + width)
-                child = _step(mt @ alpha[:, :, parents], r[n], space)
-                visit(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
+                # the predicted mass stays a temporary and the children's
+                # mass comes before their indices: a name holding it across
+                # the recursion, or the other order, cost `expand` 3-9%
+                if n < len(r):
+                    child = _step(mt @ alpha[:, :, parents], r[n], space)
+                    visit(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
+                else:  # the last site, which has no site tensor
+                    child = slope.read_off(mt @ alpha[:, :, parents])
+                    take(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
 
     root = _root(start, space)
     for a, count, weight in _runs(g):
@@ -378,11 +398,77 @@ def _entropies(model, noise, levels, initial=None, budget=None, corner=False):
               1, weight)
     if pending:
         flush()
-    jet, w = (None, 1) if corner else (jet, space.size)
+    jet, w = (jet, space.size) if slope is None else (None, 1)
     # each coefficient of H_n is the correctly rounded sum of its block sums
     return {n: _value(jet, -np.array([math.fsum(c) for c in
                                       np.frombuffer(buf).reshape(-1, w).T]))
             for n, buf in sums.items()}
+
+
+class _Slope:
+    """The Taylor coefficient [x**kvec] (p log p) of sequence probabilities
+    p, taken through one derivative along a noisy site i.
+
+    Site i's emission I + x_i T has degree 1 in x_i, and no other factor
+    of p holds x_i, so p = p0 + x_i p_i with p0, p_i free of x_i, and
+    d/dx_i (p log p) = p_i (log p + 1).  Hence
+
+        [x**kvec] (p log p) = [x**(kvec - e_i)] p_i (log p' + 1) / k_i,
+
+    p' = p mod x_i**k_i, since no power of x_i past k_i - 1 reaches the
+    coefficient.  The 1 drops out of the level's sum: the probabilities
+    of a level sum to 1 at any noise, so their p_i sum to 0.  The log runs
+    on the box with k_i lowered by one and the product is one corner read:
+    p_i has no x_i, so only the slab of the log at x_i**(k_i - 1) meets
+    it, and the two pair like the mirrored flat indices of the box without
+    x_i (ExponentSet.corner).  Every box has the cap sum(kvec), which binds
+    in none of them.
+
+    i is the last site when kvec[-1] >= 1: the walk then stops one level
+    short and reads p0 = (M^T alpha)[y] and p_i = (T^T M^T alpha)[y] off
+    the predicted state mass (read_off), so x_i never enters the trellis
+    box.  Otherwise i is a noisy site of lowest order, whose log box is
+    smallest relative to the whole box.
+    """
+
+    def __init__(self, model, kvec):
+        n, cap = len(kvec), sum(kvec)
+        i = n - 1 if kvec[-1] else min(
+            (j for j in range(n) if kvec[j]), key=kvec.__getitem__)
+        self.order = k = kvec[i]
+        radix = [b + 1 for b in kvec]
+        # a jet array over the whole box, viewed along x_i
+        self.shape = (math.prod(radix[:i]), k + 1, math.prod(radix[i + 1:]))
+        self.lower = exponent_set(tuple(kvec[:i]) + (k - 1,) + tuple(kvec[i + 1:]), cap)
+        flat = kvec[:i] + [0] + kvec[i + 1:]
+        self.flat = exponent_set(tuple(flat), cap)
+        walked = flat if i == n - 1 else kvec
+        # the sites the walk steps through, last one read off if it is i
+        self.profile = [MultiJet.variable(j, n, cap, bounds=walked)
+                        for j in range(n - (i == n - 1))]
+        self.noise_t = model.noise.matrix.T
+
+    def read_off(self, pred):
+        """The whole-box probabilities (w * (k+1), s*P) of the P prefixes
+        with predicted state mass pred (w, s, P) extended by each symbol y,
+        rows in the (symbol, parent) order of _step: p0 = pred[y] and
+        p_i = (T^T pred)[y]."""
+        w = pred.shape[0]
+        p = np.zeros((w, self.order + 1, pred[0].size))
+        p[:, 0] = pred.reshape(w, -1)
+        p[:, 1] = (self.noise_t @ pred).reshape(w, -1)
+        return p.reshape(w * (self.order + 1), -1)
+
+    def __call__(self, p):
+        """[x**(kvec - e_i)] p_i log p' for whole-box jet arrays p (w, R),
+        one float per row: summed over a level, k_i [x**kvec] of its
+        sum p log p."""
+        outer, _, inner = self.shape
+        p = p.reshape(*self.shape, -1)
+        logp = self.lower.log(p[:, :-1].reshape(self.lower.size, -1))
+        top = logp.reshape(outer, self.order, inner, -1)[:, -1]
+        return self.flat.corner(top.reshape(self.flat.size, -1),
+                                p[:, 1].reshape(self.flat.size, -1))
 
 
 # --- public entropy surface -----------------------------------------------
@@ -432,17 +518,13 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     """Mixed partial of the per-site conditional entropy at zero noise.
 
     Site i gets its own expansion variable.  Higher powers of a variable
-    cannot reach the target coefficient, so the multijet lives in the box
-    e <= kvec; inside it the total degree never exceeds sum(kvec), so the
-    total-degree cap plays no part and the box is full.  Only the box's
-    top coefficient, x**kvec, is wanted, and it is computed alone:
-
-    * the top coefficient of log(p) * p pairs flat index i with w-1-i
-      (ExponentSet.corner), one dot product per sequence instead of a
-      whole jet product;
-    * H_{N-1} has no x_N term, since site N's variable enters no level
-      below N.  So when kvec[-1] > 0 it adds exactly 0 and the walk sums
-      level N only.
+    cannot reach the target coefficient, so only the box e <= kvec
+    matters, and of it only the top coefficient, x**kvec, is computed,
+    through one derivative along a noisy site (_Slope).  When kvec[-1] > 0
+    that is the last site: H_{N-1} has no term in its variable and adds
+    exactly 0, and the walk stops at level N-1, reading level N off the
+    predicted state mass.  The budget counts s**N sequences all the same.
+    An all-zero kvec is F itself at zero noise.
 
     Entries of kvec must be whole numbers >= 0 (1.0 is accepted), at
     least two of them, else ValueError.
@@ -454,8 +536,13 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     if any(k < 0 for k in kvec):
         raise ValueError("kvec entries must be >= 0")
     n = len(kvec)
-    noise = [MultiJet.variable(i, n, sum(kvec), bounds=kvec) for i in range(n)]
+    check_budget(model.size, n, budget)  # before any exponent set is built
+    if not any(kvec):
+        h = _entropies(model, 0.0, (n - 1, n), budget=budget)
+        return h[n] - h[n - 1]
+    slope = _Slope(model, kvec)
     levels = (n,) if kvec[-1] else (n - 1, n)
-    h = _entropies(model, noise, levels, budget=budget, corner=True)
-    coefficient = h[n] - h.get(n - 1, 0.0)
-    return coefficient * math.prod(math.factorial(k) for k in kvec)
+    h = _entropies(model, slope.profile, levels, budget=budget, slope=slope)
+    # the slope carries a factor k_i, which (k_i - 1)! leaves out
+    factor = math.prod(math.factorial(k) for k in kvec) // slope.order
+    return (h[n] - h.get(n - 1, 0.0)) * factor

@@ -75,7 +75,7 @@ MULTIJET_MAX_DEGREE = 12
 # square of the set; the mixed-partial boxes have at most 2304 members.
 MAX_EXPONENTS = 4096
 # Support patterns whose cut shift tables one exponent set keeps; the
-# lemma walks meet at most 6 per set.
+# lemma walks meet at most 5 per set.
 MAX_SUPPORTS = 16
 
 _SCALARS = (int, float, np.integer, np.floating)
@@ -269,10 +269,11 @@ def exponent_set(bounds, cap):
     """Cached ExponentSet for a bounds tuple and total-degree cap.
 
     Raises DegreeExceedsCap when the set has more than MAX_EXPONENTS members.
-    The cache keeps each set's tables, cut ones included.  After the three
-    100-instance lemma batteries of acceptance criterion 4 it holds 222
-    sets with at most 6 support patterns each, in under 4 MB (tracemalloc:
-    about 3.1 MB, 1.7 MB of it the full shift tables).
+    The cache keeps each set's tables, cut ones included.  The three
+    100-instance lemma batteries of acceptance criterion 4 ask for 343
+    sets, so the cache ends full: 256 sets with at most 5 support patterns
+    each, in under 2 MB (tracemalloc: about 1.8 MB, 0.7 MB of it the full
+    shift tables).
     """
     size = _set_size(bounds, cap)
     if size > MAX_EXPONENTS:

@@ -40,7 +40,7 @@ def _as_square(raw, what):
     a = np.array(raw, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
         raise NonSquare(f"{what} must be a square matrix with size >= 2, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -102,12 +102,12 @@ class HmpModel:
         return self.noise.epsilon_max
 
 
-def _stationary_distribution(m):
+def _stationary_distribution(rows):
     # GTH state reduction (Grassmann, Taksar & Heyman 1985): fold the last
     # state into the others, using sum_{j<n} p[n][j] for 1 - p[n][n]; then
     # back-substitute.  No subtraction, so every entry of pi keeps its
     # relative accuracy however slowly the chain mixes.
-    p = m.tolist()
+    p = [row[:] for row in rows]
     s = len(p)
     for n in range(s - 1, 0, -1):
         last = p[n]
@@ -131,16 +131,19 @@ def row_sum(row):
         return math.inf
 
 
-def _check_rows(a, what, target):
-    """Each row's row_sum; RowSumViolation names the first row off target
-    by more than ROW_SUM_TOL."""
-    row_sums = np.array([row_sum(row) for row in a])
-    bad = np.abs(row_sums - target) > ROW_SUM_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RowSumViolation(f"{what} row {i} sums to {float(row_sums[i])!r}, expected {target}")
-    return row_sums
+def _check_rows(rows, what, target):
+    """Each row's row_sum, rows given as lists of floats; RowSumViolation
+    names the first row off target by more than ROW_SUM_TOL."""
+    sums = [row_sum(row) for row in rows]
+    for i, total in enumerate(sums):
+        if abs(total - target) > ROW_SUM_TOL:
+            raise RowSumViolation(f"{what} row {i} sums to {total!r}, expected {target}")
+    return sums
 
+
+# The validators below check and repair small matrices on Python floats:
+# for s of a few symbols that is cheaper than numpy's per-call overhead,
+# and float division and subtraction round the same way in both.
 
 def validate_transition(raw) -> StochasticMatrix:
     """Validate a raw transition matrix and compute its stationary distribution.
@@ -149,14 +152,15 @@ def validate_transition(raw) -> StochasticMatrix:
     and whose entries are all strictly positive.  Each row is divided by
     its sum, so downstream arithmetic sees machine-exact row sums.
     """
-    m = _as_square(raw, "transition matrix")
-    row_sums = _check_rows(m, "transition", 1)
-    if np.any(m <= 0.0):
-        i, j = np.argwhere(m <= 0.0)[0]
-        raise NonPositiveEntry(f"transition entry ({i},{j}) = {float(m[i, j])!r} must be > 0")
-    m = m / row_sums[:, None]
-    pi = _stationary_distribution(m)
-    return StochasticMatrix(matrix=_frozen(m), stationary=_frozen(pi))
+    rows = _as_square(raw, "transition matrix").tolist()
+    row_sums = _check_rows(rows, "transition", 1)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v <= 0.0:
+                raise NonPositiveEntry(f"transition entry ({i},{j}) = {v!r} must be > 0")
+    rows = [[v / total for v in row] for row, total in zip(rows, row_sums)]
+    pi = _stationary_distribution(rows)
+    return StochasticMatrix(matrix=_frozen(rows), stationary=_frozen(pi))
 
 
 def validate_noise(raw) -> NoiseGenerator:
@@ -168,20 +172,21 @@ def validate_noise(raw) -> NoiseGenerator:
     epsilon_max = inf).
     """
     t = _as_square(raw, "noise generator")
-    row_sums = _check_rows(t, "noise", 0)
-    if not t.any():
+    rows = t.tolist()
+    row_sums = _check_rows(rows, "noise", 0)
+    if not any(map(any, rows)):
         return NoiseGenerator(matrix=_frozen(t), epsilon_max=float("inf"))
-    off = t.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < 0.0) or np.any(np.diag(t) >= 0.0):
+    diag = [row[i] for i, row in enumerate(rows)]
+    if (any(v < 0.0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j)
+            or any(d >= 0.0 for d in diag)):
         raise SignViolation("noise generator needs t_ii < 0 and t_ij >= 0 (or all zeros)")
     # Fold the (<= 1e-9) row-sum residual into the diagonal so R(eps) rows
     # sum to 1 at machine precision.
-    t[np.arange(t.shape[0]), np.arange(t.shape[0])] -= row_sums
-    if np.any(np.diag(t) >= 0.0):
+    diag = [d - total for d, total in zip(diag, row_sums)]
+    if any(d >= 0.0 for d in diag):
         raise SignViolation("row-sum residual repair pushed a diagonal entry to >= 0")
-    eps_max = float(np.min(1.0 / np.abs(np.diag(t))))
-    return NoiseGenerator(matrix=_frozen(t), epsilon_max=eps_max)
+    np.fill_diagonal(t, diag)
+    return NoiseGenerator(matrix=_frozen(t), epsilon_max=min(1.0 / abs(d) for d in diag))
 
 
 def emission_at(noise: NoiseGenerator, eps: float) -> np.ndarray:

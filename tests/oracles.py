@@ -297,6 +297,70 @@ def jet_log_exact(a, nvars, cap, bounds=None):
     return out
 
 
+def _exact_probability(m, t, pi, symbols, bounds):
+    """P(symbols) as {exponent: Fraction}, one variable per site, every
+    power of site i's variable past bounds[i] dropped: the forward
+    recursion with emission delta_xy + x_i t[x][y], on exact rationals."""
+    s, n = len(pi), len(symbols)
+    zero = (0,) * n
+    alpha = [{zero: v} for v in pi]
+    for i, y in enumerate(symbols):
+        if i:
+            alpha = [_poly_sum({e: v * m[x][xp] for e, v in alpha[x].items()}
+                               for x in range(s)) for xp in range(s)]
+        step = []
+        for x, mass in enumerate(alpha):
+            out = dict(mass) if x == y else {}
+            for e, c in mass.items():
+                if e[i] < bounds[i]:
+                    f = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    out[f] = out.get(f, Fraction(0)) + c * t[x][y]
+            step.append(out)
+        alpha = step
+    return _poly_sum(alpha)
+
+
+def _poly_sum(polys):
+    out = {}
+    for poly in polys:
+        for e, v in poly.items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return out
+
+
+def mixed_partial_exact(model, kvec):
+    """d^kvec F at zero noise, F = H_N - H_{N-1} with one noise variable
+    per site, without the package's trellis or jets.
+
+    Each sequence's probability p is a Fraction forward pass over the box
+    {e <= kvec}, from the model's stored floats and stationary law taken
+    exactly.  With L = log(p) - log(p_0) from jet_log_exact,
+    [x**kvec] p log p = sum_e L[e] p[kvec - e] + p[kvec] log(p_0): a
+    rational and one irrational term.  p has degree <= 1 in each site's
+    variable, so p[kvec] = 0 unless every entry of kvec is <= 1, and any
+    other kvec gives an exact rational, rounded once.  H_{N-1} never sees
+    site N's variable, so it counts only when kvec[-1] = 0.
+    """
+    kvec = tuple(int(k) for k in kvec)
+    m = [[Fraction(v) for v in row] for row in model.transition.matrix.tolist()]
+    t = [[Fraction(v) for v in row] for row in model.noise.matrix.tolist()]
+    pi = [Fraction(v) for v in model.transition.stationary.tolist()]
+    rational, logs = Fraction(0), []
+    levels = [(kvec, -1)] + ([(kvec[:-1], 1)] if kvec[-1] == 0 else [])
+    for box, sign in levels:  # F = -sum p log p at N, plus it at N - 1
+        zero = (0,) * len(box)
+        for symbols in product(range(len(pi)), repeat=len(box)):
+            p = _exact_probability(m, t, pi, symbols, box)
+            if not any(p.values()):
+                continue
+            log = jet_log_exact(p, len(box), sum(box), box)
+            rational += sign * sum((c * p.get(tuple(k - d for k, d in zip(box, e)), 0)
+                                    for e, c in log.items()), Fraction(0))
+            logs.append(sign * float(p.get(box, 0)) * math.log(p[zero]))
+    scale = math.prod(math.factorial(k) for k in kvec)
+    return (float(rational) + math.fsum(logs)) * scale
+
+
 def shift_mul(space, a, b):
     """ExponentSet.mul as the full shift loop: every source of every shift,
     zero or not, in the kernel's order of operations."""

@@ -40,6 +40,7 @@ from oracles import (
     forward_probability,
     markov_block_entropy,
     markov_entropy_rate,
+    mixed_partial_exact,
     multi_site_F_bruteforce,
     site_tables,
 )
@@ -136,6 +137,22 @@ class TestAdmission:
             mixed_partial_F(bs, [1, 0, 1, 1, 1], budget=16)
         with pytest.raises(BudgetExceeded):
             multi_site_F(bs, [0.1] * 5, budget=16)
+
+    @pytest.mark.parametrize("kvec", [(1, 0, 1, 2), (0, 1, 2, 1), (1, 2, 1, 0)])
+    def test_mixed_partials_count_every_site(self, t3, monkeypatch, kvec):
+        # reading the last site off level N-1 still costs s**N sequences,
+        # and a refusal builds no exponent set, jet or site tensor
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the budget check")
+
+        n = len(kvec)
+        with monkeypatch.context() as patch:
+            for owner, name in ((hmpx.engine, "_sites"), (hmpx.engine, "exponent_set"),
+                                (MultiJet, "variable")):
+                patch.setattr(owner, name, refuse)
+            with pytest.raises(BudgetExceeded, match=rf"N = {n} needs 3\*\*{n} "):
+                mixed_partial_F(t3, kvec, budget=3 ** n - 1)
+        assert mixed_partial_F(t3, kvec, budget=3 ** n) == mixed_partial_F(t3, kvec)
 
     def test_shared_value_is_checked_once(self, bs, monkeypatch):
         calls = []
@@ -415,6 +432,17 @@ class TestMixedPartialF:
                 want = multi_site_F(model, profile).mixed_partial(kvec)
                 got = mixed_partial_F(model, kvec)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (s, kvec)
+
+    @pytest.mark.parametrize("name", ["bs", "random"])
+    def test_matches_the_exact_oracle(self, bs, name):
+        # the last site read off (kvec[-1] = 1 and >= 2), a slope along an
+        # earlier site of order 1 or 2 over both levels, and no slope at all
+        model = {"bs": bs, "random": random_model(np.random.default_rng(3), 3)}[name]
+        for kvec in [(1, 1), (0, 1, 1), (1, 2), (2, 0, 2), (2, 0), (1, 1, 0),
+                     (2, 1, 0), (0, 0, 0)]:
+            want = mixed_partial_exact(model, kvec)
+            got = mixed_partial_F(model, kvec)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), kvec
 
     @pytest.mark.parametrize("kvec", [(1, 0, 2), (0, 2, 1, 1), (2, 1, 0, 1, 3)])
     def test_shorter_level_has_no_last_site_term(self, t3, kvec):
