@@ -24,21 +24,11 @@ rounding: eps, or a noise jet's constant term, is at most epsilon_max =
 fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
 >= 0; M > 0, and the start law is >= 0.
 
-Mixed partials need one coefficient, x**kvec, the top corner of the box
-{e <= kvec}, and take it through one derivative along a noisy site i
-(_Slope).  Site i's emission I + x_i T has degree 1 in x_i and no other
-factor of a sequence probability holds x_i, so p = p0 + x_i p_i with p0
-and p_i free of x_i, and d/dx_i (p log p) = p_i (log p + 1).  So
-[x**kvec] p log p = [x**(kvec - e_i)] p_i (log p' + 1) / k_i, p' = p mod
-x_i**k_i, and the 1 adds nothing to a level's sum, whose probabilities
-sum to 1 at any noise: one jet log on the box with k_i lowered by one
-(half the box when k_i = 1) and one dot product per sequence
-(ExponentSet.corner).
-When kvec[-1] > 0, i is the last site: H_{N-1} has no x_N term and adds
-exactly 0, and the walk stops at level N-1, reading p0 = (M^T alpha)[y]
-and p_N = (T^T M^T alpha)[y] off each prefix's predicted state mass, so
-x_N never enters the trellis box.  The budget still counts s**N
-sequences, and is checked before any exponent set or jet is built.
+Mixed partials need one coefficient, x**kvec, the highest of the box
+{e <= kvec}, and take it through one derivative along a noisy site i;
+_Slope states the identity.  When kvec[-1] > 0, i is the last site and
+the walk stops at level N-1.  The budget still counts s**N sequences,
+and is checked before any exponent set or jet is built.
 
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
@@ -67,7 +57,7 @@ underflow as the walk meets it, so the same sequence is named at the
 same point; its live rows then wait, tagged with their level and orbit
 weight, until at least _CHUNK rows of any levels are pending or the walk
 ends; then one jet log and one jet product (or the slope's log and
-corner) serve them all.
+reversed dot product) serve them all.
 Both act row by row, so a row's terms have the same bits in any batch.
 Numpy sums each block's own slice of the terms pairwise, per coefficient,
 as if the block were alone; a level appends its block sums to one float
@@ -92,10 +82,11 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     ConfigMismatch,
+    DegreeExceedsCap,
     ProfileLengthMismatch,
     UnreachableSequence,
 )
-from .jets import Jet, MultiJet, exponent_set
+from .jets import MULTIJET_MAX_DEGREE, MULTIJET_MAX_VARS, Jet, MultiJet, exponent_set
 from .model import ROW_SUM_TOL, check_epsilon, check_symbols, check_whole, row_sum
 
 DEFAULT_BUDGET = 2 ** 24
@@ -418,11 +409,12 @@ class _Slope:
     p' = p mod x_i**k_i, since no power of x_i past k_i - 1 reaches the
     coefficient.  The 1 drops out of the level's sum: the probabilities
     of a level sum to 1 at any noise, so their p_i sum to 0.  The log runs
-    on the box with k_i lowered by one and the product is one corner read:
-    p_i has no x_i, so only the slab of the log at x_i**(k_i - 1) meets
-    it, and the two pair like the mirrored flat indices of the box without
-    x_i (ExponentSet.corner).  Every box has the cap sum(kvec), which binds
-    in none of them.
+    on the box with k_i lowered by one.  p_i has no x_i, so only the slab
+    of the log at x_i**(k_i - 1) meets it, over the box {e <= t} without
+    x_i, t = kvec with k_i set to 0.  The cap sum(kvec) never binds there,
+    so that box is whole: its flat C order is its mixed-radix code, e and
+    t - e sit at mirrored flat indices, and the coefficient of x**t in
+    the product is one reversed dot product per row.
 
     i is the last site when kvec[-1] >= 1: the walk then stops one level
     short and reads p0 = (M^T alpha)[y] and p_i = (T^T M^T alpha)[y] off
@@ -440,9 +432,7 @@ class _Slope:
         # a jet array over the whole box, viewed along x_i
         self.shape = (math.prod(radix[:i]), k + 1, math.prod(radix[i + 1:]))
         self.lower = exponent_set(tuple(kvec[:i]) + (k - 1,) + tuple(kvec[i + 1:]), cap)
-        flat = kvec[:i] + [0] + kvec[i + 1:]
-        self.flat = exponent_set(tuple(flat), cap)
-        walked = flat if i == n - 1 else kvec
+        walked = kvec[:-1] + [0] if i == n - 1 else kvec
         # the sites the walk steps through, last one read off if it is i
         self.profile = [MultiJet.variable(j, n, cap, bounds=walked)
                         for j in range(n - (i == n - 1))]
@@ -467,8 +457,8 @@ class _Slope:
         p = p.reshape(*self.shape, -1)
         logp = self.lower.log(p[:, :-1].reshape(self.lower.size, -1))
         top = logp.reshape(outer, self.order, inner, -1)[:, -1]
-        return self.flat.corner(top.reshape(self.flat.size, -1),
-                                p[:, 1].reshape(self.flat.size, -1))
+        p_i = p[:, 1].reshape(outer * inner, -1)
+        return (top.reshape(outer * inner, -1) * p_i[::-1]).sum(axis=0)
 
 
 # --- public entropy surface -----------------------------------------------
@@ -520,14 +510,16 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     Site i gets its own expansion variable.  Higher powers of a variable
     cannot reach the target coefficient, so only the box e <= kvec
     matters, and of it only the top coefficient, x**kvec, is computed,
-    through one derivative along a noisy site (_Slope).  When kvec[-1] > 0
-    that is the last site: H_{N-1} has no term in its variable and adds
-    exactly 0, and the walk stops at level N-1, reading level N off the
-    predicted state mass.  The budget counts s**N sequences all the same.
-    An all-zero kvec is F itself at zero noise.
+    through one derivative along a noisy site; _Slope states the identity
+    and which site.  When kvec[-1] > 0, H_{N-1} has no term in the last
+    site's variable and adds exactly 0.  The budget counts s**N sequences
+    all the same.  An all-zero kvec is F itself at zero noise.
 
     Entries of kvec must be whole numbers >= 0 (1.0 is accepted), at
-    least two of them, else ValueError.
+    least two of them, else ValueError.  kvec may have at most
+    MULTIJET_MAX_VARS (10) entries summing to at most MULTIJET_MAX_DEGREE
+    (12), else DegreeExceedsCap, raised after the budget check and before
+    any exponent set is built.
     """
     warn_workers(workers)
     kvec = [check_whole("kvec entry", k) for k in kvec]
@@ -537,6 +529,10 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
         raise ValueError("kvec entries must be >= 0")
     n = len(kvec)
     check_budget(model.size, n, budget)  # before any exponent set is built
+    if n > MULTIJET_MAX_VARS or sum(kvec) > MULTIJET_MAX_DEGREE:
+        raise DegreeExceedsCap(
+            f"kvec {tuple(kvec)} needs at most {MULTIJET_MAX_VARS} sites of total "
+            f"order at most {MULTIJET_MAX_DEGREE}")
     if not any(kvec):
         h = _entropies(model, 0.0, (n - 1, n), budget=budget)
         return h[n] - h[n - 1]

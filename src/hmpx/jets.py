@@ -8,8 +8,9 @@ arithmetic propagates exact derivatives: if ``e = UniJet.variable(4)`` then
 Every jet is a dense coefficient vector over a downward-closed exponent
 set, and one kernel, ``ExponentSet``, owns that format: the flat order of
 the exponents and one shift table, which drives both the truncated
-product and the log (a triangular solve over the same shifts).  The sets
-in use are
+product and the log (a triangular solve over the same shifts).  The table
+is built per support pattern of the operand it sweeps, each row when it
+is first read.  The sets in use are
 
 * ``{()}`` for plain numbers (width 1, only the engine uses it);
 * ``{0..K}`` for a ``UniJet`` of order K;
@@ -22,11 +23,12 @@ has degree 1 in its own variable, so a sequence probability is
 multilinear, and a prefix's state mass holds only the variables of the
 sites before it.  A skipped source is zero in every jet, so the cut drops
 only terms b_j * (+-0) and no nonzero coefficient changes a bit.  Two
-results can differ from the full shift loop: a zero all of whose kept
-terms are -0, with a dropped term +0, stays -0 where the full loop gives
-+0 (they compare equal, and through +, *, fsum and the log's division by
-a0 > 0 the sign of a zero reaches only the sign of another zero); and a
-0 * inf NaN, in a row that already overflowed, is not formed.
+results can differ from the shift loop over every source: a zero all of
+whose kept terms are -0, with a dropped term +0, stays -0 where that
+loop gives +0 (they compare equal, and through +, *, fsum and the log's
+division by a0 > 0 the sign of a zero reaches only the sign of another
+zero); and a 0 * inf NaN, in a row that already overflowed, is not
+formed.
 
 There is one value type, ``Jet``: an immutable coefficient vector over an
 ExponentSet, with +, -, * (with jets of its own class and configuration,
@@ -74,8 +76,8 @@ MULTIJET_MAX_DEGREE = 12
 # Largest exponent set a jet may span.  Tables and products grow with the
 # square of the set; the mixed-partial boxes have at most 2304 members.
 MAX_EXPONENTS = 4096
-# Support patterns whose cut shift tables one exponent set keeps; the
-# lemma walks meet at most 5 per set.
+# Support patterns whose shift tables one exponent set keeps; the three
+# 100-instance lemma batteries meet at most 5 per set.
 MAX_SUPPORTS = 16
 
 _SCALARS = (int, float, np.integer, np.floating)
@@ -118,30 +120,25 @@ class ExponentSet:
     exponents; in that order every divisor of an exponent comes before it.
     Arrays of jets keep the coefficients on axis 0, of length ``size``, and
     the jets on the trailing axes, so each coefficient is one contiguous
-    slab.  The one table, ``shifts``, says where each coefficient lands
-    when multiplied by x**e_j; ``mul`` and ``log`` both read it, cut to
-    the support of the operand they sweep (``shifts_on``, below).
-    shifts[j] = (src, dst) lists the exponents e with e + e_j in the set
-    and the flat indices of those sums.  Both are non-empty (e = 0 is
-    always there) and ascending, and each is kept as a slice where its
-    indices are consecutive.  dst is found from the mixed-radix codes of
-    the bounding box: no digit carries, so code(e + e_j) = code(e) +
-    code(e_j).  Use ``exponent_set`` to get one: it caches the table and
-    refuses oversized sets.
+    slab.  The set holds the exponents as a matrix, their degrees, the
+    largest exponent top = min(bounds, cap), the cap and the mixed-radix
+    codes of the bounding box, and builds no shift row up front.
 
-    ``full`` says the cap never binds, so the set is the whole box
-    {e <= top}, top = min(bounds, cap).  Then flat C order is the box's
-    mixed-radix code, and the exponent at flat index w-1-i is top minus
-    the one at i; ``corner`` reads the product's top coefficient from
-    that pairing alone.
-
-    ``shifts_on(a)`` is ``shifts`` with every src cut to the coefficients
-    where the jet array a is nonzero (and dst to match), which ``mul`` and
-    ``log`` read instead; see the module docstring for why every nonzero
-    coefficient keeps its bits.  The cut tables are kept on the set, one
-    per support pattern and at most MAX_SUPPORTS of them, each row cut
-    when it is first read.  A width-1 set needs no table: its product and
-    log are elementwise.
+    The one table says where each coefficient lands when multiplied by
+    x**e_j.  ``shifts_on(a)`` gives it over the support of the jet array
+    a, the coefficients nonzero in some jet of the batch, and ``mul`` and
+    ``log`` both read it there.  Its row j = (src, dst) lists the live
+    exponents e with e + e_j in the set and the flat indices of those
+    sums, or is () when no live e fits; see the module docstring for why
+    every nonzero coefficient keeps its bits.  src and dst are ascending,
+    and each is kept as a slice where its indices are consecutive.  dst is
+    found from the mixed-radix codes: no digit carries, so code(e + e_j) =
+    code(e) + code(e_j).  The set keeps one table per support pattern, at
+    most MAX_SUPPORTS of them, and builds each row when it is first read.
+    ``shifts`` is the table with every source live, whose rows are never
+    empty (e = 0 always fits).  A width-1 set needs no table: its product
+    and log are elementwise.  Use ``exponent_set`` to get one: it caches
+    the set and refuses oversized sets.
     """
 
     def __init__(self, bounds, cap):
@@ -159,14 +156,9 @@ class ExponentSet:
         top = np.array([min(b, cap) for b in bounds], dtype=np.int64)
         strides = np.array([math.prod(top[d + 1:] + 1) for d in range(top.size)],
                            dtype=np.int64)
-        codes = e @ strides
-        self.full = int(top.sum()) <= cap
-        # shifts[j] = (src, dst): times x**e_j, coefficient src lands in dst
-        self.shifts = []
-        for j in range(self.size):
-            src = np.flatnonzero((e <= top - e[j]).all(axis=1) & (deg <= cap - deg[j]))
-            dst = np.searchsorted(codes, codes[src] + codes[j])
-            self.shifts.append((_as_index(src), _as_index(dst)))
+        # what _CutShifts builds each shift row from
+        self.exps, self.deg, self.codes = e, deg, e @ strides
+        self.top, self.cap = top, cap
         self._cut = {}  # support pattern of a swept operand -> _CutShifts
 
     def mul(self, a, b):
@@ -188,16 +180,6 @@ class ExponentSet:
                 src, dst = shift
                 out[dst] += b[j] * a[src]
         return out
-
-    def corner(self, a, b):
-        """Top coefficient of the product a * b, x**top for a full box, over
-        the trailing axes: sum over i of a[i] * b[w-1-i], since e and
-        top - e sit at mirrored flat indices.  ValueError for a capped set,
-        where the pairing fails.
-        """
-        if not self.full:
-            raise ValueError("corner needs a full box: the total-degree cap binds")
-        return (a * b[::-1]).sum(axis=0)
 
     def log(self, a):
         """Natural log of jet arrays, coefficients on axis 0, batched over
@@ -237,27 +219,32 @@ class ExponentSet:
         if table is None:
             if len(self._cut) == MAX_SUPPORTS:
                 del self._cut[next(iter(self._cut))]
-            table = self._cut[key] = _CutShifts(self.shifts, live)
+            table = self._cut[key] = _CutShifts(self, live)
         return table
+
+    @property
+    def shifts(self):
+        """The shift table with every source live, rows built when first read."""
+        return self.shifts_on(np.ones(self.size))
 
 
 class _CutShifts(dict):
-    """ExponentSet.shifts cut to the sources in the boolean mask live,
-    each row cut when it is first read; a row left whole is shared."""
+    """The shift table of an ExponentSet over the sources in the boolean
+    mask live, each row built when it is first read."""
 
-    def __init__(self, shifts, live):
+    def __init__(self, space, live):
         super().__init__()
-        self.shifts = shifts
+        self.space = space
         self.live = live
 
     def __missing__(self, j):
-        src, dst = self.shifts[j]
-        keep = self.live[src]
-        if keep.all():
-            shift = src, dst
-        elif keep.any():
-            flat = np.arange(self.live.size)
-            shift = _as_index(flat[src][keep]), _as_index(flat[dst][keep])
+        space = self.space
+        fits = ((space.exps <= space.top - space.exps[j]).all(axis=1)
+                & (space.deg <= space.cap - space.deg[j]))
+        src = np.flatnonzero(self.live & fits)
+        if src.size:
+            dst = np.searchsorted(space.codes, space.codes[src] + space.codes[j])
+            shift = _as_index(src), _as_index(dst)
         else:
             shift = ()
         self[j] = shift
@@ -269,11 +256,10 @@ def exponent_set(bounds, cap):
     """Cached ExponentSet for a bounds tuple and total-degree cap.
 
     Raises DegreeExceedsCap when the set has more than MAX_EXPONENTS members.
-    The cache keeps each set's tables, cut ones included.  The three
-    100-instance lemma batteries of acceptance criterion 4 ask for 343
-    sets, so the cache ends full: 256 sets with at most 5 support patterns
-    each, in under 2 MB (tracemalloc: about 1.8 MB, 0.7 MB of it the full
-    shift tables).
+    The cache keeps each set with the shift rows read so far.  The three
+    100-instance lemma batteries of acceptance criterion 4 ask for 338
+    sets, so the cache ends at its limit: 256 sets with at most 5 support
+    patterns each, in under 2 MB (tracemalloc: about 1.65 MB).
     """
     size = _set_size(bounds, cap)
     if size > MAX_EXPONENTS:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hmpx import (
     BudgetExceeded,
+    DegreeExceedsCap,
     EpsilonOutOfRange,
     HmpModel,
     MultiJet,
@@ -31,7 +32,7 @@ from hmpx import (
 import hmpx.engine
 from hmpx.engine import _sites, _symmetric_start, block_entropies, check_budget
 from hmpx.estimation import bounds_by_n
-from hmpx.jets import ExponentSet
+from hmpx.jets import ExponentSet, exponent_set
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -436,13 +437,24 @@ class TestMixedPartialF:
     @pytest.mark.parametrize("name", ["bs", "random"])
     def test_matches_the_exact_oracle(self, bs, name):
         # the last site read off (kvec[-1] = 1 and >= 2), a slope along an
-        # earlier site of order 1 or 2 over both levels, and no slope at all
+        # earlier site of order 1 or 2 over both levels, one along an
+        # interior site with sites on both sides, and no slope at all
         model = {"bs": bs, "random": random_model(np.random.default_rng(3), 3)}[name]
         for kvec in [(1, 1), (0, 1, 1), (1, 2), (2, 0, 2), (2, 0), (1, 1, 0),
-                     (2, 1, 0), (0, 0, 0)]:
+                     (2, 1, 0), (2, 1, 2, 0), (0, 0, 0)]:
             want = mixed_partial_exact(model, kvec)
             got = mixed_partial_F(model, kvec)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), kvec
+
+    @pytest.mark.parametrize("kvec", [[0] * 9 + [1, 1], [7, 7]],
+                             ids=["eleven-sites", "order-14"])
+    def test_kvec_past_the_multijet_caps_is_refused_first(self, bs, kvec):
+        # tiny boxes within budget, refused by name before any set is built
+        before = exponent_set.cache_info()
+        with pytest.raises(DegreeExceedsCap, match="kvec"):
+            mixed_partial_F(bs, kvec)
+        after = exponent_set.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     @pytest.mark.parametrize("kvec", [(1, 0, 2), (0, 2, 1, 1), (2, 1, 0, 1, 3)])
     def test_shorter_level_has_no_last_site_term(self, t3, kvec):
