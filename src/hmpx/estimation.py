@@ -19,16 +19,17 @@ hidden state of the segment before, and composes maps of states, so its
 paths are bit for bit those of a one-state-at-a-time walk.  A replica
 starts with a restart, a step whose map sends every state to a draw from
 the stationary law, so the replicas are one walk.  The likelihood scores
-the path in rows (one row for a whole path, one per replica for the
-estimate), each row a path of its own cut into about sqrt(n) chunks of
-whole k-symbol words, from a table of the products of every k-symbol
-word, in two passes.  Pass 1 forms each chunk's transfer product, all
-chunks in lockstep one word at a time, normalized after every word; the
-logs of the divided-out norms add up, in a compensated sum, to the
-chunk's scale.  Pass 2 walks each row's chunks in order from the joint
-law of the first hidden state and symbol, all rows together, normalizing
-after each chunk; a row is the sum over its chunks of the log of that
-norm plus the chunk's scale, and no per-word or per-symbol increment is
+the path in whole rows of one width (one row for a whole path, one per
+replica for the estimate), each row a path of its own cut into about
+sqrt(n) chunks of whole k-symbol words, the last chunk padded with
+identity steps, from a table of the products of every k-symbol word, in
+two passes.  Pass 1 forms each chunk's transfer product, all chunks in
+lockstep one word at a time, normalized after every word; the logs of
+the divided-out norms add up, in a compensated sum, to the chunk's
+scale.  Pass 2 walks each row's chunks in order from the joint law of
+the first hidden state and symbol, all rows together, normalizing after
+each chunk; a row is the sum over its chunks of the log of that norm
+plus the chunk's scale, and no per-word or per-symbol increment is
 formed.  Nothing cancels, every log is of a positive norm, each chunk's
 start differs from the sequential forward vector by rounding only, and
 the normalized pass contracts such differences instead of growing them,
@@ -80,18 +81,6 @@ class McEstimate:
     generator: str = GENERATOR_NAME
 
 
-def _chunks(steps):
-    """(C, B): ``steps`` steps as C = ceil(sqrt(steps)) chunks of B steps.
-
-    C * B >= steps; the padded tail of the last chunk is less than one
-    chunk and is discarded by the caller.
-    """
-    if steps == 0:
-        return 0, 1
-    count = math.isqrt(steps - 1) + 1
-    return count, -(-steps // count)
-
-
 _SEGMENT = 1 << 16  # uniforms drawn and used at a time by either sampler pass
 # B, the steps per chunk of the hidden walk.  Each lockstep step is one
 # numpy call over all C * s cells, and each chunk one Python iteration of
@@ -111,21 +100,22 @@ def _walk_shape(steps):
     return count, -(-steps // count)
 
 
-def _walk(cum_m, u, x, out, restarts=None):
+def _walk(cum_m, u, x, out, restarts):
     """out[i]: the hidden state after step i of the walk from state x.
 
     The step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the cumulative
     rows are non-decreasing, so this is the first k with u_i < cum_m[x, k],
     capped at s-1, and the path is bit for bit that of a one-state-at-a-time
-    inverse-CDF walk.  ``restarts``, a pair of a slice of the steps and
-    an array of states, marks restarts, steps whose map is constant: the
-    j-th step of the slice sends every state to the j-th state.  Maps
-    compose, so every chunk of ``_walk_shape`` advances all s possible
-    starts in lockstep with the other chunks.  A state is held as its cell
-    c*s + x in a flat row of all chunks' states, so one step is one gather
-    of the step's row.  The step table is filled one start state at a
-    time, each chunk's steps contiguous: from the chunk's first cell, plus
-    the edge counts, and each restart's cell.  A loop over the chunks then
+    inverse-CDF walk with the same restarts.  ``restarts``, a pair of a
+    slice of the steps and an array of states, marks restarts, steps whose
+    map is constant: the j-th step of the slice sends every state to the
+    j-th state; an empty slice marks none.  Maps compose, so every chunk
+    of ``_walk_shape`` advances all s possible starts in lockstep with the
+    other chunks.  A state is held as its cell c*s + x in a flat row of all
+    chunks' states, so one step is one gather of the step's row.  The step
+    table is filled one start state at a time, each chunk's steps
+    contiguous: from the chunk's first cell, plus the edge counts, and
+    each restart's cell.  A loop over the chunks then
     takes each chunk's true start from the end state of the one before,
     and a flat gather reads the path.  The padded tail of the last chunk
     maps every state to 0, so the loop's final state is not the walk's.
@@ -140,15 +130,13 @@ def _walk(cum_m, u, x, out, restarts=None):
     moves = np.empty((count, size), dtype=dtype)  # step j of chunk c, from one state
     real = moves.reshape(-1)[:steps]
     base = np.arange(0, cells, s, dtype=dtype)  # the first cell of chunk c
-    if restarts is not None:
-        at, to = restarts
-        marks = base[np.arange(*at.indices(steps)) // size] + to  # their cells
+    at, to = restarts
+    marks = base[np.arange(*at.indices(steps)) // size] + to  # their cells
     for state in range(s):
         moves[:] = base[:, None]
         for edge in cum_m[state, :-1]:
             real += u >= edge
-        if restarts is not None:
-            real[at] = marks
+        real[at] = marks
         step[:, :, state] = moves.T
     step = step.reshape(size, cells)
     ends = np.empty((size, cells), dtype=dtype)  # cell after step j, from cell x
@@ -168,10 +156,10 @@ def _walk(cum_m, u, x, out, restarts=None):
     out[:] = (ends[:, starts] - base).T.ravel()[:steps]
 
 
-def _sample_arrays(model, eps, length, seed, width=None):
+def _sample_arrays(model, eps, length, seed, width):
     """Hidden and observed paths of independent replicas of ``width``
-    symbols (one replica of ``length`` by default), in the smallest
-    unsigned dtype holding s; ``width`` divides ``length``.
+    symbols, in the smallest unsigned dtype holding s; ``width`` divides
+    ``length``, and ``width = length`` is one replica.
 
     One generator makes two draws of ``length`` uniforms, the first for
     the hidden paths and the second for the observations, replica after
@@ -187,7 +175,6 @@ def _sample_arrays(model, eps, length, seed, width=None):
     """
     rng = np.random.default_rng(seed)
     s = model.size
-    width = length if width is None else width
     dtype = np.min_scalar_type(s)
     hidden = np.empty(length, dtype=dtype)
     cum_m = np.cumsum(model.transition.matrix, axis=1)
@@ -248,35 +235,40 @@ def _word_table(a, k):
     return p, lt
 
 
-def _scan_shape(s, length, width):
-    """(k, size): the word length, and the words per chunk of the scan of
-    each row of ``width`` symbols of a ``length``-symbol path.
+def _scan_shape(s, width):
+    """(k, size, chunks): the word length, the words per chunk and the
+    chunks per row of the scan of rows of ``width`` symbols.
 
-    A row of n = min(length, width) symbols is scanned in chunks of about
-    sqrt(n) symbols: the B steps of ``_chunks(n - 1)``, rounded up to
-    whole words; k is capped at B.  A shorter last row is scanned as a
-    path of its own.
+    The n - 1 steps after the first symbol of a row of n = ``width``
+    symbols are cut into C = ceil(sqrt(n - 1)) runs of B = ceil((n - 1) /
+    C) steps (B = 1 when n = 1), so a chunk spans about sqrt(n) symbols: B
+    rounded up to whole words, with k capped at B.  The row's n symbols,
+    its first included, fill ``chunks`` chunks, the last padded with
+    identity steps.
     """
-    steps = _chunks(min(length, width) - 1)[1]
-    k = _word_length(s, steps)
-    return k, -(-steps // k)
+    steps = width - 1
+    span = -(-steps // (math.isqrt(steps - 1) + 1)) if steps else 1
+    k = _word_length(s, span)
+    size = -(-span // k)
+    return k, size, -(-width // (k * size))
 
 
-def _row_words(symbols, s, width, k):
-    """codes[i, j]: the base-(s+1) code of word j of row i.
+def _row_words(symbols, s, width, k, per_row):
+    """codes[i, j]: the base-(s+1) code of word j of row i, row-major.
 
     Row i holds symbols [i*width, (i+1)*width), and ``width`` divides the
-    length.  Each row is padded with the identity symbol s to whole words
-    of k symbols, so no word straddles a row end, and its symbol 0 is
-    replaced by the identity, since its forward pass starts from that
-    symbol's distribution.  Words are encoded Horner-style, earliest digit
-    first.
+    length.  Each row is padded once with the identity symbol s to
+    ``per_row`` words of k symbols, so no word straddles a row end and
+    each row fills whole chunks, and its symbol 0 is replaced by the
+    identity, since its forward pass starts from that symbol's
+    distribution.  Words are encoded Horner-style, earliest digit first;
+    the padded symbols are freed on return.
     """
     rows = len(symbols) // width
-    padded = np.full((rows, -(-width // k) * k), s, dtype=np.min_scalar_type(s))
+    padded = np.full((rows, per_row * k), s, dtype=np.min_scalar_type(s))
     padded[:, :width] = symbols.reshape(rows, width)
     padded[:, 0] = s
-    digits = padded.reshape(rows, -1, k).transpose(2, 0, 1)  # digits[d, i, j]
+    digits = padded.reshape(rows, per_row, k).transpose(2, 0, 1)  # digits[d, i, j]
     codes = digits[0].astype(np.min_scalar_type((s + 1) ** k - 1))
     for digit in digits[1:]:
         codes *= s + 1
@@ -319,18 +311,18 @@ _GROUP_CELLS = 1 << 15
 
 def _row_log_likelihoods(model, eps, symbols, width):
     """log P(row i), the path cut into rows of ``width`` symbols, each row
-    an independent path from the stationary law.
+    an independent path from the stationary law; ``width`` divides the
+    length.
 
-    Row i holds symbols [i*width, (i+1)*width); the last row may be
-    shorter.  Step y takes a row vector v to v A_y with A_y[x, x'] =
-    m[x, x'] r[x', y]; the padding symbol s steps by the identity, and
-    the word of k padding symbols is tabled as exactly I with scale 0, so
-    a one-symbol row is exactly log P(Y_1 = y).  The rows of ``width``
-    symbols are scanned in groups of at most ``_GROUP_CELLS`` chunk-matrix
-    entries, and a shorter last row on its own, each row with the same
-    words and chunks as if it were the whole path (see ``_scan_shape``).
-    So a row has the bits ``path_log_likelihood`` gives it alone, up to
-    the summation order of a few sums over s states (the same bits on two
+    Row i holds symbols [i*width, (i+1)*width).  Step y takes a row
+    vector v to v A_y with A_y[x, x'] = m[x, x'] r[x', y]; the padding
+    symbol s steps by the identity, and the word of k padding symbols is
+    tabled as exactly I with scale 0, so a one-symbol row is exactly
+    log P(Y_1 = y).  The rows are scanned in groups of at most
+    ``_GROUP_CELLS`` chunk-matrix entries, each row with the same words
+    and chunks as if it were the whole path (see ``_scan_shape``).  So a
+    row has the bits ``path_log_likelihood`` gives it alone, up to the
+    summation order of a few sums over s states (the same bits on two
     symbols).  See ``_scan_rows`` for one group.
 
     Reachability is checked once, on the finished rows.  A word of
@@ -346,50 +338,38 @@ def _row_log_likelihoods(model, eps, symbols, width):
     a[:, :, :s] = model.transition.matrix[:, :, None] * r[None, :, :]
     a[:, :, s] = np.eye(s)
     first = model.transition.stationary * r.T  # first[y, x] = P(X_1 = x, Y_1 = y)
-    length = len(symbols)
-    full = length - length % width  # the whole rows, then a shorter last row
-    values = np.empty(-(-length // width))
+    k, size, chunks = _scan_shape(s, width)
+    group = max(1, _GROUP_CELLS // (chunks * s * s))  # rows scanned together
+    values = np.empty(len(symbols) // width)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for lo, hi, n in ((0, full, width), (full, length, length - full)):
-            if lo == hi:
-                continue
-            k, size = _scan_shape(s, n, n)
-            table, lt = _word_table(a, k)
-            table[:, :, -1], lt[-1] = np.eye(s), 0.0  # the identity word
-            chunks = -(-n // (k * size))  # per row
-            step = max(1, _GROUP_CELLS // (chunks * s * s)) * n
-            for i in range(lo, hi, step):
-                j = min(i + step, hi)
-                values[i // width:-(-j // width)] = _scan_rows(
-                    first, table, lt, symbols[i:j], n, k, size)
+        table, lt = _word_table(a, k)
+        table[:, :, -1], lt[-1] = np.eye(s), 0.0  # the identity word
+        for i in range(0, len(values), group):
+            values[i:i + group] = _scan_rows(
+                first, table, lt, symbols[i * width:(i + group) * width],
+                width, k, size, chunks)
     _check_reachable(values)
     return values
 
 
-def _scan_rows(first, table, lt, symbols, width, k, size):
+def _scan_rows(first, table, lt, symbols, width, k, size, chunks):
     """log P of each row of ``width`` symbols, in lockstep.
 
     A row whose first symbol is y starts from ``first[y]``, the joint law
     P(X_1 = x, Y_1 = y).  The word ``table`` and its ``lt`` are of length
-    k, and a chunk spans ``size`` words.  Each row is cut into words of k
-    steps (see ``_row_words``), and its words into chunks, the last chunk
-    padded with identity words, so no chunk straddles a row.  Pass 1
-    forms every chunk's transfer matrix q_c exp(scale_c), all chunks in
-    lockstep, one word at a time (see ``_chunk_products``).  Pass 2 walks
-    each row's chunks in order, all rows together: v = start q_c, norm_c
-    = sum(v), and the next start is v / norm_c.  A row is the pairwise
-    numpy sum over its chunks of log norm_c + scale_c, so its first norm
-    carries log P(Y_1 = y).
+    k.  Each row is cut into ``chunks`` chunks of ``size`` words of k
+    steps (see ``_row_words``), the last chunk padded with identity
+    words, so no chunk straddles a row.  Pass 1 forms every chunk's
+    transfer matrix q_c exp(scale_c), all chunks in lockstep, one word at
+    a time (see ``_chunk_products``).  Pass 2 walks each row's chunks in
+    order, all rows together: v = start q_c, norm_c = sum(v), and the
+    next start is v / norm_c.  A row is the pairwise numpy sum over its
+    chunks of log norm_c + scale_c, so its first norm carries
+    log P(Y_1 = y).
     """
     heads = symbols[::width]  # each row's first symbol
     rows, s = len(heads), len(first)
-    codes = _row_words(symbols, s, width, k)
-    per_row = codes.shape[1]
-    chunks = -(-per_row // size)  # per row
-    identity = (s + 1) ** k - 1  # the code of k identity steps
-    words = np.full((rows, chunks * size), identity, dtype=codes.dtype)
-    words[:, :per_row] = codes
-    del codes  # only the chunk-major copy is read from here on
+    words = _row_words(symbols, s, width, k, chunks * size)
     words = words.reshape(rows * chunks, size).T.copy()  # words[j, c]: word j of chunk c
     q, scale = _chunk_products(table, lt, words)  # c = i * chunks + chunk
     # q[c, i]: chunk c of row i, a strided view, so each vector-matrix
@@ -440,7 +420,7 @@ def sample_paths(model, eps, length, seed) -> SampleRun:
     seed = check_whole("seed", seed)
     if length < 1:
         raise ValueError("need length >= 1")
-    hidden, observed = _sample_arrays(model, eps, length, seed)
+    hidden, observed = _sample_arrays(model, eps, length, seed, length)
     loglik = float(_row_log_likelihoods(model, eps, observed, length)[0])
     hidden = hidden.astype(np.int64)
     observed = observed.astype(np.int64)

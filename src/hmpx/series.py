@@ -290,12 +290,19 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     conditioned (entries floored away from zero) since the identities
     hold for any valid model and ill conditioning only inflates float
     noise, not information.  Passing a model pins it for every trial and
-    randomizes only the instance.  ``trials`` must be a whole number (3.0
-    is accepted), else ValueError.
+    randomizes only the instance.  ``trials``, ``n_max`` and
+    ``weight_max`` must be whole numbers (3.0 is accepted), with n_max >= 3
+    and weight_max >= 1, else ValueError before anything is drawn.
     """
     if lemma not in (1, 2, 3):
         raise ValueError("lemma must be 1, 2, or 3")
     _check_tolerance("tol", tol)
+    n_max = check_whole("n_max", n_max)
+    if n_max < 3:
+        raise ValueError(f"need n_max >= 3, got {n_max}")
+    weight_max = check_whole("weight_max", weight_max)
+    if weight_max < 1:
+        raise ValueError(f"need weight_max >= 1, got {weight_max}")
     rng = np.random.default_rng(seed)
     fixed = model
     reports = []

@@ -173,19 +173,18 @@ def log_increments(model, eps, symbols):
 
 
 def row_increments(model, eps, symbols, width):
-    """[increments of row i], the path cut into rows of ``width`` symbols
-    (the last may be shorter), each row a path of its own.
+    """[increments of row i], the path cut into rows of ``width`` symbols,
+    each row a path of its own; ``width`` divides the length.
 
-    The whole rows take the normalized forward pass of ``log_increments``
-    one symbol at a time, all rows at once; a shorter last row is handed
-    to ``log_increments``.
+    The rows take the normalized forward pass of ``log_increments`` one
+    symbol at a time, all rows at once.
     """
     s = model.size
     r = np.eye(s) + eps * model.noise.matrix
     m = model.transition.matrix
     symbols = np.asarray(symbols)
     rows = len(symbols) // width
-    y = symbols[: rows * width].reshape(rows, width)
+    y = symbols.reshape(rows, width)
     increments = np.empty((rows, width))
     alpha = np.broadcast_to(model.transition.stationary, (rows, s))
     for j in range(width):
@@ -195,8 +194,7 @@ def row_increments(model, eps, symbols, width):
             raise UnreachableSequence("observation path has probability zero")
         increments[:, j] = np.log(norm)
         alpha = new / norm[:, None]
-    tail = symbols[rows * width:]
-    return list(increments) + ([log_increments(model, eps, tail)] if len(tail) else [])
+    return list(increments)
 
 
 def block_entropy_bruteforce(model, n, eps):

@@ -19,10 +19,10 @@ from hmpx import (
     sequence_probability,
 )
 from hmpx import estimation
-from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _WALK_STEPS, _chunks,
-                              bounds_by_n, _row_log_likelihoods, _row_words,
-                              _sample_arrays, _scan_shape, _walk, _walk_shape,
-                              _word_length, _word_table, path_log_likelihood)
+from hmpx.estimation import (GENERATOR_NAME, _SEGMENT, _WALK_STEPS, bounds_by_n,
+                              _row_log_likelihoods, _row_words, _sample_arrays,
+                              _scan_shape, _walk, _walk_shape, _word_length,
+                              _word_table, path_log_likelihood)
 from conftest import binary_symmetric
 from oracles import (log_increments, markov_entropy_rate, row_increments,
                      sample_arrays, walk)
@@ -91,12 +91,16 @@ class TestStreamPin:
 def _assert_rows_match(model, eps, symbols, reference, k):
     """Each row's log-likelihood against the exact (fsum) sum of the scalar
     loop's increments over the same symbols as a path of its own, at every
-    width of the grid; ``reference`` holds the whole path's increments."""
+    width of the grid up to the length, over the path's whole rows of that
+    width; ``reference`` holds the whole path's increments."""
     length = len(symbols)
     for width in {length, 1, k, k + 1, length // 30, length // 40} - {0}:
-        rows = _row_log_likelihoods(model, eps, symbols, width)
+        if width > length:
+            continue
+        whole = symbols[:length - length % width]
+        rows = _row_log_likelihoods(model, eps, whole, width)
         increments = ([reference] if width == length
-                      else row_increments(model, eps, symbols, width))
+                      else row_increments(model, eps, whole, width))
         expected = [math.fsum(row) for row in increments]
         np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=0.0,
                                    err_msg=f"width {width}")
@@ -125,7 +129,7 @@ class TestChunkedScan:
         assert np.array_equal(run.observed, observed)
         assert run.hidden.dtype == run.observed.dtype == np.int64
         reference = log_increments(model, eps, observed)
-        k = _scan_shape(model.size, length, length)[0]
+        k = _scan_shape(model.size, length)[0]
         _assert_rows_match(model, eps, run.observed, reference, k)
         if length >= 10_000:
             est = mc_entropy_rate(model, eps, length, seed=11)
@@ -136,11 +140,21 @@ class TestChunkedScan:
             assert est.standard_error == pytest.approx(se, rel=1e-12)
 
     def test_chunk_shape(self):
-        assert _chunks(0) == (0, 1)
-        for steps in (1, 2, 3, 16, 10_000, 10_006, 99_999):
-            count, size = _chunks(steps)
-            assert count == math.ceil(math.sqrt(steps))
-            assert count * size >= steps > (count - 1) * size
+        # a row of n symbols: its n - 1 steps as C = ceil(sqrt(n - 1)) runs
+        # of B steps, a chunk B steps rounded up to whole words of k <= B
+        # symbols, and the row's n symbols in whole chunks, the last padded
+        # by less than a chunk
+        assert _scan_shape(2, 1) == (1, 1, 1)
+        for s in (2, 3, 9):
+            for width in (1, 2, 3, 4, 17, 10_001, 10_007, 100_000):
+                k, size, chunks = _scan_shape(s, width)
+                steps = width - 1
+                count = math.ceil(math.sqrt(steps))
+                span = -(-steps // count) if steps else 1  # B
+                assert count * span >= steps > (count - 1) * span
+                assert k == _word_length(s, span) <= min(width, span)
+                assert (size - 1) * k < span <= size * k
+                assert (chunks - 1) * size * k < width <= chunks * size * k
 
 
 class TestWalk:
@@ -158,6 +172,7 @@ class TestWalk:
             m = 0.98 * np.roll(np.eye(s), 1, axis=1) + 0.02 * m
         cum_m = np.cumsum(m, axis=1)
         rows = cum_m.tolist()
+        none = (slice(0), np.zeros(0, dtype=np.intp))  # an empty restart set
         edge = 256 // s * _WALK_STEPS  # the most steps whose cells fit in uint8
         assert [np.min_scalar_type(_walk_shape(steps)[0] * s - 1)
                 for steps in (edge, edge + 1)] == [np.uint8, np.uint16]
@@ -165,7 +180,7 @@ class TestWalk:
             u = np.random.default_rng(steps).random(steps)
             out = np.empty(steps, dtype=np.uint8)
             for x in range(s):
-                _walk(cum_m, u, x, out)
+                _walk(cum_m, u, x, out, none)
                 np.testing.assert_array_equal(out, walk(rows, u.tolist(), x),
                                               err_msg=f"{steps} steps from {x}")
 
@@ -266,13 +281,16 @@ class TestSegments:
 def test_peak_memory_of_the_likelihood(bs):
     # rows are summed from the chunk norms of the stitch, with no buffer
     # of one log per word: at L = 4e6 in rows of L // 30 the likelihood
-    # peaked at 5.30 MiB with that buffer and at 3.70 MiB without it,
-    # most of it the padded copy of the symbols that ``_row_words`` codes
+    # peaked at 5.30 MiB with that buffer and at 3.70 MiB without it.
+    # Most of it is the copy of the symbols that ``_row_words`` pads once
+    # to whole chunks, freed before the codes are copied chunk-major
     length = 4 * 10**6
+    width = length // 30
     observed = np.random.default_rng(0).integers(0, 2, length).astype(np.uint8)
+    observed = observed[:length - length % width]  # whole rows
     tracemalloc.start()
     try:
-        _row_log_likelihoods(bs, 0.05, observed, length // 30)
+        _row_log_likelihoods(bs, 0.05, observed, width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -357,8 +375,9 @@ class TestWordBlockedScan:
         model = (random_model(np.random.default_rng(9), 9) if name == "r9"
                  else request.getfixturevalue(name))
         eps = 0.3 * model.epsilon_max
-        symbols = np.random.default_rng(model.size).integers(0, model.size, 3001)
+        path = np.random.default_rng(model.size).integers(0, model.size, 3001)
         for width in (1, 2, 7, 8, 100, 1000, 3001):
+            symbols = path[:len(path) - len(path) % width]  # whole rows
             rows = _row_log_likelihoods(model, eps, symbols, width)
             alone = [path_log_likelihood(model, eps, symbols[i:i + width])
                      for i in range(0, len(symbols), width)]
@@ -381,30 +400,26 @@ class TestWordBlockedScan:
     @pytest.mark.parametrize("s", [2, 3, 9])
     def test_no_word_straddles_a_row_end(self, s):
         # each row is a path of its own: decoding its words gives back its
-        # symbols, then only identity padding, and its symbol 0 is the
-        # identity step; the whole rows are coded together, a shorter last
-        # row on its own
+        # symbols, then only identity padding up to whole chunks, and its
+        # symbol 0 is the identity step
         rng = np.random.default_rng(s)
         for length in (1, 2, 9, 100, 1001):
             symbols = rng.integers(0, s, length)
             for width in (length, 1, 2, 3, 7, 8, length // 30 + 1):
-                full = length - length % width
-                for part, n in ((symbols[:full], width), (symbols[full:], length - full)):
-                    if len(part) == 0:
-                        continue
-                    k, size = _scan_shape(s, len(part), n)
-                    span = _chunks(n - 1)[1]  # a chunk spans whole words
-                    assert k <= min(n, span) and (size - 1) * k < span <= size * k
-                    codes = _row_words(part, s, n, k)
-                    rows, per_row = codes.shape
-                    assert rows == len(part) // n and per_row == -(-n // k)
-                    digits = np.stack(np.unravel_index(codes, (s + 1,) * k), axis=-1)
-                    decoded = digits.reshape(rows, per_row * k)
-                    for i in range(rows):
-                        row = part[i * n:(i + 1) * n].copy()
-                        row[0] = s
-                        np.testing.assert_array_equal(decoded[i, :n], row)
-                        assert np.all(decoded[i, n:] == s)
+                if width > length:
+                    continue
+                part = symbols[:length - length % width]  # whole rows
+                k, size, chunks = _scan_shape(s, width)
+                codes = _row_words(part, s, width, k, chunks * size)
+                rows = len(part) // width
+                assert codes.shape == (rows, chunks * size)
+                digits = np.stack(np.unravel_index(codes, (s + 1,) * k), axis=-1)
+                decoded = digits.reshape(rows, chunks * size * k)
+                for i in range(rows):
+                    row = part[i * width:(i + 1) * width].copy()
+                    row[0] = s
+                    np.testing.assert_array_equal(decoded[i, :width], row)
+                    assert np.all(decoded[i, width:] == s)
 
 
 class TestUnreachable:
@@ -432,11 +447,10 @@ class TestUnreachable:
         # one row: symbol i is in word i // k, and chunk c holds words
         # [c*size, (c+1)*size), so span = size*k symbols; "word end" and
         # "word start" are the last symbol of the second chunk's first word
-        # and the first of its second, "last chunk" is inside the padded
-        # chunk whose transfer matrix pass 2 never reads
-        k, size = _scan_shape(blind.size, self.LENGTH, self.LENGTH)
+        # and the first of its second, "last chunk" is inside the last
+        # chunk, which identity words pad
+        k, size, count = _scan_shape(blind.size, self.LENGTH)
         span = size * k
-        count = -(-self.LENGTH // span)
         position = {"first": 0, "second": 1, "chunk end": span - 1,
                     "chunk start": span, "word end": span + k - 1,
                     "word start": span + k,
@@ -454,7 +468,7 @@ class TestUnreachable:
     def test_zero_probability_at_a_row_boundary_raises(self, blind, where):
         width = self.LENGTH // 30
         position = {"row end": width - 1, "row start": width}[where]
-        symbols = self._path()
+        symbols = self._path()[:self.LENGTH - self.LENGTH % width]  # whole rows
         assert math.isfinite(_row_log_likelihoods(blind, 1.0, symbols, width).sum())
         symbols[position] = 0
         with pytest.raises(UnreachableSequence):

@@ -424,3 +424,50 @@ def test_lemma_argument_guards(bs):
         verify_lemma_zero_prepend(bs, (1, 1), 0)
     with pytest.raises(ValueError, match="lemma must be 1, 2, or 3"):
         run_lemma_battery(4, 1, seed=0)
+
+
+def test_lemma_battery_sizes_are_checked_before_any_draw():
+    # weight_max = 0 rejected every kvec draw, so the battery never
+    # returned, and n_max < 3 failed inside numpy's draw of the length
+    for n_max in (2, 2.5, math.nan):
+        with pytest.raises(ValueError, match="n_max"):
+            run_lemma_battery(3, 1, seed=0, n_max=n_max)
+    for weight_max in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="weight_max"):
+            run_lemma_battery(3, 1, seed=0, weight_max=weight_max)
+    for lemma in (1, 2, 3):  # the smallest instances still run
+        reports = run_lemma_battery(lemma, 3, seed=0, n_max=3, weight_max=1)
+        assert len(reports) == 3 and all(r.passed for r in reports)
+    assert (run_lemma_battery(3, 2, seed=0, n_max=6.0, weight_max=6.0)
+            == run_lemma_battery(3, 2, seed=0))
+
+
+class TestBinarySymmetricClosedForms:
+    """Known exact coefficients of the binary symmetric HMP, with flip
+    probability p in the chain and in the channel (Jacquet, Seroussi &
+    Szpankowski 2004; Ordentlich & Weissman 2004; Zuk, Kanter & Domany
+    2005)."""
+
+    @pytest.mark.parametrize("p", [1 / 10, 3 / 10, 2 / 5])
+    def test_first_order(self, p):
+        c = entropy_rate_series(binary_symmetric(p), 11).coefficients
+        assert c[1] == pytest.approx(2 * (1 - 2 * p) * math.log((1 - p) / p),
+                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.45])
+    def test_third_order(self, p):
+        c = entropy_rate_series(binary_symmetric(p), 11).coefficients
+        exact = (-(1 - 2 * p) ** 2 * (10 * p**4 - 20 * p**3 + 10 * p**2 - 1)
+                 / (6 * p**4 * (1 - p) ** 4))
+        assert c[3] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3, 0.4, 0.45])
+    def test_symmetric_under_p_to_one_minus_p(self, p):
+        # flipping every second hidden state turns flip probability p into
+        # 1 - p; the channel is symmetric, so flipping every second
+        # observation maps the two observed processes onto each other, a
+        # bijection of sequences that keeps every block entropy
+        a = entropy_rate_series(binary_symmetric(p), 11).coefficients
+        b = entropy_rate_series(binary_symmetric(1 - p), 11).coefficients
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), f"c_{k}"
