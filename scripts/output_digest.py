@@ -15,8 +15,9 @@ The grid: ``entropy_rate_series`` (bs at K = 11, 19, 31; t3 at K = 11,
 15; a random 3-state model at K = 11), ``settling_table`` on a zero-noise
 model and on bs p = 1e-8 (whose order-19 cells overflow), ``bounds_by_n``,
 the residuals of three 30-trial lemma batteries, ``mixed_partial_F`` for
-9 kvecs on 4 models, a MultiJet ``multi_site_F``, a UniJet
-``sequence_probability``, the bytes of ``sample_paths`` across a sampler
+9 kvecs on 4 models, ``multi_site_F`` on a MultiJet profile and on one
+that mixes floats with UniJets, ``sequence_probability`` of a UniJet on
+five symbols and on none, the bytes of ``sample_paths`` across a sampler
 segment end (length 2 * ``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a
 random 9-symbol model, the estimate and standard error of
 ``mc_entropy_rate`` at L = 10**5 on bs and on t3 and at L = 10 007 in
@@ -88,8 +89,12 @@ def _grid(m):
               for name in ("bs", "t3", "r2", "r3") for kvec in KVECS]
     items += [("multi_site_F t3", lambda: hmpx.multi_site_F(
         m["t3"], [MultiJet.variable(i, 4, 4) for i in range(4)]).coeffs),
+        ("multi_site_F t3 floats and UniJets", lambda: hmpx.multi_site_F(
+            m["t3"], [0.0, UniJet.variable(6), 0.05, UniJet.variable(6)]).coeffs),
         ("sequence_probability t3", lambda: hmpx.sequence_probability(
-            m["t3"], [0, 1, 2, 1, 0], UniJet.variable(8)).coeffs)]
+            m["t3"], [0, 1, 2, 1, 0], UniJet.variable(8)).coeffs),
+        ("sequence_probability t3 empty", lambda: hmpx.sequence_probability(
+            m["t3"], [], UniJet.variable(4)).coeffs)]
     items += [(f"sample_paths {name} seed={seed}", lambda name=name, seed=seed: [
         (run := hmpx.sample_paths(m[name], 0.5 * m[name].epsilon_max,
                                   2 * _SEGMENT + 1, seed)).hidden.tobytes(),

@@ -13,8 +13,11 @@ H_1..H_N.  The walk's root is the start law (stationary, or
 ``initial``).  A step propagates through M and emits through the site
 tensor R(eps) = I + eps*T: a truncated jet product, a shift-and-add over
 the nonzero coefficients of the site's jet since R has degree 1 in eps.
-sequence_probability takes the same steps along one path.  _sites admits
-the noise once: a shared value's one site tensor serves every site.
+sequence_probability takes the same steps along one path.  One builder,
+_site_tensors, makes every site tensor: it takes an (n, w) matrix of
+noise coefficients, one row per site, and returns all n tensors in one
+broadcast.  _sites admits the noise once and stacks it into that matrix;
+a shared value's one site tensor serves every site.
 
 One vanishing rule serves every number type: a sequence whose
 probability is exactly zero, every coefficient, is structurally
@@ -27,8 +30,10 @@ fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
 Mixed partials need one coefficient, x**kvec, the highest of the box
 {e <= kvec}, and take it through one derivative along a noisy site i;
 _Slope states the identity.  When kvec[-1] > 0, i is the last site and
-the walk stops at level N-1.  The budget still counts s**N sequences,
-and is checked before any exponent set or jet is built.
+the walk stops at level N-1.  The slope builds its own site tensors from
+a one-hot noise matrix over the walked box, so no jet is built and no
+noise is admitted.  The budget still counts s**N sequences, and is
+checked before any exponent set or site tensor is built.
 
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
@@ -86,7 +91,7 @@ from .errors import (
     ProfileLengthMismatch,
     UnreachableSequence,
 )
-from .jets import MULTIJET_MAX_DEGREE, MULTIJET_MAX_VARS, Jet, MultiJet, exponent_set
+from .jets import MULTIJET_MAX_DEGREE, MULTIJET_MAX_VARS, Jet, exponent_set
 from .model import ROW_SUM_TOL, check_epsilon, check_symbols, check_whole, row_sum
 
 DEFAULT_BUDGET = 2 ** 24
@@ -148,13 +153,16 @@ def enumerate_sequences(s, n, budget=None):
 # --- noise admission ------------------------------------------------------
 
 def _sites(model, noise, n):
-    """Admit ``noise``, a shared value or a list of n per-site values: site
-    tensors r[i][:, x, y, 0] = delta_xy + eps_i * t[x, y] as jets of its
-    exponent set, shape (w, s, s, 1); that set; and the result type (its
-    first jet, or None).  A shared value is checked once and its tensor
-    serves every site.  Checks, in order: the length; per value, a jet's
-    configuration, finiteness, and the range of a scalar or a jet's
-    constant term; then that univariate and multivariate jets do not mix.
+    """Admit ``noise``, a shared value or a list of n per-site values: the
+    n site tensors r[i] (w, s, s, 1) from _site_tensors, w the size of its
+    exponent set; that set; and the result type (its first jet, or None).
+    Checks, in order: the length; per value, a jet's configuration,
+    finiteness, and the range of a scalar or a jet's constant term; then
+    that univariate and multivariate jets do not mix.  The admitted values
+    are stacked into an (n, w) matrix of noise coefficients: a jet's own,
+    a float v as the constant jet v * e_0 of the profile's width.  A
+    shared value is checked once and its one tensor, listed n times,
+    serves every site.
     """
     shared = not isinstance(noise, (list, tuple))
     values = [noise] if shared else list(noise)
@@ -173,12 +181,24 @@ def _sites(model, noise, n):
         raise ConfigMismatch("profile mixes univariate and multivariate jets")
     jet = next(iter(first.values()), None)
     space = exponent_set((), 0) if jet is None else jet.space
-    unit = np.eye(space.size, 1)[:, :, None, None]
-    eye = np.eye(model.size)[:, :, None]
-    t = model.noise.matrix[:, :, None]
-    r = [unit * eye + t * (eps.coeffs[:, None, None, None] if isinstance(eps, Jet)
-                           else eps * unit) for eps in values]
-    return r * n if shared else r, space, jet
+    eps = np.zeros((len(values), space.size))
+    for row, v in zip(eps, values):
+        if isinstance(v, Jet):
+            row[:] = v.coeffs
+        else:
+            row[0] = v
+    r = _site_tensors(model, eps)
+    return list(r) * n if shared else r, space, jet
+
+
+def _site_tensors(model, eps):
+    """Site tensors r[i][:, x, y, 0] = unit * delta_xy + eps[i] * t[x, y],
+    shape (n, w, s, s, 1), for the rows of eps (n, w), each site's noise
+    coefficients over an exponent set of w members (unit is its constant
+    term 1): every site in one broadcast."""
+    unit = np.eye(eps.shape[1], 1)[:, :, None, None]
+    return (unit * np.eye(model.size)[:, :, None]
+            + model.noise.matrix[:, :, None] * eps[:, :, None, None, None])
 
 
 def _value(jet, coeffs):
@@ -259,11 +279,14 @@ def _symmetric_start(model, initial):
     G-average of the stationary law: the exact law is G-invariant, the
     computed one only up to rounding.  Each average is an fsum over the
     orbit, correctly rounded whatever the order, so it is G-invariant bit
-    for bit.
+    for bit.  When G is the identity alone each orbit is one symbol, whose
+    average is the stationary law's own entry, so that law is the start.
     """
     g = _symmetries(model)
     if initial is None:
         pi = model.transition.stationary
+        if len(g) == 1:
+            return pi, g
         return np.array([math.fsum(pi[orbit]) / len(g) for orbit in g.T]), g
     init = np.asarray(initial, dtype=float)
     if not (init.shape == (model.size,) and np.all(init >= 0)
@@ -319,16 +342,20 @@ def _entropies(model, noise, levels, initial=None, budget=None, slope=None):
 
     levels ascend; the budget is checked at the last, the depth, before
     ``noise``, a shared value or per-site profile, is admitted (_sites).
-    With ``slope``, a _Slope, each H_n is the float coefficient the slope
-    takes of it, and ``noise`` profiles only the sites the walk steps
-    through: all but the last when the slope is along the last site, whose
+    With ``slope``, a _Slope, ``noise`` is ignored: the walk steps through
+    the slope's own site tensors and exponent set, and each H_n is the
+    float coefficient the slope takes of it.  Those tensors cover all but
+    the last site when the slope is along the last site, whose
     probabilities the walk reads off instead (_Slope.read_off).
     """
     s = model.size
     depth = levels[-1]
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
-    r, space, jet = _sites(model, noise, depth if slope is None else len(noise))
+    if slope is None:
+        r, space, jet = _sites(model, noise, depth)
+    else:
+        r, space, jet = slope.sites, slope.space, None
     mt = model.transition.matrix.T
     # each level's block sums, w floats per block in walk order
     sums = {n: array("d") for n in levels}
@@ -389,7 +416,7 @@ def _entropies(model, noise, levels, initial=None, budget=None, slope=None):
               1, weight)
     if pending:
         flush()
-    jet, w = (jet, space.size) if slope is None else (None, 1)
+    w = space.size if slope is None else 1
     # each coefficient of H_n is the correctly rounded sum of its block sums
     return {n: _value(jet, -np.array([math.fsum(c) for c in
                                       np.frombuffer(buf).reshape(-1, w).T]))
@@ -421,6 +448,13 @@ class _Slope:
     the predicted state mass (read_off), so x_i never enters the trellis
     box.  Otherwise i is a noisy site of lowest order, whose log box is
     smallest relative to the whole box.
+
+    The walk's noise is x_j at each site j it steps through, over the
+    walked box (kvec, with the last entry 0 when i is the last site).
+    The slope writes that as an (n, w) noise matrix, one-hot at x_j's flat
+    index for each walked site with k_j >= 1 and 0 elsewhere, and keeps
+    the exponent set in ``space`` and the tensors _site_tensors builds
+    from the matrix in ``sites``.
     """
 
     def __init__(self, model, kvec):
@@ -433,9 +467,13 @@ class _Slope:
         self.shape = (math.prod(radix[:i]), k + 1, math.prod(radix[i + 1:]))
         self.lower = exponent_set(tuple(kvec[:i]) + (k - 1,) + tuple(kvec[i + 1:]), cap)
         walked = kvec[:-1] + [0] if i == n - 1 else kvec
+        self.space = exponent_set(tuple(walked), cap)
         # the sites the walk steps through, last one read off if it is i
-        self.profile = [MultiJet.variable(j, n, cap, bounds=walked)
-                        for j in range(n - (i == n - 1))]
+        eps = np.zeros((n - (i == n - 1), self.space.size))
+        for j, row in enumerate(eps):
+            if walked[j]:
+                row[self.space.index[(0,) * j + (1,) + (0,) * (n - 1 - j)]] = 1.0
+        self.sites = _site_tensors(model, eps)
         self.noise_t = model.noise.matrix.T
 
     def read_off(self, pred):
@@ -538,7 +576,7 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
         return h[n] - h[n - 1]
     slope = _Slope(model, kvec)
     levels = (n,) if kvec[-1] else (n - 1, n)
-    h = _entropies(model, slope.profile, levels, budget=budget, slope=slope)
+    h = _entropies(model, None, levels, budget=budget, slope=slope)
     # the slope carries a factor k_i, which (k_i - 1)! leaves out
     factor = math.prod(math.factorial(k) for k in kvec) // slope.order
     return (h[n] - h.get(n - 1, 0.0)) * factor

@@ -290,9 +290,10 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     conditioned (entries floored away from zero) since the identities
     hold for any valid model and ill conditioning only inflates float
     noise, not information.  Passing a model pins it for every trial and
-    randomizes only the instance.  ``trials``, ``n_max`` and
-    ``weight_max`` must be whole numbers (3.0 is accepted), with n_max >= 3
-    and weight_max >= 1, else ValueError before anything is drawn.
+    randomizes only the instance.  ``trials``, ``n_max``, ``weight_max``
+    and the entries of ``sizes`` must be whole numbers (3.0 is accepted),
+    with n_max >= 3, weight_max >= 1 and at least one size, each >= 2,
+    else ValueError before anything is drawn.
     """
     if lemma not in (1, 2, 3):
         raise ValueError("lemma must be 1, 2, or 3")
@@ -303,12 +304,16 @@ def run_lemma_battery(lemma, trials, seed, tol=DEFAULT_LEMMA_TOL, *, model=None,
     weight_max = check_whole("weight_max", weight_max)
     if weight_max < 1:
         raise ValueError(f"need weight_max >= 1, got {weight_max}")
+    checked = (tuple(check_whole("sizes entry", size) for size in sizes)
+               if np.iterable(sizes) else ())
+    if not checked or min(checked) < 2:
+        raise ValueError(f"sizes must list alphabet sizes >= 2, got {sizes!r}")
     rng = np.random.default_rng(seed)
     fixed = model
     reports = []
     for _ in range(check_whole("trials", trials)):
         if fixed is None:
-            s = int(rng.choice(sizes))
+            s = int(rng.choice(checked))
             model = random_model(rng, s)
         else:
             model = fixed

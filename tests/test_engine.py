@@ -32,7 +32,7 @@ from hmpx import (
 import hmpx.engine
 from hmpx.engine import _sites, _symmetric_start, block_entropies, check_budget
 from hmpx.estimation import bounds_by_n
-from hmpx.jets import ExponentSet, exponent_set
+from hmpx.jets import ExponentSet, Jet, exponent_set
 from conftest import binary_symmetric
 from oracles import (
     block_entropy_bruteforce,
@@ -148,8 +148,8 @@ class TestAdmission:
 
         n = len(kvec)
         with monkeypatch.context() as patch:
-            for owner, name in ((hmpx.engine, "_sites"), (hmpx.engine, "exponent_set"),
-                                (MultiJet, "variable")):
+            for owner, name in ((hmpx.engine, "_sites"), (hmpx.engine, "_site_tensors"),
+                                (hmpx.engine, "exponent_set"), (MultiJet, "variable")):
                 patch.setattr(owner, name, refuse)
             with pytest.raises(BudgetExceeded, match=rf"N = {n} needs 3\*\*{n} "):
                 mixed_partial_F(t3, kvec, budget=3 ** n - 1)
@@ -445,6 +445,22 @@ class TestMixedPartialF:
             want = mixed_partial_exact(model, kvec)
             got = mixed_partial_F(model, kvec)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), kvec
+
+    @pytest.mark.parametrize("name", ["bs", "random"])
+    def test_builds_no_jet(self, bs, monkeypatch, name):
+        # the slope writes its one-hot noise matrix itself, with zero-order
+        # sites first, inside and last
+        model = {"bs": bs, "random": random_model(np.random.default_rng(3), 3)}[name]
+        kvecs = [(0, 0, 1, 2), (1, 0, 2, 0), (2, 1, 0), (0, 3, 3)]
+        want = [mixed_partial_exact(model, kvec) for kvec in kvecs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mixed_partial_F built a MultiJet")
+
+        monkeypatch.setattr(MultiJet, "__init__", refuse)
+        for kvec, exact in zip(kvecs, want):
+            got = mixed_partial_F(model, kvec)
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), kvec
 
     @pytest.mark.parametrize("kvec", [[0] * 9 + [1, 1], [7, 7]],
                              ids=["eleven-sites", "order-14"])
@@ -1050,3 +1066,34 @@ def test_site_tensors_are_nonnegative_at_every_admissible_eps(s):
             (jet,), _, _ = _sites(model, [UniJet([eps, 1.0, -0.5])], 1)
             assert plain.shape[0] == 1 and np.all(plain >= 0.0)
             assert np.all(jet[0] >= 0.0)  # the constant term; the rest is T
+
+
+_PROFILES = {
+    "floats": ([0.0, 0.1, 0.05], 3),
+    "shared float": (0.07, 4),
+    "shared unijet": (UniJet([0.05, 1.0, 0.0, -0.5]), 3),
+    "multijet": ([MultiJet.variable(i, 3, 3) for i in range(3)], 3),
+    "floats and unijets": ([0.0, UniJet.variable(6), 0.05, UniJet.variable(6)], 4),
+    "empty": ([], 0),
+}
+
+
+@pytest.mark.parametrize("case", _PROFILES)
+def test_site_tensors_match_the_per_site_formula(t3, case):
+    # one broadcast over the (n, w) noise matrix gives every site the bits,
+    # zero signs included, of its own unit * I + T * coeffs; a float in a
+    # jet profile is the constant jet v * e_0 of the profile's width, and
+    # the empty profile gives no site
+    noise, n = _PROFILES[case]
+    r, space, _ = _sites(t3, noise, n)
+    w, s = space.size, t3.size
+    assert len(r) == n
+    unit = np.eye(w, 1)[:, :, None, None]
+    eye = np.eye(s)[:, :, None]
+    t = t3.noise.matrix[:, :, None]
+    for got, v in zip(r, noise if isinstance(noise, list) else [noise] * n):
+        coeffs = v.coeffs if isinstance(v, Jet) else v * np.eye(w)[0]
+        want = unit * eye + t * coeffs[:, None, None, None]
+        assert got.shape == want.shape == (w, s, s, 1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -435,11 +435,18 @@ def test_lemma_battery_sizes_are_checked_before_any_draw():
     for weight_max in (0, -1, 1.5):
         with pytest.raises(ValueError, match="weight_max"):
             run_lemma_battery(3, 1, seed=0, weight_max=weight_max)
+    # (2.5,) ran as s = 2 and ("3",) as s = 3; () and (1,) failed inside
+    # numpy's draw and the drawn model, without naming the argument
+    for sizes in ((2.5,), ("3",), (), (1,)):
+        with pytest.raises(ValueError, match="sizes"):
+            run_lemma_battery(3, 1, seed=0, sizes=sizes)
     for lemma in (1, 2, 3):  # the smallest instances still run
         reports = run_lemma_battery(lemma, 3, seed=0, n_max=3, weight_max=1)
         assert len(reports) == 3 and all(r.passed for r in reports)
     assert (run_lemma_battery(3, 2, seed=0, n_max=6.0, weight_max=6.0)
             == run_lemma_battery(3, 2, seed=0))
+    assert (run_lemma_battery(3, 4, seed=0, sizes=(2.0, 3.0))
+            == run_lemma_battery(3, 4, seed=0, sizes=(2, 3)))
 
 
 class TestBinarySymmetricClosedForms:
