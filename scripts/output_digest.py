@@ -20,9 +20,12 @@ that mixes floats with UniJets, ``sequence_probability`` of a UniJet on
 five symbols and on none, the bytes of ``sample_paths`` across a sampler
 segment end (length 2 * ``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a
 random 9-symbol model, the estimate and standard error of
-``mc_entropy_rate`` at L = 10**5 on bs and on t3 and at L = 10 007 in
-replicas of w = 1, 2, 7 and 8 symbols (one-symbol rows, and words padded
-with identity steps), and ``path_log_likelihood`` on t3.  An item that raises hashes its
+``mc_entropy_rate`` at L = 10**5 on bs and on t3, on the 9-symbol model
+at L = 3 * ``_SEGMENT`` + 7 in 31 replicas (a walk and emission across
+three segments, 8 emission edges per state, replicas that straddle
+segment ends) and at L = 10 007 in replicas of w = 1, 2, 7 and 8 symbols
+(one-symbol rows, and words padded with identity steps), and
+``path_log_likelihood`` on t3.  An item that raises hashes its
 exception's type and message instead.
 
 ``--values`` prints each item as one JSON object, {"item": label,
@@ -105,6 +108,10 @@ def _grid(m):
         e.standard_error]),
         ("mc t3", lambda: [
             (e := hmpx.mc_entropy_rate(m["t3"], 0.1, 10**5, 3)).estimate,
+            e.standard_error]),
+        ("mc r9 across segments in 31 replicas", lambda: [
+            (e := hmpx.mc_entropy_rate(m["r9"], 0.5 * m["r9"].epsilon_max,
+                                       3 * _SEGMENT + 7, 3, batches=31)).estimate,
             e.standard_error]),
         *((f"mc {name} rows of {w}", lambda name=name, eps=eps, w=w: [
             (e := hmpx.mc_entropy_rate(m[name], eps, 10_007, 3,

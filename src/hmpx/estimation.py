@@ -13,17 +13,19 @@ each comes from one trellis pass from the stationary start.
 Sampling and likelihood are both blocked prefix scans (Blelloch 1990):
 the path is cut into chunks that advance in lockstep, then are stitched
 together in order.  The sampler draws and uses its uniforms in segments
-of 2**16 symbols, the whole hidden path first and then the observations.
-It scans each segment in chunks of at most 64 steps, from the last
-hidden state of the segment before, and composes maps of states, so its
-paths are bit for bit those of a one-state-at-a-time walk.  A replica
-starts with a restart, a step whose map sends every state to a draw from
-the stationary law, so the replicas are one walk.  The likelihood scores
-the path in whole rows of one width (one row for a whole path, one per
+of 2**16 symbols, each segment's hidden walk and then its observations,
+so only the observed path outlives its segment.  It scans each segment's
+walk in chunks of at most 64 steps, from the last hidden state of the
+segment before, and composes maps of states, so its paths are bit for
+bit those of a one-state-at-a-time walk.  A replica starts with a
+restart, a step whose map sends every state to a draw from the
+stationary law, so the replicas are one walk.  The likelihood scores the
+path in whole rows of one width (one row for a whole path, one per
 replica for the estimate), each row a path of its own cut into about
 sqrt(n) chunks of whole k-symbol words, the last chunk padded with
 identity steps, from a table of the products of every k-symbol word, in
-two passes.  Pass 1 forms each chunk's transfer product, all chunks in
+two passes; the words are coded from views of the path, not a
+copy.  Pass 1 forms each chunk's transfer product, all chunks in
 lockstep one word at a time, normalized after every word; the logs of
 the divided-out norms add up, in a compensated sum, to the chunk's
 scale.  Pass 2 walks each row's chunks in order from the joint law of
@@ -39,8 +41,10 @@ increments to a few ulps.  A path of probability zero raises
 
 All randomness flows through numpy's seeded default generator (PCG64,
 inverse-CDF draws): one uniform per hidden state, replica after replica,
-then one per observation, whatever the segment size.  A run is a pure
-function of (model, eps, L, seed).
+then one per observation, whatever the segment size; the observations'
+uniforms are read by a second generator on the seed, advanced past the
+hidden ones (O'Neill 2014: PCG jumps ahead in O(log L) steps).  A run is
+a pure function of (model, eps, L, seed).
 """
 
 from __future__ import annotations
@@ -156,44 +160,49 @@ def _walk(cum_m, u, x, out, restarts):
     out[:] = (ends[:, starts] - base).T.ravel()[:steps]
 
 
-def _sample_arrays(model, eps, length, seed, width):
-    """Hidden and observed paths of independent replicas of ``width``
-    symbols, in the smallest unsigned dtype holding s; ``width`` divides
-    ``length``, and ``width = length`` is one replica.
+def _sample_arrays(model, eps, length, seed, width, hidden=None):
+    """The observed path of independent replicas of ``width`` symbols, in
+    the smallest unsigned dtype holding s; ``width`` divides ``length``,
+    and ``width = length`` is one replica.  ``hidden``, if given, is an
+    integer array of ``length`` that receives the hidden path; else only
+    one segment of it is held at a time.
 
-    One generator makes two draws of ``length`` uniforms, the first for
-    the hidden paths and the second for the observations, replica after
-    replica, used in segments of ``_SEGMENT`` symbols: random(a) then
-    random(b) gives the draws of random(a + b), so the segments change no
-    draw.  Pass A walks the hidden path (see ``_walk``) segment by segment,
-    each from the last hidden state of the segment before.  A replica's
-    first uniform picks its start from the stationary law: a restart, a
-    step whose map sends every state to that pick.  Pass B then emits each
-    segment's observations, counting edges in the cumulative emission row
-    of each hidden state.  Only one segment's uniforms and scan arrays are
-    held at a time.
+    The uniforms are those of one generator's draw of 2 * ``length``, the
+    first half for the hidden paths and the second for the observations,
+    replica after replica.  A second generator on the same seed, advanced
+    by ``length`` draws, supplies the second half: PCG64 spends one 64-bit
+    draw per double, so it yields exactly draws L..2L-1.  Both are used in
+    segments of ``_SEGMENT`` symbols: random(a) then random(b) gives the
+    draws of random(a + b), so the segments change no draw.  Each segment
+    is walked (see ``_walk``) from the last hidden state of the segment
+    before, then emitted, counting edges in the cumulative emission row of
+    each hidden state.  A replica's first uniform picks its start from the
+    stationary law: a restart, a step whose map sends every state to that
+    pick.  Only one segment's uniforms and scan arrays are held at a time,
+    so apart from ``hidden`` the observed path is the one array that grows
+    with the length.
     """
-    rng = np.random.default_rng(seed)
+    walk_rng = np.random.default_rng(seed)
+    emit_rng = np.random.default_rng(seed)
+    emit_rng.bit_generator.advance(length)
     s = model.size
     dtype = np.min_scalar_type(s)
-    hidden = np.empty(length, dtype=dtype)
+    observed = np.zeros(length, dtype=dtype)
     cum_m = np.cumsum(model.transition.matrix, axis=1)
     cum_pi = np.cumsum(model.transition.stationary)[:-1]
+    cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)[:, :-1].T
     x = 0  # any state: step 0 is a restart
     for lo in range(0, length, _SEGMENT):
-        u = rng.random(min(_SEGMENT, length - lo))
+        hi = min(lo + _SEGMENT, length)
+        states = np.empty(hi - lo, dtype=dtype) if hidden is None else hidden[lo:hi]
+        u = walk_rng.random(hi - lo)
         at = slice(-lo % width, None, width)  # this segment's restarts
-        out = hidden[lo:lo + len(u)]
-        _walk(cum_m, u, x, out, (at, cum_pi.searchsorted(u[at], side="right")))
-        x = int(out[-1])
-    observed = np.zeros(length, dtype=dtype)
-    cum_r = np.cumsum(emission_at(model.noise, eps), axis=1)[:, :-1].T
-    for lo in range(0, length, _SEGMENT):
-        u = rng.random(min(_SEGMENT, length - lo))
-        states, out = hidden[lo:lo + len(u)], observed[lo:lo + len(u)]
+        _walk(cum_m, u, x, states, (at, cum_pi.searchsorted(u[at], side="right")))
+        x = int(states[-1])
+        u, out = emit_rng.random(hi - lo), observed[lo:hi]
         for edges in cum_r:  # edges[x]: one cumulative edge of row x
             out += u >= edges.take(states)
-    return hidden, observed
+    return observed
 
 
 def _check_reachable(rows):
@@ -257,22 +266,31 @@ def _row_words(symbols, s, width, k, per_row):
     """codes[i, j]: the base-(s+1) code of word j of row i, row-major.
 
     Row i holds symbols [i*width, (i+1)*width), and ``width`` divides the
-    length.  Each row is padded once with the identity symbol s to
-    ``per_row`` words of k symbols, so no word straddles a row end and
-    each row fills whole chunks, and its symbol 0 is replaced by the
-    identity, since its forward pass starts from that symbol's
-    distribution.  Words are encoded Horner-style, earliest digit first;
-    the padded symbols are freed on return.
+    length; ``symbols`` may have any integer dtype.  Each row is coded as
+    if padded once with the identity symbol s to ``per_row`` words of k
+    symbols, so no word straddles a row end and each row fills whole
+    chunks, and its symbol 0 is replaced by the identity, since its
+    forward pass starts from that symbol's distribution.  Words are
+    encoded Horner-style, earliest digit first, straight from strided
+    views of the rows: digit d of every word of a row is the view
+    ``row[d::k]``, which the row's last partial word lacks from digit
+    width mod k on, so that word adds s there.  No copy of the symbols is
+    made.
     """
     rows = len(symbols) // width
-    padded = np.full((rows, per_row * k), s, dtype=np.min_scalar_type(s))
-    padded[:, :width] = symbols.reshape(rows, width)
-    padded[:, 0] = s
-    digits = padded.reshape(rows, per_row, k).transpose(2, 0, 1)  # digits[d, i, j]
-    codes = digits[0].astype(np.min_scalar_type((s + 1) ** k - 1))
-    for digit in digits[1:]:
-        codes *= s + 1
-        codes += digit
+    digits = symbols.reshape(rows, width)
+    codes = np.full((rows, per_row), (s + 1) ** k - 1,  # the identity word
+                    dtype=np.min_scalar_type((s + 1) ** k - 1))
+    words = codes[:, :-(-width // k)]  # the words that hold a symbol
+    words[:] = digits[:, ::k]
+    words[:, 0] = s  # each row's head
+    for d in range(1, k):
+        digit = digits[:, d::k]
+        held = words[:, :digit.shape[1]]
+        words *= s + 1
+        # the symbols lie in [0, s), so any integer dtype casts exactly
+        np.add(held, digit, out=held, casting="unsafe")
+        words[:, digit.shape[1]:] += s
     return codes
 
 
@@ -390,7 +408,8 @@ def _scan_rows(first, table, lt, symbols, width, k, size, chunks):
 def path_log_likelihood(model, eps, symbols):
     """log P of an observation path; agrees with the enumeration engine's
     sequence probabilities up to float rounding.  The empty path has log
-    probability 0.  Symbols are checked as in sequence_probability.
+    probability 0.  Symbols are checked as in sequence_probability, and an
+    integer array is scored as it is, without a copy.
 
     At eps = 0 a tiny transition entry t costs accuracy, and from about
     1.6e-162, near the square root of the smallest subnormal double, a
@@ -420,9 +439,9 @@ def sample_paths(model, eps, length, seed) -> SampleRun:
     seed = check_whole("seed", seed)
     if length < 1:
         raise ValueError("need length >= 1")
-    hidden, observed = _sample_arrays(model, eps, length, seed, length)
+    hidden = np.empty(length, dtype=np.int64)
+    observed = _sample_arrays(model, eps, length, seed, length, hidden)
     loglik = float(_row_log_likelihoods(model, eps, observed, length)[0])
-    hidden = hidden.astype(np.int64)
     observed = observed.astype(np.int64)
     hidden.flags.writeable = False
     observed.flags.writeable = False
@@ -446,17 +465,19 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
     ``length``, ``seed`` and ``batches`` must be whole numbers.
 
     No budget bounds the memory, which grows with L: 1 byte per symbol
-    for each uint8 path (hidden, observed), 8 per replica for its row,
-    about 1.3 per symbol of the rows scored together for the likelihood's
-    word codes at s = 2 (at most ``_GROUP_CELLS`` / s**2 chunks of about
-    sqrt(n) symbols), and under 2 MiB for one 2**16-symbol sampler segment.
-    On the binary symmetric chain numpy allocations peak at 4.1 MiB
-    (tracemalloc, first call in a process; 3.4 MiB when repeated) for L =
-    1e6 and 20.6 MiB for L = 1e7, while both paths are held during
-    sampling; the likelihood alone peaks at 5.8 MiB for L = 1e7 on top of
-    the observed path.  sample_paths adds two int64 copies, 16 bytes per
-    symbol.  A path the machine cannot allocate raises MemoryError (CLI
-    exit 3).
+    for the uint8 observed path (the hidden path is held one 2**16-symbol
+    segment at a time), 8 per replica for its row, about 4/7 of a byte
+    per symbol of the rows scored together for the likelihood's word
+    codes at s = 2 (2 bytes per 7-symbol word, row-major and then
+    chunk-major; at most ``_GROUP_CELLS`` / s**2 chunks of about sqrt(n)
+    symbols), and under 2 MiB for one sampler segment.  On the binary
+    symmetric chain numpy allocations peak at 3.2 MiB (tracemalloc,
+    first call in a process; 2.5 MiB when repeated) for L = 1e6, 6.4 MiB
+    for L = 4e6 and 12.9 MiB for L = 1e7; at L = 1e7 the likelihood adds
+    2.6 MiB on top of the observed path.  sample_paths holds its two
+    int64 paths, 16 bytes per symbol, and one uint8 observed path while
+    it samples.  A path the machine cannot allocate raises MemoryError
+    (CLI exit 3).
     """
     eps = check_epsilon(model.epsilon_max, eps)
     length = check_whole("length", length)
@@ -470,7 +491,7 @@ def mc_entropy_rate(model, eps, length, seed, batches=30) -> McEstimate:
         raise ValueError(f"need batches <= length, got {batches} > {length}")
     batch_size = length // batches
     size = batches * batch_size  # the L mod batches leftover symbols are not drawn
-    observed = _sample_arrays(model, eps, size, seed, batch_size)[1]
+    observed = _sample_arrays(model, eps, size, seed, batch_size)
     rows = _row_log_likelihoods(model, eps, observed, batch_size)
     estimate = -math.fsum(rows) / size
     rows /= -batch_size  # the replica means, i.i.d.

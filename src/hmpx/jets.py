@@ -135,10 +135,9 @@ class ExponentSet:
     found from the mixed-radix codes: no digit carries, so code(e + e_j) =
     code(e) + code(e_j).  The set keeps one table per support pattern, at
     most MAX_SUPPORTS of them, and builds each row when it is first read.
-    ``shifts`` is the table with every source live, whose rows are never
-    empty (e = 0 always fits).  A width-1 set needs no table: its product
-    and log are elementwise.  Use ``exponent_set`` to get one: it caches
-    the set and refuses oversized sets.
+    A width-1 set needs no table: its product and log are elementwise.
+    Use ``exponent_set`` to get one: it caches the set and refuses
+    oversized sets.
     """
 
     def __init__(self, bounds, cap):
@@ -209,10 +208,10 @@ class ExponentSet:
         return b
 
     def shifts_on(self, a):
-        """shifts cut to the support of the jet array a, the coefficients
-        nonzero in some jet of the batch: j -> (src, dst), or () when no
-        source is left.  Kept per support pattern; past MAX_SUPPORTS
-        patterns the oldest is dropped."""
+        """The shift table cut to the support of the jet array a, the
+        coefficients nonzero in some jet of the batch: j -> (src, dst), or
+        () when no source is left.  Kept per support pattern; past
+        MAX_SUPPORTS patterns the oldest is dropped."""
         live = a.reshape(self.size, -1).any(axis=1)
         key = live.tobytes()
         table = self._cut.get(key)
@@ -221,11 +220,6 @@ class ExponentSet:
                 del self._cut[next(iter(self._cut))]
             table = self._cut[key] = _CutShifts(self, live)
         return table
-
-    @property
-    def shifts(self):
-        """The shift table with every source live, rows built when first read."""
-        return self.shifts_on(np.ones(self.size))
 
 
 class _CutShifts(dict):

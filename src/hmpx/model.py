@@ -216,10 +216,13 @@ def check_whole(name, value):
 
 
 def check_symbols(size, symbols):
-    """Observation symbols as a 1-D int64 array.
+    """Observation symbols as a 1-D integer array, without a copy where
+    the caller's array already is one.
 
     Raises ValueError unless ``symbols`` is one-dimensional and every entry
-    is an integer, of integer or integral float type, in [0, size).
+    is an integer, of integer or integral float type, in [0, size).  An
+    integer (or boolean) array is returned as it is; integral floats are
+    converted to the smallest unsigned dtype that holds ``size``.
     """
     raw = np.asarray(symbols)
     if raw.ndim != 1:
@@ -229,7 +232,9 @@ def check_symbols(size, symbols):
         raise ValueError("symbols must be integers")
     if raw.size and (raw.min() < 0 or raw.max() >= size):
         raise ValueError("symbol outside alphabet range")
-    return raw.astype(np.int64, copy=False)
+    if raw.dtype.kind == "f":
+        return raw.astype(np.min_scalar_type(size))
+    return raw
 
 
 def make_model(transition_raw, noise_raw) -> HmpModel:

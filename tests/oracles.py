@@ -359,19 +359,40 @@ def mixed_partial_exact(model, kvec):
     return (float(rational) + math.fsum(logs)) * scale
 
 
+def shift_table(space):
+    """The shift table of an ExponentSet with every source live, from its
+    exponents alone: row j = (src, dst), the flat indices of every e with
+    e + e_j in the set, ascending, and of each e + e_j."""
+    e = np.array(space.exponents, dtype=np.int64).reshape(space.size, -1)
+    top = e.max(axis=0)
+    box = [int(t) + 1 for t in top]  # the bounding box, indexed C-order
+    place = np.array([math.prod(box[d + 1:]) for d in range(len(box))], dtype=np.int64)
+    flat = np.full(math.prod(box), -1)  # flat index of each member, -1 outside
+    flat[e @ place] = np.arange(space.size)
+    table = []
+    for j in range(space.size):
+        t = e + e[j]
+        fits = np.flatnonzero((t <= top).all(axis=1))
+        src = fits[flat[t[fits] @ place] >= 0]
+        table.append((src, flat[t[src] @ place]))
+    return table
+
+
 def shift_mul(space, a, b):
     """ExponentSet.mul as the full shift loop: every source of every shift,
     zero or not, in the kernel's order of operations."""
+    shifts = shift_table(space)
     out = a * b[:1]
     nonzero = np.flatnonzero(b.reshape(space.size, -1).any(axis=1))
     for j in nonzero[nonzero > 0]:
-        src, dst = space.shifts[j]
+        src, dst = shifts[j]
         out[dst] += b[j] * a[src]
     return out
 
 
 def shift_log(space, a):
-    """ExponentSet.log as the full triangular solve over space.shifts."""
+    """ExponentSet.log as the full triangular solve over ``shift_table``."""
+    shifts = shift_table(space)
     b = np.empty_like(a)
     acc = np.zeros_like(a)
     a0 = a[0]
@@ -380,6 +401,6 @@ def shift_log(space, a):
         for k in range(1, space.size):
             d = space.degree[k]
             b[k] = (a[k] - acc[k] / d) / a0
-            src, dst = space.shifts[k]
+            src, dst = shifts[k]
             acc[dst] += a[src] * (d * b[k])
     return b

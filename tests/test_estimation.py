@@ -239,6 +239,19 @@ class TestSegments:
             step = [np.count_nonzero(row <= u) for row in edges]
             assert step[0] != step[hidden[_SEGMENT - 1]] == hidden[_SEGMENT]
 
+    @pytest.mark.parametrize("length", [1, 7, _SEGMENT, 3 * _SEGMENT + 7])
+    def test_advanced_generator_draws_the_second_half(self, length):
+        # the emission uniforms come from a second generator on the seed,
+        # advanced by L draws: PCG64 spends one 64-bit draw per double, so
+        # it yields draws L..2L-1 of the first, in any segments
+        for seed in (0, 11):
+            ahead = np.random.default_rng(seed)
+            ahead.bit_generator.advance(length)
+            halves = [ahead.random(min(_SEGMENT, length - lo))
+                      for lo in range(0, length, _SEGMENT)]
+            np.testing.assert_array_equal(
+                np.concatenate(halves), np.random.default_rng(seed).random(2 * length)[length:])
+
     @pytest.mark.parametrize("name", ["bs", "t3"])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     @pytest.mark.parametrize("length", [_SEGMENT - 1, _SEGMENT, _SEGMENT + 1,
@@ -260,30 +273,40 @@ class TestSegments:
         model = random_model(np.random.default_rng(s), s)
         eps = 0.5 * model.epsilon_max
         hidden, observed = sample_arrays(model, eps, width * replicas, 11, width)
-        run = _sample_arrays(model, eps, width * replicas, 11, width)
-        np.testing.assert_array_equal(run[0], hidden)
-        np.testing.assert_array_equal(run[1], observed)
+        walked = np.empty(width * replicas, dtype=np.uint8)
+        emitted = _sample_arrays(model, eps, width * replicas, 11, width, walked)
+        np.testing.assert_array_equal(walked, hidden)
+        np.testing.assert_array_equal(emitted, observed)
+        # without a hidden array only one segment of it is held
+        np.testing.assert_array_equal(
+            _sample_arrays(model, eps, width * replicas, 11, width), observed)
 
     def test_peak_memory_of_the_estimate(self, bs):
-        # the two uniform draws are held one segment at a time: at L = 1e6
-        # the estimate peaked at 31.5 MiB of numpy allocations with whole
-        # draws and at 4.1 MiB with segments (first call in a process;
-        # 3.4 MiB when repeated)
-        tracemalloc.start()
-        try:
-            mc_entropy_rate(bs, 0.05, 10**6, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        # the two uniform draws are held one segment at a time, and the
+        # hidden path one segment at a time too: only the observed path, 1
+        # byte per symbol, outlives its segment.  With whole draws the
+        # estimate peaked at 31.5 MiB of numpy allocations at L = 1e6; with
+        # segments and a whole hidden path at 4.13 MiB, and 9.85 MiB at
+        # L = 4e6; with one hidden segment at 3.24 and 6.39 MiB (first
+        # call in a process; about 0.7 MiB less when repeated)
+        for length, bound in ((10**6, 4), (4 * 10**6, 7)):
+            tracemalloc.start()
+            try:
+                mc_entropy_rate(bs, 0.05, length, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 2**20, f"L = {length}"
 
 
 def test_peak_memory_of_the_likelihood(bs):
     # rows are summed from the chunk norms of the stitch, with no buffer
-    # of one log per word: at L = 4e6 in rows of L // 30 the likelihood
-    # peaked at 5.30 MiB with that buffer and at 3.70 MiB without it.
-    # Most of it is the copy of the symbols that ``_row_words`` pads once
-    # to whole chunks, freed before the codes are copied chunk-major
+    # of one log per word, and ``_row_words`` codes the words straight
+    # from strided views of the rows: at L = 4e6 in rows of L // 30 the
+    # likelihood peaked at 5.30 MiB with that buffer, at 3.70 MiB with a
+    # padded copy of the symbols, and at 1.86 MiB coding in place.  What
+    # is left is mostly the codes, 2 bytes per 7-symbol word, held
+    # row-major and then chunk-major
     length = 4 * 10**6
     width = length // 30
     observed = np.random.default_rng(0).integers(0, 2, length).astype(np.uint8)
@@ -294,7 +317,23 @@ def test_peak_memory_of_the_likelihood(bs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 2**20
+    assert peak <= 2.5 * 2**20
+
+
+def test_path_log_likelihood_scores_the_callers_array(bs):
+    # the path is passed on in its own dtype, not copied to int64 (8
+    # bytes per symbol): a uint8 path of 4e6 symbols peaked at 35.5 MiB
+    # with that copy, at 2.27 MiB without it
+    path = np.random.default_rng(0).integers(0, 2, 4 * 10**6)
+    small = path.astype(np.uint8)
+    tracemalloc.start()
+    try:
+        value = path_log_likelihood(bs, 0.05, small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert value == path_log_likelihood(bs, 0.05, path)
 
 
 def test_peak_memory_of_one_symbol_replicas(bs):
@@ -420,6 +459,28 @@ class TestWordBlockedScan:
                     row[0] = s
                     np.testing.assert_array_equal(decoded[i, :width], row)
                     assert np.all(decoded[i, width:] == s)
+
+    @pytest.mark.parametrize("s", [2, 3, 9])
+    def test_words_of_any_integer_dtype(self, s):
+        # the words are coded from views of the caller's rows, so every
+        # integer dtype, a byte-swapped one and a strided view give the
+        # codes of the int64 path
+        rng = np.random.default_rng(s)
+        for length in (1, 9, 1001):
+            symbols = rng.integers(0, s, length)
+            for width in (length, 1, 7, length // 30 + 1):
+                part = symbols[:length - length % width]
+                k, size, chunks = _scan_shape(s, width)
+                codes = _row_words(part, s, width, k, chunks * size)
+                views = [part.astype(dtype) for dtype in (
+                    np.uint8, np.int8, np.uint16, np.int32, np.uint64, ">i4")]
+                views.append(np.repeat(part, 3)[::3])
+                if s == 2:
+                    views.append(part.astype(bool))
+                for view in views:
+                    np.testing.assert_array_equal(
+                        _row_words(view, s, width, k, chunks * size), codes,
+                        err_msg=f"{view.dtype}, width {width}")
 
 
 class TestUnreachable:

@@ -26,6 +26,7 @@ from oracles import (
     richardson_central,
     shift_log,
     shift_mul,
+    shift_table,
 )
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -444,22 +445,17 @@ def _positions(idx, size):
     [((1, 2), 3), ((2, 1, 3), 6), ((3, 0, 2, 1), 6), ((3, 3, 3, 3, 2, 2), 16)],
 ], ids=["unijet-0-45", "capped", "boxed"])
 def test_shifts_are_nonempty_ascending_runs_of_exponent_sums(sets):
-    # shifts[j] = (src, dst) lists every e with e + e_j in the set, in flat
-    # order, and the flat index of each e + e_j
+    # the table with every source live has, in row j = (src, dst), every e
+    # with e + e_j in the set, in flat order, and the flat index of each
+    # e + e_j, as ``shift_table`` builds it from the exponents alone
     for bounds, cap in sets:
         space = exponent_set(bounds, cap)
-        e = np.array(space.exponents, dtype=np.int64).reshape(space.size, len(bounds))
-        top = np.array([min(b, cap) for b in bounds], dtype=np.int64)
-        flat = np.full(tuple(top + 1), -1)  # flat index of each member, -1 outside
-        flat[tuple(e.T)] = np.arange(space.size)
-        for j in range(space.size):
-            src, dst = (_positions(idx, space.size) for idx in space.shifts[j])
-            t = e + e[j]
-            fits = (t <= top).all(axis=1)
-            inside = np.flatnonzero(fits)[flat[tuple(t[fits].T)] >= 0]
+        shifts = space.shifts_on(np.ones(space.size))
+        for j, (src, dst) in enumerate(shift_table(space)):
             assert src.size and np.all(np.diff(src) > 0) and np.all(np.diff(dst) > 0)
-            np.testing.assert_array_equal(src, inside)
-            np.testing.assert_array_equal(dst, flat[tuple(t[src].T)])
+            got_src, got_dst = (_positions(idx, space.size) for idx in shifts[j])
+            np.testing.assert_array_equal(got_src, src)
+            np.testing.assert_array_equal(got_dst, dst)
 
 
 @st.composite
