@@ -41,7 +41,10 @@ from .series import (
 LN2 = math.log(2)
 
 
-def build_parser():
+@lru_cache(maxsize=None)
+def _parser():
+    # parse_args keeps no state in the parser, so one per process serves
+    # every main() call
     parser = argparse.ArgumentParser(
         prog="hmpx",
         description="Entropy-rate noise expansion of a hidden Markov process "
@@ -99,13 +102,6 @@ def build_parser():
     p.add_argument("--n-max", type=int, required=True)
 
     return parser
-
-
-@lru_cache(maxsize=None)
-def _parser():
-    # parse_args keeps no state in the parser, so one per process serves
-    # every main() call
-    return build_parser()
 
 
 def _resolved_budget(args):

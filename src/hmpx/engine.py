@@ -30,10 +30,11 @@ fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
 Mixed partials need one coefficient, x**kvec, the highest of the box
 {e <= kvec}, and take it through one derivative along a noisy site i;
 _Slope states the identity.  When kvec[-1] > 0, i is the last site and
-the walk stops at level N-1.  The slope builds its own site tensors from
-a one-hot noise matrix over the walked box, so no jet is built and no
-noise is admitted.  The budget still counts s**N sequences, and is
-checked before any exponent set or site tensor is built.
+the walk stops at level N-1.  The slope is the walk's noise: it builds
+its own site tensors from a one-hot noise matrix over the walked box, so
+no jet is built and no noise is admitted.  The budget still counts s**N
+sequences, and is checked before any exponent set or site tensor is
+built.
 
 Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
 = M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
@@ -336,26 +337,25 @@ def _live(p, index, n, s):
     return p[:, ~low]
 
 
-def _entropies(model, noise, levels, initial=None, budget=None, slope=None):
+def _entropies(model, noise, levels, initial=None, budget=None):
     """{n: H_n} for each n in levels, from one depth-first walk rooted at
     the start law (see _symmetric_start) and reduced by its symmetries.
 
     levels ascend; the budget is checked at the last, the depth, before
-    ``noise``, a shared value or per-site profile, is admitted (_sites).
-    With ``slope``, a _Slope, ``noise`` is ignored: the walk steps through
-    the slope's own site tensors and exponent set, and each H_n is the
-    float coefficient the slope takes of it.  Those tensors cover all but
-    the last site when the slope is along the last site, whose
-    probabilities the walk reads off instead (_Slope.read_off).
+    ``noise`` is admitted.  ``noise`` is a shared value or a per-site
+    profile (_sites), or a _Slope: the walk then steps through the slope's
+    own site tensors and exponent set, and each H_n is the float
+    coefficient the slope takes of it.  Those tensors cover all but the
+    last site when the slope is along the last site, whose probabilities
+    the walk reads off instead (_Slope.read_off).
     """
     s = model.size
     depth = levels[-1]
     start, g = _symmetric_start(model, initial)
     check_budget(s, depth, budget)
-    if slope is None:
-        r, space, jet = _sites(model, noise, depth)
-    else:
-        r, space, jet = slope.sites, slope.space, None
+    slope = noise if isinstance(noise, _Slope) else None
+    r, space, jet = (_sites(model, noise, depth) if slope is None
+                     else (slope.sites, slope.space, None))
     mt = model.transition.matrix.T
     # each level's block sums, w floats per block in walk order
     sums = {n: array("d") for n in levels}
@@ -549,9 +549,10 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     cannot reach the target coefficient, so only the box e <= kvec
     matters, and of it only the top coefficient, x**kvec, is computed,
     through one derivative along a noisy site; _Slope states the identity
-    and which site.  When kvec[-1] > 0, H_{N-1} has no term in the last
-    site's variable and adds exactly 0.  The budget counts s**N sequences
-    all the same.  An all-zero kvec is F itself at zero noise.
+    and which site, and is the noise of the one _entropies walk.  When
+    kvec[-1] > 0, H_{N-1} has no term in the last site's variable and adds
+    exactly 0.  The budget counts s**N sequences all the same.  An
+    all-zero kvec is F at zero noise: conditional_entropy(model, N, 0.0).
 
     Entries of kvec must be whole numbers >= 0 (1.0 is accepted), at
     least two of them, else ValueError.  kvec may have at most
@@ -572,11 +573,10 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
             f"kvec {tuple(kvec)} needs at most {MULTIJET_MAX_VARS} sites of total "
             f"order at most {MULTIJET_MAX_DEGREE}")
     if not any(kvec):
-        h = _entropies(model, 0.0, (n - 1, n), budget=budget)
-        return h[n] - h[n - 1]
+        return conditional_entropy(model, n, 0.0, budget=budget)
     slope = _Slope(model, kvec)
     levels = (n,) if kvec[-1] else (n - 1, n)
-    h = _entropies(model, None, levels, budget=budget, slope=slope)
+    h = _entropies(model, slope, levels, budget=budget)
     # the slope carries a factor k_i, which (k_i - 1)! leaves out
     factor = math.prod(math.factorial(k) for k in kvec) // slope.order
     return (h[n] - h.get(n - 1, 0.0)) * factor

@@ -105,7 +105,7 @@ def _walk_shape(steps):
 
 
 def _walk(cum_m, u, x, out, restarts):
-    """out[i]: the hidden state after step i of the walk from state x.
+    """out[i]: the hidden state after step i of len(u) >= 1 steps from x.
 
     The step map is x -> #{k < s-1 : cum_m[x, k] <= u_i}: the cumulative
     rows are non-decreasing, so this is the first k with u_i < cum_m[x, k],
@@ -125,8 +125,6 @@ def _walk(cum_m, u, x, out, restarts):
     maps every state to 0, so the loop's final state is not the walk's.
     """
     steps, s = len(u), len(cum_m)
-    if steps == 0:
-        return
     count, size = _walk_shape(steps)
     cells = count * s
     dtype = np.min_scalar_type(cells - 1)

@@ -251,9 +251,10 @@ def exponent_set(bounds, cap):
 
     Raises DegreeExceedsCap when the set has more than MAX_EXPONENTS members.
     The cache keeps each set with the shift rows read so far.  The three
-    100-instance lemma batteries of acceptance criterion 4 ask for 338
-    sets, so the cache ends at its limit: 256 sets with at most 5 support
-    patterns each, in under 2 MB (tracemalloc: about 1.65 MB).
+    100-instance lemma batteries of acceptance criterion 4 ask for 342
+    sets (cache_info().misses), so the cache ends at its limit: 256 sets
+    with at most 5 support patterns each, in under 2 MB (tracemalloc:
+    about 1.66 MB).
     """
     size = _set_size(bounds, cap)
     if size > MAX_EXPONENTS:
@@ -411,7 +412,8 @@ class MultiJet(Jet):
     An optional ``bounds`` tuple additionally caps each variable's
     exponent; that is a quotient by a monomial ideal, so coefficients
     inside the box stay exact while everything outside is discarded.
-    Mixed-partial extraction uses it to keep the exponent set tiny.
+    A noise profile with bounds = kvec, read through mixed_partial, gives,
+    up to rounding, the coefficient engine.mixed_partial_F computes without jets.
 
     ``coeffs`` is the dense coefficient vector over ``space``, the
     exponent set {e <= bounds, sum(e) <= cap}.  Sets with more than

@@ -483,6 +483,34 @@ class TestMixedPartialF:
         assert last.any()
         assert np.all(shorter.coeffs[last] == 0.0)
 
+    @pytest.mark.parametrize("name", ["bs", "t3", "random"])
+    def test_all_zero_kvec_is_the_noiseless_conditional_entropy(self, bs, t3, name):
+        model = {"bs": bs, "t3": t3,
+                 "random": random_model(np.random.default_rng(3), 3)}[name]
+        for n in range(2, 6):
+            got = mixed_partial_F(model, [0] * n)
+            assert got.hex() == conditional_entropy(model, n, 0.0).hex(), n
+
+    @pytest.mark.parametrize("name", ["bs", "t3", "random"])
+    @pytest.mark.parametrize("kvec", [(0, 0, 0), (1, 0, 2), (1, 2, 0)],
+                             ids=["all-zero", "last-site", "interior"])
+    def test_one_walk_per_call(self, bs, t3, monkeypatch, name, kvec):
+        # the slope is the walk's only input, and the all-zero kvec is one
+        # conditional_entropy walk
+        model = {"bs": bs, "t3": t3,
+                 "random": random_model(np.random.default_rng(3), 3)}[name]
+        walks = []
+        entropies = hmpx.engine._entropies
+
+        def counted(*args, **kwargs):
+            walks.append(args[1])
+            return entropies(*args, **kwargs)
+
+        monkeypatch.setattr(hmpx.engine, "_entropies", counted)
+        mixed_partial_F(model, kvec)
+        assert len(walks) == 1
+        assert isinstance(walks[0], hmpx.engine._Slope) == any(kvec)
+
 
 class TestWorkers:
     def test_scalar_chunked_reduction_matches(self, bs):
