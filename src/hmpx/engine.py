@@ -52,8 +52,8 @@ The walk is depth-first over blocks of at most _CHUNK prefixes, so its
 working set grows with N, not with s**N, and the last level is never held
 whole; of each block it keeps only the block sums (see check_budget).
 A block's children come in (symbol, parent) order, which keeps the step
-free of copies; each row carries its prefix's lexicographic index, so an
-underflow names the true sequence.
+free of copies; each block carries its provenance (_row_indices), from
+which an underflow alone names the true sequence.
 
 Enumeration cost is exponential and deliberately explicit: any request
 beyond the sequence budget (default 2**24) raises instead of grinding,
@@ -121,17 +121,17 @@ def check_budget(s, n, budget=None):
 
     The budget bounds time, and through it memory.  Per level the
     depth-first trellis walk holds one block of at most _CHUNK = 512
-    prefixes, s*(K+1) floats and one index each, about s * 512 * (K+1) * 8
+    prefixes, s*(K+1) floats each, about s * 512 * (K+1) * 8
     bytes: 0.1 MB at s = 2, K = 11.  Each summed level also appends w
     floats of block sums per block to one buffer that lives until the walk
     ends (w = K+1 for an order-K UniJet), at most about s**n / _CHUNK
     blocks at level n, so that it can add them exactly.  The p*log(p)
     batch holds fewer than 2 * _CHUNK rows of w floats, and its log and
     product a few arrays of that size while they run.  block_entropy at
-    s = 2, K = 11 peaks at 0.76 MiB (tracemalloc) for n = 12, 1.16 MiB for
-    n = 16 and 1.64 MiB for n = 20.  block_entropies on the binary
+    s = 2, K = 11 peaks at 0.75 MiB (tracemalloc) for n = 12, 1.12 MiB for
+    n = 16 and 1.59 MiB for n = 20.  block_entropies on the binary
     symmetric chain at n = 24, the largest order the default budget admits,
-    peaks at 5.7 MiB for K = 11 and 21 MiB for K = 45.  A budget that is
+    peaks at 5.0 MiB for K = 11 and 18.5 MiB for K = 45.  A budget that is
     not a whole number raises ValueError.
     """
     budget = DEFAULT_BUDGET if budget is None else check_whole("budget", budget)
@@ -154,17 +154,18 @@ def enumerate_sequences(s, n, budget=None):
 # --- noise admission ------------------------------------------------------
 
 def _sites(model, noise, n):
-    """Admit ``noise``, a shared value or a list of n per-site values: the
-    n site tensors r[i] (w, s, s, 1) from _site_tensors, w the size of its
-    exponent set; that set; and the result type (its first jet, or None).
-    Checks, in order: the length; per value, a jet's configuration,
-    finiteness, and the range of a scalar or a jet's constant term; then
-    that univariate and multivariate jets do not mix.  The admitted values
-    are stacked into an (n, w) matrix of noise coefficients: a jet's own,
-    a float v as the constant jet v * e_0 of the profile's width.  A
-    shared value is checked once and its one tensor, listed n times,
-    serves every site.
+    """Admit ``noise``, a shared value or n per-site values (a list, tuple
+    or 1-d array, see _profile): the n site tensors r[i] (w, s, s, 1) from
+    _site_tensors, w the size of its exponent set; that set; and the result
+    type (its first jet, or None).  Checks, in order: the length; per
+    value, a jet's configuration, finiteness, and the range of a scalar or
+    a jet's constant term; then that univariate and multivariate jets do
+    not mix.  The admitted values are stacked into an (n, w) matrix of
+    noise coefficients: a jet's own, a float v as the constant jet v * e_0
+    of the profile's width.  A shared value is checked once and its one
+    tensor, listed n times, serves every site.
     """
+    noise = _profile(noise)
     shared = not isinstance(noise, (list, tuple))
     values = [noise] if shared else list(noise)
     if not shared and len(values) != n:
@@ -192,18 +193,24 @@ def _sites(model, noise, n):
     return list(r) * n if shared else r, space, jet
 
 
+def _profile(noise):
+    # a 1-d array is a per-site profile, a 0-d one a shared value
+    ndim = noise.ndim if isinstance(noise, np.ndarray) else 0
+    if ndim > 1:
+        raise ValueError(f"a noise array must be 0-d or 1-d, got shape {noise.shape}")
+    return noise.tolist() if ndim else noise
+
+
 def _site_tensors(model, eps):
     """Site tensors r[i][:, x, y, 0] = unit * delta_xy + eps[i] * t[x, y],
     shape (n, w, s, s, 1), for the rows of eps (n, w), each site's noise
     coefficients over an exponent set of w members (unit is its constant
-    term 1): every site in one broadcast."""
-    unit = np.eye(eps.shape[1], 1)[:, :, None, None]
-    return (unit * np.eye(model.size)[:, :, None]
-            + model.noise.matrix[:, :, None] * eps[:, :, None, None, None])
-
-
-def _value(jet, coeffs):
-    return float(coeffs[0]) if jet is None else jet._like(coeffs)
+    term 1): every site in one broadcast.  Slabs past the constant add
+    0.0, which turns each -0.0 product into the 0.0 of 0*delta + t*eps."""
+    r = model.noise.matrix[:, :, None] * eps[:, :, None, None, None]
+    r[:, 0] += np.eye(model.size)[:, :, None]
+    r[:, 1:] += 0.0
+    return r
 
 
 def _step(pred, site, space):
@@ -236,7 +243,8 @@ def sequence_probability(model, symbols, noise):
     alpha = _root(model.transition.stationary, space)
     for i, y in enumerate(symbols):
         alpha = _step(mt @ alpha if i else alpha, r[i][:, :, y:y + 1], space)
-    return _value(jet, alpha.sum(axis=1)[:, 0])
+    p = alpha.sum(axis=1)[:, 0]
+    return float(p[0]) if jet is None else jet._like(p)
 
 
 # --- symbol symmetry -----------------------------------------------------
@@ -313,16 +321,25 @@ def _runs(g):
 
 # --- prefix trellis -------------------------------------------------------
 
-def _live(p, index, n, s):
+def _row_indices(origin, s):
+    """Lexicographic indices of a block's rows, in _step's (symbol, parent)
+    order, from its provenance: level-1 symbols, or (parent provenance, parents)."""
+    if not isinstance(origin, tuple):
+        return origin
+    parent, parents = origin
+    return (_row_indices(parent, s)[parents] * s + np.arange(s)[:, None]).ravel()
+
+
+def _live(p, origin, n, s):
     """The rows of p (w, R) whose probability is not exactly zero.
 
-    Row i is the probability of the level-n prefix whose lexicographic
-    index is index[i]; any other row whose constant term underflows raises
-    UnreachableSequence naming that prefix.
+    p holds the level-n prefixes of the block with provenance ``origin``;
+    any other row whose constant term underflows raises
+    UnreachableSequence naming that prefix, through _row_indices.
     """
-    low = p[0] < _P_FLOOR
-    if not low.any():
+    if p[0].min() >= _P_FLOOR:  # NaN fails it and is kept below
         return p
+    low = p[0] < _P_FLOOR
     # A row that is exactly zero is a structurally unreachable sequence
     # (point-mass start, or a hard zero in the emission pattern); its
     # p*log(p) term is zero.  No constant term is negative, since R(eps) >= 0
@@ -332,7 +349,8 @@ def _live(p, index, n, s):
     vanished = ~p.any(axis=0)
     bad = np.flatnonzero(low & ~vanished)
     if bad.size:
-        seq = tuple(int(d) for d in np.unravel_index(index[bad[0]], (s,) * n))
+        index = _row_indices(origin, s)[bad[0]]
+        seq = tuple(int(d) for d in np.unravel_index(index, (s,) * n))
         raise UnreachableSequence(f"P{seq} = {p[:, bad[0]].tolist()} underflowed")
     return p[:, ~low]
 
@@ -361,7 +379,6 @@ def _entropies(model, noise, levels, initial=None, budget=None):
     sums = {n: array("d") for n in levels}
     width = max(1, _CHUNK // s)  # parents per block, so a block has <= _CHUNK rows
 
-    symbols = np.arange(s)[:, None]
     # (level, weight, live rows) of the blocks whose p*log(p) is not yet
     # taken, and how many rows they hold
     pending = []
@@ -382,33 +399,32 @@ def _entropies(model, noise, levels, initial=None, budget=None):
         pending.clear()
         held = 0
 
-    def take(p, index, n, weight):
-        # p (w, R): probabilities of the level-n sequences with lexicographic
-        # indices index, each standing for the `weight` sequences its orbit
-        # maps it to
+    def take(p, origin, n, weight):
+        # p (w, R): probabilities of the level-n sequences of the block with
+        # provenance origin, each standing for the `weight` sequences its
+        # orbit maps it to
         nonlocal held
-        rows = _live(p, index, n, s)
+        rows = _live(p, origin, n, s)
         pending.append((n, weight, rows))
         held += rows.shape[1]
         if held >= _CHUNK:
             flush()
 
-    def visit(alpha, index, n, weight):
-        # alpha (w, s, R): state mass of the level-n prefixes
+    def visit(alpha, origin, n, weight):
+        # alpha (w, s, R): state mass of the level-n prefixes of block origin
         if n in sums:
-            take(alpha.sum(axis=1), index, n, weight)
+            take(alpha.sum(axis=1), origin, n, weight)
         if n < depth:
-            for lo in range(0, index.size, width):
+            for lo in range(0, alpha.shape[2], width):
                 parents = slice(lo, lo + width)
-                # the predicted mass stays a temporary and the children's
-                # mass comes before their indices: a name holding it across
-                # the recursion, or the other order, cost `expand` 3-9%
+                # the predicted mass stays a temporary: a name holding it
+                # across the recursion cost `expand` 3-9%
                 if n < len(r):
                     child = _step(mt @ alpha[:, :, parents], r[n], space)
-                    visit(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
+                    visit(child, (origin, parents), n + 1, weight)
                 else:  # the last site, which has no site tensor
                     child = slope.read_off(mt @ alpha[:, :, parents])
-                    take(child, (index[parents] * s + symbols).ravel(), n + 1, weight)
+                    take(child, (origin, parents), n + 1, weight)
 
     root = _root(start, space)
     for a, count, weight in _runs(g):
@@ -416,10 +432,10 @@ def _entropies(model, noise, levels, initial=None, budget=None):
               1, weight)
     if pending:
         flush()
-    w = space.size if slope is None else 1
     # each coefficient of H_n is the correctly rounded sum of its block sums
-    return {n: _value(jet, -np.array([math.fsum(c) for c in
-                                      np.frombuffer(buf).reshape(-1, w).T]))
+    w = space.size
+    return {n: -math.fsum(buf) if jet is None else
+            jet._like(-np.array([math.fsum(buf[k::w]) for k in range(w)]))
             for n, buf in sums.items()}
 
 
@@ -537,6 +553,7 @@ def multi_site_F(model, profile, *, budget=None, workers=1):
     """Per-site-noise conditional entropy H(Z_1..Z_n) - H(Z_1..Z_{n-1}):
     conditional_entropy on the per-site profile, n = len(profile) >= 2."""
     warn_workers(workers)
+    profile = _profile(profile)
     if not isinstance(profile, (list, tuple)) or len(profile) < 2:
         raise ProfileLengthMismatch("profile must list at least two sites")
     return conditional_entropy(model, len(profile), profile, budget=budget)

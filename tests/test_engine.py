@@ -369,6 +369,44 @@ class TestMultiSiteF:
             assert got.coeffs.tobytes() == expected.coeffs.tobytes()
 
 
+class TestArrayProfile:
+    """A 1-d array is a per-site profile, read as its list; a 0-d array is
+    a shared value; an array of more axes is refused."""
+
+    _CALLS = {
+        "sequence_probability": lambda m, e: sequence_probability(m, [0, 1, 1], e),
+        "block_entropy": lambda m, e: block_entropy(m, 3, e),
+        "block_entropies": lambda m, e: block_entropies(m, 3, e),
+        "conditional_entropy": lambda m, e: conditional_entropy(m, 3, e),
+        "multi_site_F": multi_site_F,
+    }
+
+    @pytest.mark.parametrize("name", _CALLS)
+    @pytest.mark.parametrize("profile, dtype", [
+        ([0.1, 0.2, 0.05], float),
+        ([0.1, UniJet.variable(3), 0.0], object),
+    ], ids=["float", "unijet"])
+    def test_one_axis_is_the_list(self, bs, name, profile, dtype):
+        call = self._CALLS[name]
+        got, want = call(bs, np.array(profile, dtype=dtype)), call(bs, profile)
+        if name != "block_entropies":
+            got, want = [got], [want]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            assert _coeffs(a).tobytes() == _coeffs(b).tobytes()
+
+    @pytest.mark.parametrize("name", list(_CALLS)[:4])
+    def test_no_axis_is_a_shared_value(self, bs, name):
+        call = self._CALLS[name]
+        assert call(bs, np.array(0.05)) == call(bs, 0.05)
+
+    @pytest.mark.parametrize("name", _CALLS)
+    def test_two_axes_are_refused(self, bs, name):
+        with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+            self._CALLS[name](bs, np.array([[0.1, 0.2, 0.05]]))
+
+
 class TestMixedPartialF:
     def test_zeroth_derivative_is_markov_rate(self, bs):
         expected = markov_entropy_rate(bs.transition.matrix, bs.transition.stationary)
@@ -576,6 +614,11 @@ def test_mixed_scalar_and_jet_profile(bs):
         assert f_mixed.coefficient(e) == pytest.approx(c, abs=1e-12)
 
 
+def _underflowing(t):
+    # P(2, 2, 2, 2) = pi_2 * 1e-315 at zero noise; orbits {0, 1} and {2}
+    return make_model([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.5, 0.5, 1e-105]], t)
+
+
 def _coeffs(value):
     return np.array([value]) if isinstance(value, float) else value.coeffs
 
@@ -760,6 +803,14 @@ class TestOrbitReduction:
         with pytest.raises(UnreachableSequence, match=r"P\(2, 2, 2, 2\)"):
             block_entropy(model, 4, 0.0)
 
+    @pytest.mark.parametrize("kvec", [(0, 0, 0, 1), (1, 0, 2, 1), (1, 1, 1, 2)])
+    def test_underflow_on_the_read_off_names_the_true_sequence(self, kvec):
+        # kvec[-1] >= 1: the walk reads the last site's probabilities off
+        # level 3, where P(2, 2, 2, 2) = pi_2 * 1e-315 underflows
+        model = _underflowing([[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.5, 0.5, -1]])
+        with pytest.raises(UnreachableSequence, match=r"P\(2, 2, 2, 2\)"):
+            mixed_partial_F(model, kvec)
+
 
 def test_coefficients_pinned_to_fsum_reference(bs, t3):
     # taken from the engine that summed every block with math.fsum and
@@ -875,6 +926,39 @@ class TestSmallBlocks:
         for noise in (0.0, UniJet.variable(2)):
             with pytest.raises(UnreachableSequence, match=rf"P\({seq}\)"):
                 block_entropy(model, 5, noise, initial=initial)
+
+    @pytest.mark.parametrize("profile", [
+        [0.1, 0.2, 0.05, 0.0, 0.3],
+        [UniJet.variable(2), 0.0, UniJet.variable(2), 0.05, UniJet.variable(2)],
+    ], ids=["float", "unijet"])
+    @pytest.mark.parametrize("initial, seq", [(None, "0, 2, 2, 2, 2"),
+                                              ([0.0, 1.0, 0.0], "1, 2, 2, 2, 2"),
+                                              ([0.0, 0.0, 1.0], "2, 2, 2, 2, 0")])
+    def test_underflow_under_a_profile_names_the_true_sequence(self, profile, initial,
+                                                               seq):
+        # T = 0, so every profile leaves the probabilities of the last test
+        model = _underflowing([[0] * 3] * 3)
+        with pytest.raises(UnreachableSequence, match=rf"P\({seq}\)"):
+            block_entropy(model, 5, profile, initial=initial)
+
+    def test_underflow_on_a_later_read_off_names_the_true_sequence(self):
+        # the walk reads site 5 off level 4 in blocks of three parents and
+        # meets P(0, 2, 2, 2, 2) in the last block of the first symbol's walk
+        model = _underflowing([[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.5, 0.5, -1]])
+        with pytest.raises(UnreachableSequence, match=r"P\(0, 2, 2, 2, 2\)"):
+            mixed_partial_F(model, (0, 1, 0, 0, 2))
+
+
+def test_the_walk_names_rows_only_when_it_raises(bs, monkeypatch):
+    # the rows' lexicographic indices are computed for an underflow alone
+    def refuse(*args):
+        raise AssertionError("row indices computed without an underflow")
+
+    monkeypatch.setattr(hmpx.engine, "_row_indices", refuse)
+    monkeypatch.setattr(hmpx.engine, "_CHUNK", 9)
+    entropy_rate_series(bs, 11)
+    bounds_by_n(bs, 0.05, 10)
+    mixed_partial_F(bs, (1, 0, 2, 1))
 
 
 class TestVisitOrder:
