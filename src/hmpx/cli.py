@@ -12,8 +12,7 @@ JSON is strict, with no NaN or Infinity: _emit writes every non-finite
 number as null in JSON and as an empty field in CSV, and table lists the
 cells whose coefficient is non-finite under non_finite (a null
 column_disagreement entry is the same overflow, and is not listed).
-Exit codes: 0 success, 2 validation, 3 budget or a refused allocation,
-4 settling or lemma failure, 5 I/O.
+Exit codes: 0 success; _EXIT_CODES maps each error to its code.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .estimation import bounds_by_n, mc_entropy_rate
 from .model import load_model
 from .engine import block_entropies, warn_workers
 from .series import (
+    DEFAULT_LEMMA_TOL,
+    DEFAULT_SETTLE_TOL,
     entropy_rate_series,
     evaluate_series,
     run_lemma_battery,
@@ -68,7 +69,7 @@ def _parser():
     p = sub.add_parser("expand", help="entropy-rate Taylor coefficients")
     common(p)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--settle-tol", type=float, default=1e-8)
+    p.add_argument("--settle-tol", type=float, default=DEFAULT_SETTLE_TOL)
 
     p = sub.add_parser("table", help="settling table of finite-system coefficients")
     common(p)
@@ -85,7 +86,7 @@ def _parser():
     p.add_argument("--lemma", choices=("1", "2", "3", "all"), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_LEMMA_TOL)
 
     p = sub.add_parser("mc", help="Monte Carlo entropy-rate estimate")
     common(p)
@@ -128,13 +129,14 @@ def _config_dict(args, budget):
 
 
 def _fmt(value):
+    # a CSV field holds no comma: a string's commas are written as ';'
     if value is None:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return str(value).replace(",", ";")
 
 
 def _strict(value):
@@ -172,7 +174,7 @@ def _check_flags(args):
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if getattr(args, "seed", 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.command in ("bounds", "table") and args.n_max < 2:
+    if getattr(args, "n_max", 2) < 2:
         raise ValueError("need n_max >= 2")
 
 
@@ -194,21 +196,19 @@ def _cmd_expand(args, model, budget, div):
 
 def _cmd_table(args, model, budget, div):
     table = settling_table(model, args.order, args.n_max, budget=budget)
+    header = ("N", "k", "coefficient", "settled")
     cells = [(n, k, c / div, settled) for n, k, c, settled in table.rows()]
     fields = {
         "order": table.order,
         "n_values": list(table.n_values),
         "thresholds": list(table.thresholds),
         "column_disagreement": [d / div for d in table.column_disagreement],
-        "cells": [
-            {"N": n, "k": k, "coefficient": c, "settled": settled}
-            for n, k, c, settled in cells
-        ],
+        "cells": [dict(zip(header, cell)) for cell in cells],
     }
     non_finite = [{"N": n, "k": k} for n, k, c, _ in cells if not math.isfinite(c)]
     if non_finite:
         fields["non_finite"] = non_finite
-    return fields, ("N", "k", "coefficient", "settled"), cells, 0
+    return fields, header, cells, 0
 
 
 def _cmd_entropy(args, model, budget, div):
@@ -221,8 +221,7 @@ def _cmd_entropy(args, model, budget, div):
         "block_entropy": h_n,
         "conditional_entropy": c_n,
     }
-    rows = [(args.n, args.epsilon, h_n, c_n)]
-    return fields, ("N", "epsilon", "block_entropy", "conditional_entropy"), rows, 0
+    return fields, tuple(fields), [tuple(fields.values())], 0
 
 
 def _cmd_verify(args, model, budget, div):
@@ -233,19 +232,14 @@ def _cmd_verify(args, model, budget, div):
                                          tol=args.tolerance, model=model,
                                          budget=budget))
     failed = [r for r in reports if not r.passed]
+    header = ("lemma", "instance", "residual", "tolerance", "passed")
+    rows = [(r.lemma, r.instance, r.residual, r.tolerance, r.passed) for r in reports]
     fields = {
         "trials_per_lemma": args.trials,
         "failures": len(failed),
         "max_residual": max(r.residual for r in reports),
-        "reports": [
-            {"lemma": r.lemma, "instance": r.instance, "residual": r.residual,
-             "tolerance": r.tolerance, "passed": r.passed}
-            for r in reports
-        ],
+        "reports": [dict(zip(header, row)) for row in rows],
     }
-    header = ("lemma", "instance", "residual", "tolerance", "passed")
-    rows = [(r.lemma, r.instance.replace(",", ";"), r.residual, r.tolerance, r.passed)
-            for r in reports]
     return fields, header, rows, 4 if failed else 0
 
 
@@ -278,29 +272,26 @@ def _cmd_mc(args, model, budget, div):
         "batch_size": est.batch_size,
         "generator": est.generator,
     }
-    header = ["epsilon", "length", "seed", "estimate", "standard_error"]
-    row = [args.epsilon, args.length, args.seed, fields["estimate"],
-           fields["standard_error"]]
     if series is not None:
         value = evaluate_series(series, args.epsilon).value / div
-        diff = abs(fields["estimate"] - value)
         fields["series_value"] = value
-        fields["abs_difference"] = diff
+        fields["abs_difference"] = abs(fields["estimate"] - value)
         fields["sigma_distance"] = _sigma_distance(fields["estimate"], value,
                                                    fields["standard_error"])
-        header += ["series_value", "abs_difference", "sigma_distance"]
-        row += [value, diff, fields["sigma_distance"]]
-    return fields, header, [row], 0
+    # the CSV row: the run's inputs, then every value but the replica layout
+    row = {"epsilon": args.epsilon, "length": args.length, "seed": args.seed,
+           **{k: v for k, v in fields.items()
+              if k not in ("batches", "batch_size", "generator")}}
+    return fields, tuple(row), [tuple(row.values())], 0
 
 
 def _cmd_bounds(args, model, budget, div):
+    header = ("N", "upper", "lower")
     rows = [(n, upper / div, lower / div) for n, upper, lower
             in bounds_by_n(model, args.epsilon, args.n_max, budget=budget)]
-    fields = {
-        "epsilon": args.epsilon,
-        "bounds": [{"N": n, "upper": u, "lower": lo} for n, u, lo in rows],
-    }
-    return fields, ("N", "upper", "lower"), rows, 0
+    fields = {"epsilon": args.epsilon,
+              "bounds": [dict(zip(header, row)) for row in rows]}
+    return fields, header, rows, 0
 
 
 _HANDLERS = {
@@ -327,6 +318,16 @@ def _run(args):
     return code
 
 
+# An error's exit code is that of the first entry it is an instance of:
+# BudgetExceeded and SettlingViolation are HmpxErrors too.
+_EXIT_CODES = (
+    ((BudgetExceeded, MemoryError), 3),
+    (SettlingViolation, 4),
+    (OSError, 5),
+    ((HmpxError, ValueError), 2),
+)
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
@@ -336,18 +337,12 @@ def main(argv=None):
             warnings.filterwarnings("default", message="workers is deprecated",
                                     category=DeprecationWarning)
             return _run(args)
-    except (BudgetExceeded, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SettlingViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (HmpxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        for classes, code in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

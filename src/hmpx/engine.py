@@ -23,9 +23,9 @@ One vanishing rule serves every number type: a sequence whose
 probability is exactly zero, every coefficient, is structurally
 unreachable and adds nothing; any other constant term below 1e-300
 raises UnreachableSequence.  No constant term is negative, not even by
-rounding: eps, or a noise jet's constant term, is at most epsilon_max =
-fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so every entry of R(eps) is
->= 0; M > 0, and the start law is >= 0.
+rounding: eps, or a noise jet's constant term, is finite (check_epsilon)
+and at most epsilon_max = fl(1/|t_ii|), and fl(x * fl(1/x)) <= 1, so
+every entry of R(eps) is >= 0; M > 0, and the start law is >= 0.
 
 Mixed partials need one coefficient, x**kvec, the highest of the box
 {e <= kvec}, and take it through one derivative along a noisy site i;
@@ -576,6 +576,13 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
     MULTIJET_MAX_VARS (10) entries summing to at most MULTIJET_MAX_DEGREE
     (12), else DegreeExceedsCap, raised after the budget check and before
     any exponent set is built.
+
+    A sequence probability too small for the walk raises
+    UnreachableSequence: below the 1e-300 floor, naming the sequence, and
+    also when it passes the floor but the slope's log overflows, naming
+    kvec, so no nan or inf is returned.  A finite value is not thereby
+    accurate, and no error bar is computed: with a transition entry of
+    1e-60, kvec (1, 1, 3) gives 1.08e222 and (1, 2, 1) gives -7.8e236.
     """
     warn_workers(workers)
     kvec = [check_whole("kvec entry", k) for k in kvec]
@@ -593,7 +600,15 @@ def mixed_partial_F(model, kvec, *, budget=None, workers=1):
         return conditional_entropy(model, n, 0.0, budget=budget)
     slope = _Slope(model, kvec)
     levels = (n,) if kvec[-1] else (n - 1, n)
-    h = _entropies(model, slope, levels, budget=budget)
+    # constant terms just above the floor may overflow the slope's log;
+    # the value is then not finite, and refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _entropies(model, slope, levels, budget=budget)
     # the slope carries a factor k_i, which (k_i - 1)! leaves out
     factor = math.prod(math.factorial(k) for k in kvec) // slope.order
-    return (h[n] - h.get(n - 1, 0.0)) * factor
+    value = (h[n] - h.get(n - 1, 0.0)) * factor
+    if not math.isfinite(value):
+        raise UnreachableSequence(
+            f"mixed partial {tuple(kvec)} = {value!r}: a sequence probability is "
+            "too small for the walk")
+    return value

@@ -24,7 +24,7 @@ class SignViolation(HmpxError):
 
 
 class EpsilonOutOfRange(HmpxError):
-    """A noise level lies outside [0, epsilon_max]."""
+    """A noise level is not finite or lies outside [0, epsilon_max]."""
 
 
 # --- jet arithmetic ---
@@ -56,8 +56,10 @@ class ProfileLengthMismatch(HmpxError):
 
 
 class UnreachableSequence(HmpxError):
-    """A sequence probability collapsed to zero; impossible for strictly
-    positive transition matrices, so it signals internal corruption."""
+    """A sequence probability collapsed to zero, or is too small for the
+    walk to take its log to a finite value.  A strictly positive
+    transition matrix makes no probability exactly zero, so it signals a
+    probability beyond float range or internal corruption."""
 
 
 # --- series / verification ---

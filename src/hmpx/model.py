@@ -190,14 +190,20 @@ def validate_noise(raw) -> NoiseGenerator:
 
 
 def emission_at(noise: NoiseGenerator, eps: float) -> np.ndarray:
-    """Emission matrix R(eps) = I + eps*T; requires 0 <= eps <= epsilon_max."""
+    """Emission matrix R(eps) = I + eps*T; requires a finite eps in
+    [0, epsilon_max]."""
     check_epsilon(noise.epsilon_max, eps)
     return _frozen(np.eye(noise.size) + eps * noise.matrix)
 
 
 def check_epsilon(epsilon_max, eps):
-    """eps as a float; EpsilonOutOfRange unless 0 <= eps <= epsilon_max."""
+    """eps as a float; EpsilonOutOfRange unless eps is finite and
+    0 <= eps <= epsilon_max.  epsilon_max is inf for T = 0, and for a
+    diagonal so small that 1/|t_ii| overflows; there inf * 0 would put
+    nan into R(eps)."""
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise EpsilonOutOfRange(f"eps = {eps!r} is not finite")
     if not (0.0 <= eps <= epsilon_max):
         raise EpsilonOutOfRange(f"eps = {eps!r} outside [0, {epsilon_max!r}]")
     return eps

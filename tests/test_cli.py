@@ -11,7 +11,11 @@ import pytest
 
 import hmpx.cli
 import hmpx.engine
+import hmpx.errors
 from hmpx import (
+    BudgetExceeded,
+    HmpxError,
+    SettlingViolation,
     block_entropy,
     conditional_bounds,
     conditional_entropy,
@@ -26,6 +30,8 @@ BS_DOC = {"transition": [[0.7, 0.3], [0.3, 0.7]], "noise": [[-1, 1], [1, -1]]}
 P8_DOC = {**BS_DOC, "transition": [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]]}
 T3_DOC = {"transition": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
           "noise": [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]}
+# T = 0: epsilon_max is inf
+ZERO_DOC = {**BS_DOC, "noise": [[0, 0], [0, 0]]}
 
 
 def _refuse_constant(name):
@@ -402,7 +408,40 @@ class TestNonFinite:
             strict_json(captured.out)
 
 
+# every class in hmpx.errors: HmpxError and its subclasses at any depth
+_ERRORS = [v for v in vars(hmpx.errors).values()
+           if isinstance(v, type) and issubclass(v, HmpxError)]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error", _ERRORS + [MemoryError, OSError, ValueError],
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_reaches_its_documented_code(self, capsys, model_file,
+                                                     monkeypatch, error):
+        def fail(*args):
+            raise error("boom")
+
+        monkeypatch.setitem(hmpx.cli._HANDLERS, "expand", fail)
+        rc = main(["expand", "--model", model_file(BS_DOC), "--order", "1"])
+        captured = capsys.readouterr()
+        codes = {BudgetExceeded: 3, MemoryError: 3, SettlingViolation: 4, OSError: 5}
+        assert rc == codes.get(error, 2)
+        assert captured.err == "error: boom\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--n", "3"],
+        ["bounds", "--n-max", "3"],
+        ["mc", "--length", "10000"],
+    ], ids=["entropy", "bounds", "mc"])
+    def test_an_infinite_epsilon_is_validation_error(self, capsys, model_file, argv):
+        rc = main([argv[0], "--model", model_file(ZERO_DOC), *argv[1:],
+                   "--epsilon", "inf"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: eps = inf is not finite\n"
+
     def test_budget_exceeded(self, capsys, model_file):
         path = model_file(T3_DOC)
         rc = main(["expand", "--model", path, "--order", "30"])

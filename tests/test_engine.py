@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +20,18 @@ from hmpx import (
     block_entropy,
     conditional_bounds,
     conditional_entropy,
+    emission_at,
     entropy_rate_series,
     enumerate_sequences,
+    evaluate_series,
     make_model,
+    mc_entropy_rate,
     mixed_partial_F,
     multi_site_F,
+    path_log_likelihood,
     random_model,
     random_transition,
+    sample_paths,
     sequence_probability,
     settling_table,
     validate_noise,
@@ -548,6 +555,24 @@ class TestMixedPartialF:
         mixed_partial_F(model, kvec)
         assert len(walks) == 1
         assert isinstance(walks[0], hmpx.engine._Slope) == any(kvec)
+
+    @pytest.mark.parametrize("kvec", [(1, 1, 2), (0, 2, 1), (1, 1, 1)])
+    def test_an_overflowing_slope_is_refused(self, kvec):
+        # P(2, 2, 2) is near 1e-210: above the floor, but the slope's log
+        # overflows, which gave nan or inf and a numpy warning
+        model = _underflowing([[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.5, 0.5, -1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreachableSequence,
+                               match=re.escape(f"mixed partial {kvec} = ")):
+                mixed_partial_F(model, kvec)
+
+    def test_a_finite_slope_on_the_same_model_is_returned(self):
+        model = _underflowing([[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.5, 0.5, -1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mixed_partial_F(model, (1, 0, 1))
+        assert abs(value) <= 1e-12  # a hole: the partial vanishes
 
 
 class TestWorkers:
@@ -1119,6 +1144,38 @@ class TestSizeArguments:
         for n in (3.5, math.nan):
             with pytest.raises(ValueError, match="n must be a whole number"):
                 call(bs, n)
+
+
+# every public entry that takes eps, called at eps
+_EPS_ENTRIES = {
+    "block_entropy": lambda m, eps: block_entropy(m, 3, eps),
+    "block_entropies": lambda m, eps: block_entropies(m, 3, eps),
+    "conditional_entropy": lambda m, eps: conditional_entropy(m, 3, eps),
+    "profile": lambda m, eps: conditional_entropy(m, 3, [0.0, eps, 0.0]),
+    "multi_site_F": lambda m, eps: multi_site_F(m, [0.0, eps]),
+    "sequence_probability": lambda m, eps: sequence_probability(m, (0, 1, 0), eps),
+    "emission_at": lambda m, eps: emission_at(m.noise, eps),
+    "evaluate_series": lambda m, eps: evaluate_series(entropy_rate_series(m, 2), eps),
+    "conditional_bounds": lambda m, eps: conditional_bounds(m, eps, 3),
+    "bounds_by_n": lambda m, eps: bounds_by_n(m, eps, 3),
+    "path_log_likelihood": lambda m, eps: path_log_likelihood(m, eps, [0, 1, 0]),
+    "sample_paths": lambda m, eps: sample_paths(m, eps, 100, seed=0),
+    "mc_entropy_rate": lambda m, eps: mc_entropy_rate(m, eps, 10_000, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", _EPS_ENTRIES)
+@pytest.mark.parametrize("t", [
+    [[0, 0], [0, 0]],
+    [[-1e-320, 1e-320], [1e-320, -1e-320]],  # 1/1e-320 overflows
+], ids=["zero", "subnormal"])
+def test_an_infinite_eps_is_refused(name, t):
+    # epsilon_max is inf, and inf * 0 would put nan into R(eps)
+    model = make_model([[0.7, 0.3], [0.3, 0.7]], t)
+    assert model.epsilon_max == math.inf
+    with pytest.raises(EpsilonOutOfRange, match="eps = inf is not finite"):
+        _EPS_ENTRIES[name](model, math.inf)
+    _EPS_ENTRIES[name](model, 0.25)
 
 
 class TestNoiseJets:
