@@ -12,14 +12,18 @@ in each tree.  Bits of floating-point results may differ between
 platforms and numpy builds, so compare digests made on one machine only.
 
 The grid: ``entropy_rate_series`` (bs at K = 11, 19, 31; t3 at K = 11,
-15; a random 3-state model at K = 11), ``settling_table`` on a zero-noise
-model and on bs p = 1e-8 (whose order-19 cells overflow), ``bounds_by_n``,
-the residuals of three 30-trial lemma batteries, ``mixed_partial_F`` for
-9 kvecs on 4 models, ``multi_site_F`` on a MultiJet profile and on one
-that mixes floats with UniJets, ``sequence_probability`` of a UniJet on
-five symbols and on none, the bytes of ``sample_paths`` across a sampler
-segment end (length 2 * ``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a
-random 9-symbol model, the estimate and standard error of
+15; a random 3-state model at K = 11; a fully symmetric 5-state chain,
+whose 120 symmetries leave one orbit with stabilisers of 24, at K = 5;
+swap01, whose symbols 0 and 1 swap, at K = 11), ``settling_table`` on a
+zero-noise model and on bs p = 1e-8 (whose order-19 cells overflow),
+``bounds_by_n`` (bs, t3, the 5-state chain to N = 5, swap01), the
+residuals of three 30-trial lemma batteries, ``mixed_partial_F`` for 9
+kvecs on 5 models and 2 on the 5-state chain, ``multi_site_F`` on a
+MultiJet profile and on one that mixes floats with UniJets,
+``sequence_probability`` of a UniJet on five symbols and on none, the
+bytes of ``sample_paths`` across a sampler segment end (length 2 *
+``_SEGMENT`` + 1, seeds 1-3) on bs, t3 and a random 9-symbol model, the
+estimate and standard error of
 ``mc_entropy_rate`` at L = 10**5 on bs and on t3, on the 9-symbol model
 at L = 3 * ``_SEGMENT`` + 7 in 31 replicas (a walk and emission across
 three segments, 8 emission edges per state, replicas that straddle
@@ -67,6 +71,14 @@ def _models():
         "r9": hmpx.random_model(rng, 9),
         "zero": hmpx.make_model([[0.7, 0.3], [0.3, 0.7]], [[0, 0], [0, 0]]),
         "p8": hmpx.make_model([[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]], [[-1, 1], [1, -1]]),
+        # every permutation of 5 symbols is a symmetry: one orbit, |G| = 120
+        "full5": hmpx.make_model(
+            [[0.5 if i == j else 0.125 for j in range(5)] for i in range(5)],
+            [[-1 if i == j else 0.25 for j in range(5)] for i in range(5)]),
+        # symbols 0 and 1 swap, 2 is fixed: orbits {0, 1} and {2}
+        "swap01": hmpx.make_model(
+            [[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.25, 0.25, 0.5]],
+            [[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.25, 0.25, -0.5]]),
     }
 
 
@@ -78,18 +90,23 @@ def _grid(m):
                   (r := hmpx.entropy_rate_series(m[name], k)).coefficients,
                   r.settle_residuals])
              for name, k in (("bs", 11), ("bs", 19), ("bs", 31),
-                             ("t3", 11), ("t3", 15), ("r3", 11))]
+                             ("t3", 11), ("t3", 15), ("r3", 11),
+                             ("full5", 5), ("swap01", 11))]
     items += [(f"table {name}", lambda name=name, k=k, n=n: [
         (t := hmpx.settling_table(m[name], k, n)).coefficients,
         t.column_disagreement]) for name, k, n in (("zero", 7, 8), ("p8", 19, 12))]
     items += [("bounds bs", lambda: bounds_by_n(m["bs"], 0.05, 14)),
-              ("bounds t3", lambda: bounds_by_n(m["t3"], 0.1, 8))]
+              ("bounds t3", lambda: bounds_by_n(m["t3"], 0.1, 8)),
+              ("bounds full5", lambda: bounds_by_n(m["full5"], 0.1, 5)),
+              ("bounds swap01", lambda: bounds_by_n(m["swap01"], 0.1, 8))]
     items += [(f"lemma {lemma}", lambda lemma=lemma: [
         r.residual for r in hmpx.run_lemma_battery(lemma, 30, seed=lemma)])
         for lemma in (1, 2, 3)]
     items += [(f"mixed {name} {kvec}",
                lambda name=name, kvec=kvec: hmpx.mixed_partial_F(m[name], kvec))
-              for name in ("bs", "t3", "r2", "r3") for kvec in KVECS]
+              for name in ("bs", "t3", "r2", "r3", "swap01") for kvec in KVECS]
+    items += [(f"mixed full5 {kvec}", lambda kvec=kvec: hmpx.mixed_partial_F(m["full5"], kvec))
+              for kvec in ((1, 2, 1), (0, 1, 2))]
     items += [("multi_site_F t3", lambda: hmpx.multi_site_F(
         m["t3"], [MultiJet.variable(i, 4, 4) for i in range(4)]).coeffs),
         ("multi_site_F t3 floats and UniJets", lambda: hmpx.multi_site_F(

@@ -36,17 +36,14 @@ no jet is built and no noise is admitted.  The budget still counts s**N
 sequences, and is checked before any exponent set or site tensor is
 built.
 
-Symmetry: let G be the symbol permutations sigma with M[sigma i, sigma j]
-= M[i, j] and T[sigma i, sigma j] = T[i, j] (exact float equality) that
+Symmetry: let G be the symmetries of M and T (HmpModel.symmetries) that
 also fix the start law.  Applying sigma to every site of a sequence keeps
 its probability, for any per-site noise, so the sequences starting with
 a and with sigma(a) contribute the same sum.  The walk therefore visits
 only first symbols that are the smallest of their orbit, and weights
 each one's block sums by the orbit size.  Without symmetry every symbol
-is its own orbit, of weight 1.  The stationary law is G-invariant in
-exact arithmetic only, so with G known the walk starts from its exact
-G-average, which differs from it by rounding; an explicit ``initial``
-must be G-fixed bit for bit.  The search runs for s <= 7 only.
+is its own orbit, of weight 1.  The stationary start is the model's
+symmetric_stationary; an explicit ``initial`` must be G-fixed bit for bit.
 
 The walk is depth-first over blocks of at most _CHUNK prefixes, so its
 working set grows with N, not with s**N, and the last level is never held
@@ -80,8 +77,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -249,54 +245,18 @@ def sequence_probability(model, symbols, noise):
 
 # --- symbol symmetry -----------------------------------------------------
 
-# Largest alphabet whose symbol permutations are searched; 7! = 5040.
-_MAX_SYMMETRY_SIZE = 7
-
-
-@lru_cache(maxsize=None)
-def _permutations(s):
-    # every permutation of range(s), one per row, the identity first
-    perms = np.array(list(permutations(range(s))), dtype=np.intp)
-    perms.flags.writeable = False
-    return perms
-
-
-def _symmetries(model):
-    """Symbol permutations fixing M and T exactly, one per row of a (|G|, s)
-    array, the identity first."""
-    s = model.size
-    m, t = model.transition.matrix, model.noise.matrix
-    dm, dt = m.diagonal(), t.diagonal()
-    # a symmetry maps each symbol to one with the same diagonal entries;
-    # when no two symbols agree on both, only the identity is left
-    if s > _MAX_SYMMETRY_SIZE or len(set(zip(dm.tolist(), dt.tolist()))) == s:
-        return np.arange(s)[None]
-    g = _permutations(s)
-    g = g[(dm[g] == dm).all(axis=1) & (dt[g] == dt).all(axis=1)]
-    rows, cols = g[:, :, None], g[:, None, :]
-    fixed = (m[rows, cols] == m).all(axis=(1, 2)) & (t[rows, cols] == t).all(axis=(1, 2))
-    return g[fixed]
-
-
 def _symmetric_start(model, initial):
     """The start law and the symmetries of M and T that fix it.
 
     The start is ``initial`` if it is a length-s probability vector (every
     check is a comparison that NaN fails) over its row_sum, like a
     transition row, and only the symmetries that fix it bit for bit are
-    kept.  Without ``initial`` every symmetry is kept and the start is the
-    G-average of the stationary law: the exact law is G-invariant, the
-    computed one only up to rounding.  Each average is an fsum over the
-    orbit, correctly rounded whatever the order, so it is G-invariant bit
-    for bit.  When G is the identity alone each orbit is one symbol, whose
-    average is the stationary law's own entry, so that law is the start.
+    kept.  Without ``initial`` every symmetry is kept and the start is
+    model.symmetric_stationary.
     """
-    g = _symmetries(model)
+    g = model.symmetries
     if initial is None:
-        pi = model.transition.stationary
-        if len(g) == 1:
-            return pi, g
-        return np.array([math.fsum(pi[orbit]) / len(g) for orbit in g.T]), g
+        return model.symmetric_stationary, g
     init = np.asarray(initial, dtype=float)
     if not (init.shape == (model.size,) and np.all(init >= 0)
             and abs((total := row_sum(init)) - 1.0) <= ROW_SUM_TOL):
@@ -454,8 +414,9 @@ class _Slope:
     of a level sum to 1 at any noise, so their p_i sum to 0.  The log runs
     on the box with k_i lowered by one.  p_i has no x_i, so only the slab
     of the log at x_i**(k_i - 1) meets it, over the box {e <= t} without
-    x_i, t = kvec with k_i set to 0.  The cap sum(kvec) never binds there,
-    so that box is whole: its flat C order is its mixed-radix code, e and
+    x_i, t = kvec with k_i set to 0.  Each box is capped at its own sum,
+    so it is whole, and one box is one cached set whichever kvec walks it;
+    a whole box's flat C order is its mixed-radix code, so e and
     t - e sit at mirrored flat indices, and the coefficient of x**t in
     the product is one reversed dot product per row.
 
@@ -474,16 +435,17 @@ class _Slope:
     """
 
     def __init__(self, model, kvec):
-        n, cap = len(kvec), sum(kvec)
+        n = len(kvec)
         i = n - 1 if kvec[-1] else min(
             (j for j in range(n) if kvec[j]), key=kvec.__getitem__)
         self.order = k = kvec[i]
         radix = [b + 1 for b in kvec]
         # a jet array over the whole box, viewed along x_i
         self.shape = (math.prod(radix[:i]), k + 1, math.prod(radix[i + 1:]))
-        self.lower = exponent_set(tuple(kvec[:i]) + (k - 1,) + tuple(kvec[i + 1:]), cap)
+        lower = tuple(kvec[:i]) + (k - 1,) + tuple(kvec[i + 1:])
+        self.lower = exponent_set(lower, sum(lower))
         walked = kvec[:-1] + [0] if i == n - 1 else kvec
-        self.space = exponent_set(tuple(walked), cap)
+        self.space = exponent_set(tuple(walked), sum(walked))
         # the sites the walk steps through, last one read off if it is i
         eps = np.zeros((n - (i == n - 1), self.space.size))
         for j, row in enumerate(eps):

@@ -251,10 +251,10 @@ def exponent_set(bounds, cap):
 
     Raises DegreeExceedsCap when the set has more than MAX_EXPONENTS members.
     The cache keeps each set with the shift rows read so far.  The three
-    100-instance lemma batteries of acceptance criterion 4 ask for 342
-    sets (cache_info().misses), so the cache ends at its limit: 256 sets
-    with at most 5 support patterns each, in under 2 MB (tracemalloc:
-    about 1.66 MB).
+    100-instance lemma batteries of acceptance criterion 4 ask for 250
+    sets (cache_info().misses), so the cache ends just under its limit of
+    256: 250 sets with at most 5 support patterns each, in under 2 MB
+    (tracemalloc: about 1.87 MB).
     """
     size = _set_size(bounds, cap)
     if size > MAX_EXPONENTS:

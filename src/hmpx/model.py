@@ -15,6 +15,11 @@ immutable.
 Each row sum is one math.fsum (row_sum), correctly rounded in any order:
 the validators check and repair each row with it, so rows that permute
 one another stay permutations bit for bit and keep the exact symmetries.
+
+Symmetry: ``symmetries`` G are the symbol permutations fixing M and T
+exactly (float equality), searched once per model for s <= 7.  The
+stationary law is G-invariant only up to rounding, so
+``symmetric_stationary`` is its exact G-average.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
+_MAX_SYMMETRY_SIZE = 7  # largest alphabet searched: 7! = 5040 permutations
 
 
 def _as_square(raw, what):
@@ -100,6 +108,37 @@ class HmpModel:
     @property
     def epsilon_max(self):
         return self.noise.epsilon_max
+
+    @cached_property
+    def symmetries(self):
+        """Symbol permutations fixing M and T exactly, one per row of a
+        read-only (|G|, s) array, the identity first."""
+        s, m, t = self.size, self.transition.matrix, self.noise.matrix
+        dm, dt = m.diagonal(), t.diagonal()
+        # a symmetry maps each symbol to one with the same diagonal entries;
+        # when no two symbols agree on both, only the identity is left
+        g = np.arange(s)[None]
+        if s <= _MAX_SYMMETRY_SIZE and len(set(zip(dm.tolist(), dt.tolist()))) < s:
+            g = _permutations(s)
+            g = g[(dm[g] == dm).all(axis=1) & (dt[g] == dt).all(axis=1)]
+            rows, cols = g[:, :, None], g[:, None, :]
+            g = g[(m[rows, cols] == m).all(axis=(1, 2))
+                  & (t[rows, cols] == t).all(axis=(1, 2))]
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def symmetric_stationary(self):
+        """The G-average of the stationary law, read-only: each entry an
+        fsum over its orbit, correctly rounded in any order, so G-invariant
+        bit for bit.  With G the identity alone it is the stationary law."""
+        g, pi = self.symmetries, self.transition.stationary
+        return pi if len(g) == 1 else _frozen([math.fsum(pi[o]) / len(g) for o in g.T])
+
+
+def _permutations(s):
+    # every permutation of range(s), one per row, the identity first
+    return np.array(list(permutations(range(s))), dtype=np.intp)
 
 
 def _stationary_distribution(rows):
@@ -253,7 +292,10 @@ def model_from_dict(doc) -> HmpModel:
     """Build a model from the JSON document schema.
 
     The document must contain exactly the keys "transition" and "noise",
-    each an s x s array of numbers; anything else is rejected.
+    each an s x s array of numbers; anything else is rejected.  A number
+    is an int or a float, as json.load gives them, that a float holds: a
+    string, bool, object or null entry, or an int past the float range,
+    raises ValueError naming the key.
     """
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
@@ -268,7 +310,28 @@ def model_from_dict(doc) -> HmpModel:
         if missing:
             parts.append(f"missing keys {missing}")
         raise ValueError("model document rejected: " + ", ".join(parts))
+    for key in ("transition", "noise"):
+        _check_numbers(key, doc[key])
     return make_model(doc["transition"], doc["noise"])
+
+
+def _check_numbers(key, raw):
+    # every leaf of the nested lists raw must be a number a float holds;
+    # bool is a subclass of int, so it is ruled out first
+    leaves = [raw]
+    while leaves:
+        v = leaves.pop()
+        if isinstance(v, (list, tuple)):
+            leaves.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"model document rejected: {key} entry "
+                             f"{json.dumps(v, default=repr)} is not a number")
+        elif isinstance(v, int):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"model document rejected: {key} has an integer "
+                                 "entry too large for a float") from None
 
 
 def load_model(path) -> HmpModel:

@@ -493,6 +493,19 @@ class TestExitCodes:
         path = model_file(doc)
         assert main(["expand", "--model", path, "--order", "1"]) == 2
 
+    @pytest.mark.parametrize("key", ["transition", "noise"])
+    @pytest.mark.parametrize("entry", ["0.7", True, {"a": 1}, 10 ** 400, None],
+                             ids=["string", "bool", "object", "oversized-int", "null"])
+    def test_a_non_number_entry_is_validation_error(self, capsys, model_file,
+                                                    key, entry):
+        doc = {k: [row[:] for row in rows] for k, rows in BS_DOC.items()}
+        doc[key][1][0] = entry
+        assert main(["expand", "--model", model_file(doc), "--order", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: model document rejected: {key} ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("doc, message", [
         ({**BS_DOC, "transition": [[0.9, 0.2], [0.3, 0.7]]},
          "error: transition row 0 sums to 1.1, expected 1\n"),

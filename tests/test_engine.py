@@ -31,12 +31,14 @@ from hmpx import (
     path_log_likelihood,
     random_model,
     random_transition,
+    run_lemma_battery,
     sample_paths,
     sequence_probability,
     settling_table,
     validate_noise,
 )
 import hmpx.engine
+import hmpx.model
 from hmpx.engine import _sites, _symmetric_start, block_entropies, check_budget
 from hmpx.estimation import bounds_by_n
 from hmpx.jets import ExponentSet, Jet, exponent_set
@@ -507,6 +509,19 @@ class TestMixedPartialF:
             got = mixed_partial_F(model, kvec)
             assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), kvec
 
+    def test_a_box_is_one_set_whichever_kvec_walks_it(self, bs):
+        # both walk the box (1, 2, 0), whose own sum is its cap
+        a, b = (hmpx.engine._Slope(bs, kvec) for kvec in ([1, 2, 1], [1, 2, 2]))
+        assert a.space is b.space is exponent_set((1, 2, 0), 3)
+
+    def test_the_criterion_4_batteries_fit_the_exponent_set_cache(self):
+        exponent_set.cache_clear()
+        for lemma in (1, 2, 3):
+            run_lemma_battery(lemma, 100, seed=1000 + lemma, tol=1e-9,
+                              sizes=(2, 3), n_max=6, weight_max=6)
+        info = exponent_set.cache_info()
+        assert info.misses <= info.maxsize and info.currsize < info.maxsize
+
     @pytest.mark.parametrize("kvec", [[0] * 9 + [1, 1], [7, 7]],
                              ids=["eleven-sites", "order-14"])
     def test_kvec_past_the_multijet_caps_is_refused_first(self, bs, kvec):
@@ -736,6 +751,14 @@ def _swap01():
                       [[-1, 0.5, 0.5], [0.5, -1, 0.5], [0.25, 0.25, -0.5]])
 
 
+def _full(s):
+    # every symbol permutation is a symmetry: one orbit, |G| = s!
+    return make_model([[0.5 if i == j else 0.5 / (s - 1) for j in range(s)]
+                       for i in range(s)],
+                      [[-1.0 if i == j else 1 / (s - 1) for j in range(s)]
+                       for i in range(s)])
+
+
 class TestOrbitReduction:
     """The walk visits one first symbol per orbit of the model's symmetries."""
 
@@ -780,8 +803,8 @@ class TestOrbitReduction:
 
     def test_search_is_cheap_or_skipped(self, monkeypatch):
         calls = []
-        perms = hmpx.engine._permutations
-        monkeypatch.setattr(hmpx.engine, "_permutations",
+        perms = hmpx.model._permutations
+        monkeypatch.setattr(hmpx.model, "_permutations",
                             lambda s: calls.append(s) or perms(s))
         # distinct diagonals: rejected before any permutation is formed
         _symmetric_start(random_model(np.random.default_rng(1), 3), None)
@@ -791,6 +814,30 @@ class TestOrbitReduction:
         # s = 8 is symmetric too, but not searched
         assert len(_symmetric_start(_circulant(8), None)[1]) == 1
         assert calls == [7]
+
+    def test_one_search_per_model(self, monkeypatch):
+        calls = []
+        perms = hmpx.model._permutations
+        monkeypatch.setattr(hmpx.model, "_permutations",
+                            lambda s: calls.append(s) or perms(s))
+        model = _full(7)
+        block_entropy(model, 2, 0.05)
+        conditional_entropy(model, 3, 0.05)
+        mixed_partial_F(model, (1, 1, 1))
+        bounds_by_n(model, 0.05, 3)
+        assert calls == [7]
+        assert hmpx.engine._runs(model.symmetries) == [[0, 1, 7]]
+
+    @pytest.mark.parametrize("name", MODELS + ["random"])
+    def test_start_and_group_are_read_only(self, t3, name):
+        model = (random_model(np.random.default_rng(0), 3) if name == "random"
+                 else self._model(name, t3))
+        start, g = _symmetric_start(model, None)
+        assert start is model.symmetric_stationary and g is model.symmetries
+        for a in (start, g):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
 
     @pytest.mark.parametrize("name", MODELS)
     @pytest.mark.parametrize("kind", ["float", "unijet", "multijet"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,18 @@ class TestModelDocument:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             model_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("key", ["transition", "noise"])
+    @pytest.mark.parametrize("entry, message", [
+        ("0.7", '"0.7" is not a number'), (True, "true is not a number"),
+        ({"a": 1}, '{"a": 1} is not a number'), (None, "null is not a number"),
+        (10 ** 400, "integer entry too large for a float"),
+    ], ids=["string", "bool", "object", "null", "oversized-int"])
+    def test_entries_must_be_numbers(self, key, entry, message):
+        doc = {"transition": [[0.7, 0.3], [0.3, 0.7]], "noise": [[-1, 1], [1, -1]]}
+        doc[key][1][0] = entry
+        with pytest.raises(ValueError, match=f"rejected: {key} .*{re.escape(message)}"):
+            model_from_dict(doc)
 
 
 @given(seed=st.integers(0, 2**32 - 1), s=st.sampled_from([2, 3, 5]))
